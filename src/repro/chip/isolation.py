@@ -22,6 +22,8 @@ the paper's tested row sample matches the per-module Table 4 targets.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.chip.rng import rng_for
 
 
@@ -60,41 +62,52 @@ class IsolationMap:
             self._sample = list(range(0, subarrays, step))
         else:
             self._sample = list(range(subarrays))
+        self._diff_pairs, self._pairs = self._pair_histogram()
         self._allowed_diffs = self._calibrate(target_coverage)
 
     # ------------------------------------------------------------------
-    def _coverage_given(self, allowed: set[int], sample: list[int] | None = None) -> float:
+    def _pair_histogram(self) -> tuple[list[int], int]:
+        """One pass over the calibration sample's ordered subarray pairs.
+
+        Returns ``(hist, pairs)``: ``pairs`` counts the ordered pairs of
+        distinct subarrays, and ``hist[d]`` those that are not open-bitline
+        neighbours (|i − j| > 1) and whose rail difference is ``d``.  Any
+        compatibility set's coverage is then a sum over its differences.
+        """
+        sample = np.asarray(self._sample)
+        rail = np.asarray(self.rail_of)[sample]
+        diff = (rail[:, None] - rail[None, :]) % self.rails
+        apart = np.abs(sample[:, None] - sample[None, :]) > 1
+        hist = np.bincount(diff[apart], minlength=self.rails)
+        pairs = int((sample[:, None] != sample[None, :]).sum())
+        return hist.tolist(), pairs
+
+    def _coverage_given(self, allowed: set[int]) -> float:
         """Average pairable fraction over the sampled subarray pairs.
 
-        ``sample`` defaults to the calibration sample; pair legality uses
-        the same rules as :meth:`isolated` (rail-difference compatibility
-        plus open-bitline adjacency exclusion).
+        Pair legality uses the same rules as :meth:`isolated`
+        (rail-difference compatibility plus open-bitline adjacency
+        exclusion), counted once by :meth:`_pair_histogram`.
         """
-        sample = self._sample if sample is None else sample
-        total = 0
-        good = 0
-        for i in sample:
-            for j in sample:
-                if i == j:
-                    continue
-                total += 1
-                if abs(i - j) > 1 and (self.rail_of[i] - self.rail_of[j]) % self.rails in allowed:
-                    good += 1
-        return good / total if total else 0.0
+        good = sum(self._diff_pairs[d] for d in allowed)
+        return good / self._pairs if self._pairs else 0.0
 
     def _calibrate(self, target: float) -> set[int]:
-        """Grow the compatibility set until average coverage meets the target.
+        """Grow the compatibility set greedily towards the target coverage.
 
         Candidates are symmetric rail-difference pairs ``{d, rails − d}``
-        (isolation must be a symmetric relation); they are considered in a
-        seeded order so two designs with the same target still differ, and
-        at each step the candidate that most improves the fit is taken.
+        (isolation must be a symmetric relation), considered in a seeded
+        order so two designs with the same target still differ.  Each round
+        adds the candidate that brings the average coverage closest to the
+        target (the first such one on ties); the search stops as soon as no
+        candidate improves on the current fit, so the result may land just
+        below or just above the target.
         """
         rng = rng_for(self.design_seed, 0xCA11B)
         half = self.rails // 2
         candidates = [
             {d, self.rails - d} if d != half else {d}
-            for d in rng.permutation(range(1, half + 1))
+            for d in rng.permutation(range(1, half + 1)).tolist()
         ]
         allowed: set[int] = set()
         best_err = abs(self._coverage_given(allowed) - target)

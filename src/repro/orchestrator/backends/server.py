@@ -581,6 +581,8 @@ class SocketBackend(ExecutionBackend):
 
     @property
     def parallelism(self) -> int:  # type: ignore[override]
+        if self.degraded:
+            return LocalPoolBackend(self.fallback_workers).parallelism
         return max(1, self.server.workers_seen)
 
     def telemetry(self) -> dict:

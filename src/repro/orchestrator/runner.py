@@ -106,6 +106,8 @@ class SweepResult:
     results: tuple[SimResult, ...]
     cache_hits: int
     cache_misses: int
+    #: The executing backend's ``parallelism`` (1 for serial, the pool
+    #: size for local); the requested count when nothing was executed.
     workers: int
     elapsed_s: float
     #: Which execution backend ran the missing points.
@@ -239,6 +241,7 @@ def run_sweep(
             finally:
                 if owned:
                     bk.close()
+            workers = bk.parallelism
             if getattr(bk, "degraded", False):
                 backend_name = f"{bk.name}+local-fallback"
             report = getattr(bk, "telemetry", None)

@@ -145,9 +145,14 @@ class TestBackendEquivalence:
         assert serial.backend == "serial"
         assert serial.computed == len(serial)
 
+    def test_serial_backend_reports_one_worker(self):
+        # The requested pool size must not leak into a serial run's report.
+        assert run_sweep(tiny_sweep(), workers=2, backend="serial").workers == 1
+
     def test_local_pool_matches_serial(self, serial):
         local = run_sweep(tiny_sweep(), workers=2)
         assert local.backend == "local"
+        assert local.workers == 2
         assert dicts(local) == dicts(serial)
 
     def test_socket_thread_worker_matches_serial(self, serial):
