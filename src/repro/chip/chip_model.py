@@ -97,6 +97,9 @@ class DramChip:
         self._last_cmd_ps = -1
         self._ref_pointer: dict[int, int] = {}
         self._flip_salt = 0
+        #: Logical row -> (physical row, physical neighbours), filled on
+        #: first use; only rows that passed ``check_row`` are ever stored.
+        self._resolved: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Data plane
@@ -116,9 +119,9 @@ class DramChip:
         disturbance for the row.
         """
         self.geometry.check_bank(bank)
-        self.geometry.check_row(row)
+        phys = self._physical(row)[0]
         self._row_array(bank, row)[:] = fill_byte
-        self.disturb.on_write(bank, self.design.logical_to_physical(row))
+        self.disturb.on_write(bank, phys)
         self.stats.writes += 1
 
     def peek_row(self, bank: int, row: int) -> np.ndarray:
@@ -133,8 +136,9 @@ class DramChip:
         rng = rng_for(self.chip_seed, 0xF11B5, bank, row, self._flip_salt)
         positions = rng.integers(0, self._row_bytes, size=count)
         bits = rng.integers(0, 8, size=count)
-        for pos, bit in zip(positions, bits):
-            arr[pos] ^= np.uint8(1 << int(bit))
+        # XOR commutes and ``.at`` applies every occurrence of a repeated
+        # position, so this equals flipping the bits one at a time in order.
+        np.bitwise_xor.at(arr, positions, (1 << bits).astype(np.uint8))
         self.stats.bitflips_injected += int(count)
 
     def _corrupt_row(self, bank: int, row: int, reason: str) -> None:
@@ -175,6 +179,21 @@ class DramChip:
         else:  # pragma: no cover - enum is closed
             raise DramError(f"unsupported command {cmd.kind}")
 
+    def _physical(self, row: int) -> tuple[int, tuple[int, ...]]:
+        """A logical row's physical row and physical neighbours.
+
+        The design's scrambling is fixed, so each row is resolved (and
+        range-checked) once per chip.
+        """
+        resolved = self._resolved.get(row)
+        if resolved is None:
+            resolved = (
+                self.design.logical_to_physical(row),
+                tuple(self.design.physical_neighbors(row)),
+            )
+            self._resolved[row] = resolved
+        return resolved
+
     def _timing_of(self, bank: int, row: int):
         """Per-row circuit characteristics, keyed by physical position.
 
@@ -182,12 +201,12 @@ class DramChip:
         threshold) belongs to the physical row; logical addresses reach it
         through the design's internal scrambling.
         """
-        return self.variation.row_timing(bank, self.design.logical_to_physical(row))
+        return self.variation.row_timing(bank, self._physical(row)[0])
 
     def _bank(self, bank: int) -> _BankState:
-        self.geometry.check_bank(bank)
         state = self._banks.get(bank)
         if state is None:
+            self.geometry.check_bank(bank)
             state = _BankState()
             self._banks[bank] = state
         return state
@@ -216,7 +235,7 @@ class DramChip:
         state.open_rows[sa] = _OpenRow(row=row, act_ps=now_ps)
         state.phase = "open"
         state.io_owner = sa
-        self.disturb.hammer(bank, self.design.physical_neighbors(row))
+        self.disturb.hammer(bank, self._physical(row)[1])
 
     def _act_during_precharge(self, bank: int, state: _BankState, row: int, now_ps: int) -> None:
         t2 = now_ps - state.pre_ps
@@ -277,21 +296,19 @@ class DramChip:
         state.open_rows[sa_b] = _OpenRow(row=row, act_ps=now_ps)
         state.phase = "open"
         state.io_owner = sa_b
-        self.disturb.hammer(bank, self.design.physical_neighbors(row))
+        self.disturb.hammer(bank, self._physical(row)[1])
         if success:
             self.stats.hira_successes += 1
 
     def _sense_row(self, bank: int, row: int) -> None:
         """Sensing amplifies the stored charge: materialize pending flips."""
-        phys = self.design.logical_to_physical(row)
-        timing = self._timing_of(bank, row)
-        flips = self.disturb.flips_on_sense(bank, phys, timing)
+        phys = self._physical(row)[0]
+        flips = self.disturb.flips_on_sense(bank, phys, self.variation.row_timing(bank, phys))
         if flips:
             self._inject_flips(bank, row, flips)
-        # Sensing latches current charge; pending disturbance becomes part
-        # of the restored value, so clear the peak down to the disturbance.
-        entry = self.disturb.rows.get((bank, phys))
-        if entry is not None and flips:
+            # Sensing latches current charge; pending disturbance becomes
+            # part of the restored value, so clear the peak down to it.
+            entry = self.disturb.rows[(bank, phys)]
             entry.disturb = 0.0
             entry.peak = 0.0
 
@@ -354,9 +371,9 @@ class DramChip:
 
     def _close_row(self, bank: int, state: _BankState, sa: int, close_ps: int) -> None:
         open_row = state.open_rows.pop(sa)
-        timing_row = self._timing_of(bank, open_row.row)
+        phys = self._physical(open_row.row)[0]
+        timing_row = self.variation.row_timing(bank, phys)
         duration = close_ps - open_row.act_ps
-        phys = self.design.logical_to_physical(open_row.row)
         needed = timing_row.restore_needed_ps(self.timing.tras)
         if duration >= needed:
             self.disturb.on_restore(bank, phys, timing_row, fraction=1.0)
@@ -398,7 +415,7 @@ class DramChip:
         fill = meta.get("fill")
         if fill is not None:
             self._row_array(bank, open_row.row)[:] = fill
-            self.disturb.on_write(bank, self.design.logical_to_physical(open_row.row))
+            self.disturb.on_write(bank, self._physical(open_row.row)[0])
 
     # -- REF --------------------------------------------------------------
     def _do_ref(self, now_ps: int) -> None:
@@ -417,8 +434,10 @@ class DramChip:
             for i in range(rows_per_ref):
                 row = (pointer + i) % self.geometry.rows_per_bank
                 self._sense_row(bank, row)
-                phys = self.design.logical_to_physical(row)
-                self.disturb.on_restore(bank, phys, self._timing_of(bank, row), fraction=1.0)
+                phys = self._physical(row)[0]
+                self.disturb.on_restore(
+                    bank, phys, self.variation.row_timing(bank, phys), fraction=1.0
+                )
             self._ref_pointer[bank] = (pointer + rows_per_ref) % self.geometry.rows_per_bank
 
     # ------------------------------------------------------------------
@@ -442,7 +461,7 @@ class DramChip:
         self.stats.pres += count * len(rows)
         for row in rows:
             self._sense_row(bank, row)
-            self.disturb.hammer(bank, self.design.physical_neighbors(row), count)
+            self.disturb.hammer(bank, self._physical(row)[1], count)
         # Advance time past the hammering burst.
         self._last_cmd_ps += count * len(rows) * self.timing.trc
 

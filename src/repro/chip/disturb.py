@@ -23,6 +23,7 @@ first-half flips — reproducing the paper's ~1.9× mean and 1.09–2.58 spread
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.chip.variation import RowTiming, VariationModel
@@ -53,7 +54,7 @@ class DisturbState:
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def hammer(self, bank: int, phys_neighbors: list[int], count: int = 1) -> None:
+    def hammer(self, bank: int, phys_neighbors: Iterable[int], count: int = 1) -> None:
         """Neighbouring row(s) of an activated row accumulate disturbance."""
         for phys in phys_neighbors:
             entry = self._entry(bank, phys)
@@ -75,7 +76,9 @@ class DisturbState:
         per-run effective threshold.
         """
         entry = self.rows.get((bank, phys_row))
-        if entry is None:
+        # The threshold (NRH × a lognormal draw) is always positive, so a
+        # row with no positive peak cannot flip: skip the keyed draw.
+        if entry is None or entry.peak <= 0:
             return 0
         threshold = timing.nrh * self.variation.run_noise(bank, phys_row, entry.run)
         if entry.peak < threshold:

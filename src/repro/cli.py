@@ -533,15 +533,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts and steps that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("characterize", help="run the §4 experiments on a module")
     p.add_argument("--module", default="C0")
-    p.add_argument("--stride", type=int, default=64)
-    p.add_argument("--rows-a-step", type=int, default=12, dest="rows_a_step")
-    p.add_argument("--victims", type=int, default=8)
+    p.add_argument("--stride", type=_positive_int, default=64)
+    p.add_argument("--rows-a-step", type=_positive_int, default=12, dest="rows_a_step")
+    p.add_argument("--victims", type=_positive_int, default=8)
     p.add_argument("--workers", type=int, default=1,
                    help="process pool size for the coverage measurement")
     p.set_defaults(func=_cmd_characterize)

@@ -58,6 +58,16 @@ class TestFlips:
     def test_untouched_row_never_flips(self, state):
         assert state.flips_on_sense(0, 777, timing_of(state, row=777)) == 0
 
+    def test_written_row_flips_without_drawing_noise(self, state, monkeypatch):
+        state.hammer(0, [10], count=99_999)
+        state.on_write(0, 10)
+
+        def no_draw(*args):
+            raise AssertionError("drew run noise for a row with no positive peak")
+
+        monkeypatch.setattr(state.variation, "run_noise", no_draw)
+        assert state.flips_on_sense(0, 10, timing_of(state)) == 0
+
 
 class TestRestore:
     def test_full_restore_reduces_disturbance(self, state):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.chip.rng import rng_for
 from repro.dram.commands import Command, CommandKind
-from repro.dram.errors import DramError, TimingViolation
+from repro.dram.errors import DramError, GeometryError, TimingViolation
 from repro.softmc.host import SoftMCHost
 from repro.softmc.patterns import DataPattern
 
@@ -193,3 +194,32 @@ class TestRefreshAndHammer:
         host.activate_refresh(0, victim)
         host.hammer(0, aggressors, half)
         assert host.compare_data(DataPattern.ALL_ONES, 0, victim) == 0
+
+
+class TestRowResolution:
+    def test_out_of_range_rows_rejected_on_every_path(self, chip, host):
+        bad = chip.geometry.rows_per_bank
+        with pytest.raises(GeometryError):
+            chip.write_row_direct(0, bad, 0xFF)
+        with pytest.raises(GeometryError):
+            chip.bulk_hammer(0, [bad], 10)
+        with pytest.raises(GeometryError):
+            host.run(host.program().act(0, bad, wait_ps=chip.timing.tras))
+        assert bad not in chip._resolved and (0, bad) not in chip._data
+        with pytest.raises(GeometryError):
+            chip.write_row_direct(99, 5, 0xFF)
+
+    def test_flip_injection_matches_one_at_a_time_reference(self, chip):
+        row, count = 7, 3_000
+        chip.write_row_direct(0, row, 0xAA)
+        expected = chip.peek_row(0, row)
+        rng = rng_for(chip.chip_seed, 0xF11B5, 0, row, chip._flip_salt + 1)
+        positions = rng.integers(0, expected.size, size=count)
+        bits = rng.integers(0, 8, size=count)
+        # Repeated positions and repeated (position, bit) pairs both occur.
+        assert len(set(zip(positions.tolist(), bits.tolist()))) < count
+        for pos, bit in zip(positions, bits):
+            expected[pos] ^= np.uint8(1 << int(bit))
+        chip._inject_flips(0, row, count)
+        assert np.array_equal(chip.peek_row(0, row), expected)
+        assert chip.stats.bitflips_injected == count

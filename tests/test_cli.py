@@ -188,6 +188,13 @@ class TestCommands:
     def test_characterize_unknown_module(self, capsys):
         assert main(["characterize", "--module", "ZZ"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--victims", "--rows-a-step", "--stride"])
+    def test_characterize_rejects_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["characterize", "--module", "A0", flag, "0"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_characterize_command(self, capsys):
         assert main([
             "characterize", "--module", "A0", "--stride", "256",
