@@ -43,7 +43,7 @@ class _OpenRow:
 
 
 @dataclass
-class _BankState:
+class _ChipBankState:
     #: Open rows keyed by subarray index.
     open_rows: dict[int, _OpenRow] = field(default_factory=dict)
     #: 'precharged' | 'open' | 'precharging'
@@ -91,7 +91,7 @@ class DramChip:
         self.variation = VariationModel(design.variation, chip_seed)
         self.disturb = DisturbState(self.variation)
         self.stats = ChipStats()
-        self._banks: dict[int, _BankState] = {}
+        self._banks: dict[int, _ChipBankState] = {}
         self._data: dict[tuple[int, int], np.ndarray] = {}
         self._row_bytes = self.geometry.row_bits // 8
         self._last_cmd_ps = -1
@@ -203,11 +203,11 @@ class DramChip:
         """
         return self.variation.row_timing(bank, self._physical(row)[0])
 
-    def _bank(self, bank: int) -> _BankState:
+    def _bank(self, bank: int) -> _ChipBankState:
         state = self._banks.get(bank)
         if state is None:
             self.geometry.check_bank(bank)
-            state = _BankState()
+            state = _ChipBankState()
             self._banks[bank] = state
         return state
 
@@ -229,7 +229,7 @@ class DramChip:
 
         self._fresh_activation(bank, state, row, now_ps)
 
-    def _fresh_activation(self, bank: int, state: _BankState, row: int, now_ps: int) -> None:
+    def _fresh_activation(self, bank: int, state: _ChipBankState, row: int, now_ps: int) -> None:
         sa = self.geometry.subarray_of_row(row)
         self._sense_row(bank, row)
         state.open_rows[sa] = _OpenRow(row=row, act_ps=now_ps)
@@ -237,7 +237,7 @@ class DramChip:
         state.io_owner = sa
         self.disturb.hammer(bank, self._physical(row)[1])
 
-    def _act_during_precharge(self, bank: int, state: _BankState, row: int, now_ps: int) -> None:
+    def _act_during_precharge(self, bank: int, state: _ChipBankState, row: int, now_ps: int) -> None:
         t2 = now_ps - state.pre_ps
         vendor = self.design.vendor
         if vendor.ignores_fast_act(t2, self.timing.trp):
@@ -348,7 +348,7 @@ class DramChip:
         state.phase = "precharging"
         state.pre_ps = now_ps
 
-    def _maybe_settle(self, bank: int, state: _BankState, now_ps: int) -> None:
+    def _maybe_settle(self, bank: int, state: _ChipBankState, now_ps: int) -> None:
         """Complete a pending precharge whose interrupt window has passed."""
         if state.phase != "precharging":
             return
@@ -362,14 +362,14 @@ class DramChip:
         if now_ps - state.pre_ps > max_window:
             self._settle(bank, state, now_ps)
 
-    def _settle(self, bank: int, state: _BankState, now_ps: int) -> None:
+    def _settle(self, bank: int, state: _ChipBankState, now_ps: int) -> None:
         """Unconditionally finish the pending precharge."""
         for sa in list(state.open_rows):
             self._close_row(bank, state, sa, state.pre_ps)
         state.phase = "precharged"
         state.io_owner = None
 
-    def _close_row(self, bank: int, state: _BankState, sa: int, close_ps: int) -> None:
+    def _close_row(self, bank: int, state: _ChipBankState, sa: int, close_ps: int) -> None:
         open_row = state.open_rows.pop(sa)
         phys = self._physical(open_row.row)[0]
         timing_row = self.variation.row_timing(bank, phys)

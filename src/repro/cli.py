@@ -5,7 +5,7 @@ Nine subcommands mirror the repository's main workflows:
 - ``characterize`` — run the §4 experiments on a tested module.
 - ``simulate`` — one cycle-level run of a refresh configuration.
 - ``audit`` — run one configuration with command auditors attached and
-  re-verify the stream (optionally against the rule-table oracle).
+  re-verify the recorded stream against the rule-table timing oracle.
 - ``sweep`` — an orchestrated parameter-grid sweep (parallel + cached,
   with pluggable execution backends and incremental regeneration).
 - ``worker`` — a sweep-execution worker daemon for ``--backend socket``.
@@ -21,7 +21,7 @@ Usage::
 
     python -m repro.cli characterize --module C0
     python -m repro.cli simulate --capacity 128 --mode hira --slack 2
-    python -m repro.cli audit --mode hira --granularity same_bank --oracle
+    python -m repro.cli audit --mode hira --granularity same_bank
     python -m repro.cli sweep --modes baseline,hira --capacities 8,32 \
         --mixes 2 --workers 4 --cache-dir .sweep-cache
     python -m repro.cli worker --port 7781 &
@@ -156,9 +156,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     auditors = attach_auditors(system)
     result = system.run()
-    oracle = oracle_for_config(config) if args.oracle else None
+    oracle = oracle_for_config(config)
 
-    if args.rules_out and oracle is not None:
+    if args.rules_out:
         atomic_write_text(
             args.rules_out, json.dumps(oracle.table.to_json(), indent=2) + "\n"
         )
@@ -167,21 +167,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     failed = False
     rows = []
     for channel, auditor in enumerate(auditors):
-        auditor_problems = auditor.violations()
-        oracle_problems = (
-            oracle.check_messages(auditor.records) if oracle is not None else None
-        )
-        rows.append([
-            f"channel {channel}",
-            str(len(auditor.records)),
-            str(len(auditor_problems)),
-            "-" if oracle_problems is None else str(len(oracle_problems)),
-        ])
-        for problem in auditor_problems[:10]:
-            print(f"channel {channel} auditor: {problem}")
-        for problem in (oracle_problems or [])[:10]:
+        problems = oracle.check_messages(auditor.records)
+        rows.append([f"channel {channel}", str(len(auditor.records)), str(len(problems))])
+        for problem in problems[:10]:
             print(f"channel {channel} oracle: {problem}")
-        if auditor_problems or oracle_problems:
+        if problems:
             failed = True
         if args.export_log:
             path = Path(args.export_log)
@@ -190,7 +180,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             atomic_write_text(path, json.dumps(auditor.export_log()) + "\n")
             print(f"wrote audit log to {path}")
     print(format_table(
-        ["channel", "commands", "auditor violations", "oracle violations"],
+        ["channel", "commands", "oracle violations"],
         rows,
         title=f"audit: {args.mode}/{args.granularity}, "
         f"{result.cycles} cycles, finished={result.finished}",
@@ -198,8 +188,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if failed:
         print("FAIL: timing violations found")
         return 1
-    checkers = "auditor + oracle" if oracle is not None else "auditor"
-    print(f"OK: command stream clean under {checkers}")
+    print("OK: command stream clean under the oracle")
     return 0
 
 
@@ -541,6 +530,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type for sizes that must be greater than 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -555,9 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("simulate", help="one cycle-level simulation run")
-    p.add_argument("--capacity", type=float, default=8.0)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--ranks", type=int, default=1)
+    p.add_argument("--capacity", type=_positive_float, default=8.0)
+    p.add_argument("--channels", type=_positive_int, default=1)
+    p.add_argument("--ranks", type=_positive_int, default=1)
     p.add_argument("--mode", choices=("none", "baseline", "elastic", "hira"), default="hira")
     p.add_argument("--granularity", choices=("all_bank", "same_bank"),
                    default="all_bank",
@@ -567,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--para-nrh", type=float, default=None, dest="para_nrh")
     p.add_argument("--mix", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--instructions", type=int, default=100_000)
+    p.add_argument("--instructions", type=_positive_int, default=100_000)
     p.add_argument("--trace-out", default=None, dest="trace_out",
                    help="arm the deterministic sim tracer and write one "
                         "Chrome trace-event JSON per channel to this "
@@ -576,11 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "audit",
-        help="re-verify a run's command stream (auditor, optionally oracle)",
+        help="re-verify a run's command stream against the timing oracle",
     )
-    p.add_argument("--capacity", type=float, default=8.0)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--ranks", type=int, default=1)
+    p.add_argument("--capacity", type=_positive_float, default=8.0)
+    p.add_argument("--channels", type=_positive_int, default=1)
+    p.add_argument("--ranks", type=_positive_int, default=1)
     p.add_argument("--mode", choices=("none", "baseline", "elastic", "hira"),
                    default="hira")
     p.add_argument("--granularity", choices=("all_bank", "same_bank"),
@@ -588,15 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=int, default=2)
     p.add_argument("--mix", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--instructions", type=int, default=20_000)
-    p.add_argument("--oracle", action="store_true",
-                   help="also replay the stream against the declarative "
-                        "rule-table oracle (second opinion, independent of "
-                        "the auditor's bookkeeping)")
+    p.add_argument("--instructions", type=_positive_int, default=20_000)
     p.add_argument("--export-log", default=None, dest="export_log",
                    help="write each channel's audit log as re-checkable JSON")
     p.add_argument("--rules-out", default=None, dest="rules_out",
-                   help="with --oracle: write the generated rule table as JSON")
+                   help="write the generated rule table as JSON")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("sweep", help="orchestrated parameter-grid sweep")
@@ -612,8 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of refresh granularities "
                         "(all_bank,same_bank); a non-default list adds a "
                         "refresh_granularity sweep axis")
-    p.add_argument("--mixes", type=int, default=2, help="workload mixes per point")
-    p.add_argument("--instructions", type=int, default=100_000)
+    p.add_argument("--mixes", type=_positive_int, default=2,
+                   help="workload mixes per point")
+    p.add_argument("--instructions", type=_positive_int, default=100_000)
     p.add_argument("--max-cycles", type=int, default=10_000_000, dest="max_cycles")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--cache-dir", default=".sweep-cache", dest="cache_dir",
@@ -699,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measured instructions per workload; the default "
                         "keeps each rep's timed window >= ~1s (matches the "
                         "pinned pre-opt reference walls)")
-    p.add_argument("--reps", type=int, default=3,
+    p.add_argument("--reps", type=_positive_int, default=3,
                    help="runs per workload; the median wall time is reported")
     p.add_argument("--out", default="BENCH_kernel.json",
                    help="output JSON path ('' disables writing); floors are "

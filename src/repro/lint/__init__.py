@@ -1,7 +1,7 @@
 """``repro lint``: AST-based invariant linting for the simulator.
 
 Seven repo-specific rules guard the invariants the runtime layers
-(controller gates → auditor → oracle) cannot see:
+(controller gates → oracle) cannot see:
 
 ========================  ==============================================
 rule                      invariant
@@ -9,7 +9,7 @@ rule                      invariant
 ``dirty-flag``            scheduling-state mutations set the
                           ``next_event`` memo's dirty flag on all paths
 ``timing-coverage``       every ``TimingParams`` field is enforced by
-                          controller gating, the auditor, and the oracle
+                          controller gating and the oracle
 ``determinism``           no wall clocks, unseeded RNGs, ``id()``/
                           ``hash()`` ordering, or raw set iteration in
                           simulation logic

@@ -68,8 +68,7 @@ WATCHED = frozenset(
         "blocked_banks",
         "_scheduled_closes",
         "_bank_demand",
-        # TimingArrays columns (also the _BankState/_RankState property
-        # names, so stores through either surface are caught)
+        # TimingArrays columns
         "open_row",
         "next_act",
         "next_pre",

@@ -34,10 +34,6 @@ HOT_PATH_CLASSES = (
     ("sim/core.py", "RobEntry"),
     ("sim/core.py", "CoreModel"),
     ("sim/controller.py", "TimingArrays"),
-    ("sim/controller.py", "_FawView"),
-    ("sim/controller.py", "_GroupGates"),
-    ("sim/controller.py", "_BankState"),
-    ("sim/controller.py", "_RankState"),
     ("sim/controller.py", "ControllerStats"),
     ("sim/audit.py", "CommandRecord"),
     ("core/engine.py", "_BankPeriodicState"),

@@ -1,17 +1,17 @@
 """Rule ``timing-coverage``: every ``TimingParams`` field must be enforced
-three times.
+twice.
 
-PR 6's fuzzing found tRCD and REF-busy column checks missing from the
-auditor *by accident*.  This rule makes the three-layer enforcement story
-(controller issue gates → ``CommandAuditor`` → oracle rule generation) a
+Fuzzing once found tRCD and REF-busy column checks missing from an
+after-the-fact checker *by accident*.  This rule makes the two-layer
+enforcement story (controller issue gates → oracle rule generation) a
 static property: a timing knob someone adds to ``TimingParams`` is a lint
 error until
 
 * (a) the controller/engine gating code reads it (as ``field`` or its
   cycle-domain twin ``field_c``) outside ``__init__`` — a read that only
   happens in the constructor's ps→cycle conversion is dead gating;
-* (b) ``CommandAuditor`` re-checks it outside its own ``__init__``;
-* (c) ``build_rule_table`` feeds it into the oracle's rule table.
+* (b) ``build_rule_table`` feeds it into the oracle's rule table (the one
+  after-the-fact checker; ``CommandAuditor`` only records).
 
 Derived names count: ``hira_t1``/``hira_t2`` are enforced via the
 combined ``hira_gap``/``hira_gap_c``.  Two fields are exempt by design
@@ -27,8 +27,8 @@ from repro.lint.core import Finding, LintTree
 
 NAME = "timing-coverage"
 DESCRIPTION = (
-    "every TimingParams field must be read by controller gating, an "
-    "auditor check, and oracle rule generation"
+    "every TimingParams field must be read by controller gating and "
+    "oracle rule generation"
 )
 
 TIMING_FILE = "dram/timing.py"
@@ -36,10 +36,7 @@ TIMING_CLASS = "TimingParams"
 
 #: (a) controller/engine issue-gating surfaces.
 GATING_FILES = ("sim/controller.py", "sim/elastic.py", "core/engine.py")
-#: (b) the auditor's independent re-check.
-AUDITOR_FILE = "sim/audit.py"
-AUDITOR_CLASS = "CommandAuditor"
-#: (c) oracle rule generation.
+#: (b) oracle rule generation.
 ORACLE_FILE = "sim/oracle.py"
 ORACLE_FUNC = "build_rule_table"
 
@@ -106,17 +103,6 @@ def _surface_reads(tree: LintTree):
     if not any(tree.get(rel) for rel in GATING_FILES):
         missing.append("gating files " + "/".join(GATING_FILES))
 
-    auditor: set[str] = set()
-    src = tree.get(AUDITOR_FILE)
-    found = False
-    if src is not None:
-        for node in src.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == AUDITOR_CLASS:
-                auditor = _attr_loads([node], skip_init=True)
-                found = True
-    if not found:
-        missing.append(f"{AUDITOR_FILE}:{AUDITOR_CLASS}")
-
     oracle: set[str] = set()
     src = tree.get(ORACLE_FILE)
     found = False
@@ -127,7 +113,7 @@ def _surface_reads(tree: LintTree):
                 found = True
     if not found:
         missing.append(f"{ORACLE_FILE}:{ORACLE_FUNC}")
-    return gating, auditor, oracle, missing
+    return gating, oracle, missing
 
 
 def check(tree: LintTree) -> list[Finding]:
@@ -144,7 +130,7 @@ def check(tree: LintTree) -> list[Finding]:
                 message=f"class {TIMING_CLASS} not found",
             )
         ]
-    gating, auditor, oracle, missing = _surface_reads(tree)
+    gating, oracle, missing = _surface_reads(tree)
     findings = [
         Finding(
             rule=NAME,
@@ -157,7 +143,6 @@ def check(tree: LintTree) -> list[Finding]:
     ]
     surfaces = (
         ("controller gating", gating),
-        ("auditor check", auditor),
         ("oracle rule generation", oracle),
     )
     for name, line in sorted(fields.items()):

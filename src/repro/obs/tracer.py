@@ -225,42 +225,39 @@ class SimTracer:
         self, queue, rank, bank_id, row, now, bus_blocked, data_free, burst_offset
     ):
         mc = self.mc
-        rank_state = mc.ranks[rank]
+        ta = mc._ta
+        g = rank * mc.banks_per_rank + bank_id
         if rank in mc.blocked_ranks:
-            until = rank_state.ref_ready if rank_state.ref_ready > now else now + 1
+            ready = ta.ref_ready[rank]
+            until = ready if ready > now else now + 1
             return (until, "ref-drain", rank, bank_id)
         if (rank, bank_id) in mc.blocked_banks:
-            bank = mc.bank(rank, bank_id)
-            until = max(now + 1, bank.next_act, rank_state.next_refsb)
+            until = max(now + 1, ta.next_act[g], ta.next_refsb[rank])
             return (until, "refsb-drain", rank, bank_id)
-        if now < rank_state.busy_until:
-            return (rank_state.busy_until, "ref-busy", rank, bank_id)
-        bank = mc.bank(rank, bank_id)
-        open_row = bank.open_row
+        if now < ta.busy_until[rank]:
+            return (ta.busy_until[rank], "ref-busy", rank, bank_id)
+        open_row = ta.open_row[g]
         if open_row == row:
             if bus_blocked:
                 reason = (
                     "data-bus" if now + burst_offset < mc.data_bus_next else "turnaround"
                 )
                 return (data_free - burst_offset, reason, rank, bank_id)
-            if now < bank.next_rdwr:
-                return (bank.next_rdwr, "trcd", rank, bank_id)
+            if now < ta.next_rdwr[g]:
+                return (ta.next_rdwr[g], "trcd", rank, bank_id)
             return None  # issuable row hit: some other gate stalled the pass
-        if open_row is None:
-            if now < bank.next_act:
-                return (bank.next_act, "bank-timing", rank, bank_id)
+        if open_row < 0:
+            if now < ta.next_act[g]:
+                return (ta.next_act[g], "bank-timing", rank, bank_id)
             if not mc.faw_ok(rank, now):
                 return (mc.faw_next(rank), "tfaw", rank, bank_id)
             if not mc.trrd_ok(rank, bank_id, now):
-                group = bank_id // mc.banks_per_bankgroup
-                until = max(
-                    rank_state.next_act_any, rank_state.next_act_group[group]
-                )
+                until = max(ta.next_act_any[rank], mc._group_gate_at(rank, bank_id))
                 return (until, "trrd", rank, bank_id)
             return None  # issuable ACT
         # Conflicting open row.
-        if now < bank.next_pre:
-            return (bank.next_pre, "pre-timing", rank, bank_id)
+        if now < ta.next_pre[g]:
+            return (ta.next_pre[g], "pre-timing", rank, bank_id)
         if mc._row_hit_waiting(queue, rank, bank_id, open_row):
             return (now + 1, "row-keepalive", rank, bank_id)
         return None

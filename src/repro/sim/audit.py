@@ -1,48 +1,27 @@
-"""Command-stream auditing: check DRAM timing invariants after the fact.
+"""Command-stream recording: the controller's logical command log.
 
 A :class:`CommandAuditor` attaches to one :class:`MemoryController` and
-records the logical command stream (ACT/PRE/REF plus HiRA compound
-operations) as the scheduler issues it.  :meth:`violations` then replays
-the stream in cycle order and checks the invariants the paper's
-parallelization must never break:
+records the logical command stream (ACT/PRE/REF/REFSB/RD/WR plus HiRA
+compound operations) as the scheduler issues it.  It holds no timing
+rules of its own: :meth:`CommandAuditor.violations` replays the records
+through the declarative rule table of :mod:`repro.sim.oracle`, built
+from the controller's configuration, so the stack has exactly one
+after-the-fact timing checker.
 
-- **tRC** — back-to-back ACTs to the same bank, *except* the engineered
-  second activation inside a HiRA operation (that off-spec gap is the
-  paper's contribution; everything around it must still be nominal).
-- **tRRD_S / tRRD_L** — ACT-to-ACT spacing across banks of a rank: the
-  short parameter between different bank groups, the long one within a
-  bank group (same-group banks share local I/O and charge pumps).
-- **tFAW** — at most four ACTs per rank in any tFAW window (HiRA's two
-  ACTs both count, §5.2).
-- **tRP / tRAS** — ACT after PRE, PRE after ACT, outside HiRA internals.
-- **tRCD** — no column command until tRCD after the row's ACT.
-- **tWR** — write recovery: no PRE until tWR after a write burst lands.
-- **tRTP** — read-to-precharge: no PRE until tRTP after a RD command.
-- **Data bus** — RD/WR data bursts (tBL long, starting tCL/tCWL after
-  the column command) must never overlap on a channel's data bus.
-- **tRTW / tWTR** — bus turnaround: a burst in the opposite direction to
-  its predecessor additionally leaves the turnaround gap after the
-  previous burst's end (tRTW after a read, tWTR after a write).
-- **tRFC** — no command to a rank while a REF is in flight, and REF only
-  with all banks precharged.
-- **tRFC_sb / tREFSB_GAP** — same-bank refresh: REFsb only to a
-  precharged bank (tRP after its PRE), no command to that bank for
-  tRFC_sb afterwards, no rank-level REF while a REFsb is in flight, and
-  consecutive REFsb commands on a rank at least tREFSB_GAP apart.
-- **Refresh deadline** — REF cadence never exceeds DDR4's nine-tREFI
-  postponement debit limit (baseline and elastic engines); in same-bank
-  mode the same nine-interval limit applies to every bank's REFsb
-  cadence individually.
+The recorder's other job is interchange: :meth:`CommandAuditor.export_log`
+writes the stream plus its cycle-domain timing and geometry as plain
+JSON, and :func:`records_from_log` reads one back, so a log is
+re-checkable without the simulator (see
+``repro.sim.oracle.table_for_log``).
 
 The auditor is pure observation: attaching one never changes scheduling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-#: Maximum REF-to-REF gap DDR4 allows (8 postponed commands ⇒ 9 × tREFI).
-REF_DEBIT_LIMIT = 9
+from repro.sim.oracle import oracle_for_config
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +32,7 @@ class CommandRecord:
     ``"hira2"`` for the engineered second ACT of a HiRA operation,
     ``"hira-pre"`` for its internal PRE, ``"refresh"`` for refresh ACTs,
     and ``"close"`` for the deferred PRE closing a refresh operation.
-    ``RD``/``WR`` column accesses feed the tRTP/tWR and data-bus checks.
+    ``RD``/``WR`` column accesses feed the tRTP/tWR and data-bus rules.
     """
 
     cycle: int
@@ -64,52 +43,12 @@ class CommandRecord:
     tag: str = "demand"
 
 
-@dataclass
-class _BankTrack:
-    open_row: int | None = None
-    last_act: int = -1 << 60
-    last_pre: int = -1 << 60
-    #: Cycle of the most recent RD command (for tRTP).
-    last_rd: int = -1 << 60
-    #: Cycle the most recent write data burst finishes landing (WR+CWL+BL).
-    wr_done: int = -1 << 60
-    #: Cycle the bank's most recent same-bank refresh completes.
-    refsb_busy_until: int = -1 << 60
-    #: Cycles of the bank's first/most recent REFSB (cadence + endpoints).
-    first_refsb: int | None = None
-    last_refsb: int | None = None
-
-
 class CommandAuditor:
-    """Records one controller's command stream and checks timing invariants."""
+    """Records one controller's command stream for the timing oracle."""
 
     def __init__(self, mc):
         self.mc = mc
         mc.auditor = self
-        self.trc_c = mc.trc_c
-        self.trcd_c = mc.trcd_c
-        self.trp_c = mc.trp_c
-        self.tras_c = mc.tras_c
-        self.trrd_s_c = mc.trrd_s_c
-        self.trrd_l_c = mc.trrd_l_c
-        self.tfaw_c = mc.tfaw_c
-        self.trfc_c = mc.trfc_c
-        self.trefi_c = mc.trefi_c
-        self.twr_c = mc.twr_c
-        self.trtp_c = mc.trtp_c
-        self.tcwl_c = mc.tcwl_c
-        self.tcl_c = mc.tcl_c
-        self.tbl_c = mc.tbl_c
-        self.trtw_c = mc.trtw_c
-        self.twtr_c = mc.twtr_c
-        self.trfc_sb_c = mc.trfc_sb_c
-        self.trefsb_gap_c = mc.trefsb_gap_c
-        self.hira_gap_c = mc.hira_gap_c
-        self.banks_per_bankgroup = mc.config.geometry.banks_per_bankgroup
-        self.banks_per_rank = mc.banks_per_rank
-        self.refresh_mode = mc.config.refresh_mode
-        self.refresh_granularity = mc.config.refresh_granularity
-        self.n_ranks = mc.config.ranks_per_channel
         self.records: list[CommandRecord] = []
 
     # ------------------------------------------------------------------
@@ -166,35 +105,37 @@ class CommandAuditor:
         ``TimingParams`` — which makes it the interchange format between
         runs, CI jobs, and external checkers.
         """
+        mc = self.mc
+        config = mc.config
         return {
             "version": 1,
-            "refresh_mode": self.refresh_mode,
-            "refresh_granularity": self.refresh_granularity,
+            "refresh_mode": config.refresh_mode,
+            "refresh_granularity": config.refresh_granularity,
             "geometry": {
-                "banks_per_bankgroup": self.banks_per_bankgroup,
-                "banks_per_rank": self.banks_per_rank,
-                "n_ranks": self.n_ranks,
+                "banks_per_bankgroup": mc.banks_per_bankgroup,
+                "banks_per_rank": mc.banks_per_rank,
+                "n_ranks": config.ranks_per_channel,
             },
             "timing_cycles": {
-                "trcd": self.trcd_c,
-                "tras": self.tras_c,
-                "trp": self.trp_c,
-                "trc": self.trc_c,
-                "trfc": self.trfc_c,
-                "trefi": self.trefi_c,
-                "tfaw": self.tfaw_c,
-                "trrd_s": self.trrd_s_c,
-                "trrd_l": self.trrd_l_c,
-                "twr": self.twr_c,
-                "trtp": self.trtp_c,
-                "tcl": self.tcl_c,
-                "tcwl": self.tcwl_c,
-                "tbl": self.tbl_c,
-                "trtw": self.trtw_c,
-                "twtr": self.twtr_c,
-                "trfc_sb": self.trfc_sb_c,
-                "trefsb_gap": self.trefsb_gap_c,
-                "hira_gap": self.hira_gap_c,
+                "trcd": mc.trcd_c,
+                "tras": mc.tras_c,
+                "trp": mc.trp_c,
+                "trc": mc.trc_c,
+                "trfc": mc.trfc_c,
+                "trefi": mc.trefi_c,
+                "tfaw": mc.tfaw_c,
+                "trrd_s": mc.trrd_s_c,
+                "trrd_l": mc.trrd_l_c,
+                "twr": mc.twr_c,
+                "trtp": mc.trtp_c,
+                "tcl": mc.tcl_c,
+                "tcwl": mc.tcwl_c,
+                "tbl": mc.tbl_c,
+                "trtw": mc.trtw_c,
+                "twtr": mc.twtr_c,
+                "trfc_sb": mc.trfc_sb_c,
+                "trefsb_gap": mc.trefsb_gap_c,
+                "hira_gap": mc.hira_gap_c,
             },
             "records": [
                 [r.cycle, r.kind, r.rank, r.bank, r.row, r.tag]
@@ -203,341 +144,15 @@ class CommandAuditor:
         }
 
     # ------------------------------------------------------------------
-    # Invariant replay
+    # Checking (delegated to the oracle)
     # ------------------------------------------------------------------
     def violations(self) -> list[str]:
-        """Replay the stream in cycle order; one message per violation."""
-        problems: list[str] = []
-        #: (burst start cycle, column record) for the data-bus occupancy
-        #: check; the controller is one channel, so all bursts share a bus.
-        bus_bursts: list[tuple[int, CommandRecord]] = []
-        banks: dict[tuple[int, int], _BankTrack] = {}
-        rank_acts: dict[int, list[int]] = {}
-        #: (rank, bank group) -> cycle of the group's most recent ACT.
-        group_acts: dict[tuple[int, int], int] = {}
-        ref_busy_until: dict[int, int] = {}
-        last_ref: dict[int, int] = {}
-        #: rank -> cycle of the rank's most recent REFSB (tREFSB_GAP).
-        last_refsb_rank: dict[int, int] = {}
+        """Every timing violation in the recorded stream, one message each.
 
-        def bank_of(record: CommandRecord) -> _BankTrack:
-            return banks.setdefault((record.rank, record.bank), _BankTrack())
-
-        def group_of(record: CommandRecord) -> tuple[int, int]:
-            return (record.rank, record.bank // self.banks_per_bankgroup)
-
-        for rec in sorted(self.records, key=lambda r: r.cycle):
-            if rec.kind == "ACT":
-                track = bank_of(rec)
-                if rec.cycle < ref_busy_until.get(rec.rank, -1):
-                    problems.append(
-                        f"@{rec.cycle}: ACT to rank {rec.rank} during REF "
-                        f"(busy until {ref_busy_until[rec.rank]})"
-                    )
-                if rec.cycle < track.refsb_busy_until:
-                    problems.append(
-                        f"@{rec.cycle}: ACT to bank ({rec.rank},{rec.bank}) "
-                        f"during REFsb (busy until {track.refsb_busy_until})"
-                    )
-                if rec.tag == "hira2":
-                    gap = rec.cycle - track.last_act
-                    if gap != self.hira_gap_c:
-                        problems.append(
-                            f"@{rec.cycle}: HiRA second ACT gap {gap} != "
-                            f"t1+t2 ({self.hira_gap_c})"
-                        )
-                else:
-                    if rec.cycle - track.last_act < self.trc_c:
-                        problems.append(
-                            f"@{rec.cycle}: tRC violation on bank "
-                            f"({rec.rank},{rec.bank}): ACT "
-                            f"{rec.cycle - track.last_act} < {self.trc_c} "
-                            f"cycles after previous ACT"
-                        )
-                    if rec.cycle - track.last_pre < self.trp_c:
-                        problems.append(
-                            f"@{rec.cycle}: tRP violation on bank "
-                            f"({rec.rank},{rec.bank}): ACT "
-                            f"{rec.cycle - track.last_pre} < {self.trp_c} "
-                            f"cycles after PRE"
-                        )
-                    # tRRD: the engineered hira2 gap is checked exactly above;
-                    # every other ACT must keep tRRD_S to any bank of the
-                    # rank and tRRD_L to banks of its own bank group.
-                    acts = rank_acts.setdefault(rec.rank, [])
-                    if acts and rec.cycle - acts[-1] < self.trrd_s_c:
-                        problems.append(
-                            f"@{rec.cycle}: tRRD_S violation on rank {rec.rank}: "
-                            f"ACT {rec.cycle - acts[-1]} < {self.trrd_s_c} "
-                            f"cycles after previous ACT"
-                        )
-                    last_group_act = group_acts.get(group_of(rec))
-                    if (
-                        last_group_act is not None
-                        and rec.cycle - last_group_act < self.trrd_l_c
-                    ):
-                        problems.append(
-                            f"@{rec.cycle}: tRRD_L violation on rank {rec.rank} "
-                            f"bank group {rec.bank // self.banks_per_bankgroup}: "
-                            f"ACT {rec.cycle - last_group_act} < {self.trrd_l_c} "
-                            f"cycles after previous same-group ACT"
-                        )
-                acts = rank_acts.setdefault(rec.rank, [])
-                acts.append(rec.cycle)
-                if len(acts) > 5:
-                    acts.pop(0)
-                # tFAW bounds the FIFTH activation: any five consecutive
-                # ACTs to a rank must span at least tFAW.
-                if len(acts) == 5 and acts[-1] - acts[0] < self.tfaw_c:
-                    problems.append(
-                        f"@{rec.cycle}: tFAW violation on rank {rec.rank}: "
-                        f"5 ACTs within {acts[-1] - acts[0]} < {self.tfaw_c} cycles"
-                    )
-                track.last_act = rec.cycle
-                track.open_row = rec.row if rec.row is not None else -1
-                group_acts[group_of(rec)] = rec.cycle
-            elif rec.kind in ("RD", "WR"):
-                track = bank_of(rec)
-                if rec.cycle < ref_busy_until.get(rec.rank, -1):
-                    problems.append(
-                        f"@{rec.cycle}: {rec.kind} to rank {rec.rank} during "
-                        f"REF (busy until {ref_busy_until[rec.rank]})"
-                    )
-                if rec.cycle < track.refsb_busy_until:
-                    problems.append(
-                        f"@{rec.cycle}: {rec.kind} to bank "
-                        f"({rec.rank},{rec.bank}) during REFsb "
-                        f"(busy until {track.refsb_busy_until})"
-                    )
-                if rec.cycle - track.last_act < self.trcd_c:
-                    problems.append(
-                        f"@{rec.cycle}: tRCD violation on bank "
-                        f"({rec.rank},{rec.bank}): {rec.kind} "
-                        f"{rec.cycle - track.last_act} < {self.trcd_c} "
-                        f"cycles after ACT"
-                    )
-                if rec.kind == "WR":
-                    track.wr_done = rec.cycle + self.tcwl_c + self.tbl_c
-                    bus_bursts.append((rec.cycle + self.tcwl_c, rec))
-                else:
-                    track.last_rd = rec.cycle
-                    bus_bursts.append((rec.cycle + self.tcl_c, rec))
-            elif rec.kind == "PRE":
-                track = bank_of(rec)
-                if rec.tag != "hira-pre" and rec.cycle - track.last_act < self.tras_c:
-                    # HiRA's internal PRE interrupts charge restoration by
-                    # design; every other PRE must wait out tRAS.
-                    problems.append(
-                        f"@{rec.cycle}: tRAS violation on bank "
-                        f"({rec.rank},{rec.bank}): PRE "
-                        f"{rec.cycle - track.last_act} < {self.tras_c} "
-                        f"cycles after ACT"
-                    )
-                if rec.cycle - track.wr_done < self.twr_c:
-                    problems.append(
-                        f"@{rec.cycle}: tWR violation on bank "
-                        f"({rec.rank},{rec.bank}): PRE "
-                        f"{rec.cycle - track.wr_done} < {self.twr_c} "
-                        f"cycles after write burst end"
-                    )
-                if rec.cycle - track.last_rd < self.trtp_c:
-                    problems.append(
-                        f"@{rec.cycle}: tRTP violation on bank "
-                        f"({rec.rank},{rec.bank}): PRE "
-                        f"{rec.cycle - track.last_rd} < {self.trtp_c} "
-                        f"cycles after RD"
-                    )
-                track.last_pre = rec.cycle
-                track.open_row = None
-            elif rec.kind == "REFSB":
-                track = bank_of(rec)
-                if rec.cycle < ref_busy_until.get(rec.rank, -1):
-                    problems.append(
-                        f"@{rec.cycle}: REFsb to rank {rec.rank} during REF "
-                        f"(busy until {ref_busy_until[rec.rank]})"
-                    )
-                if track.open_row is not None:
-                    problems.append(
-                        f"@{rec.cycle}: REFsb to open bank "
-                        f"({rec.rank},{rec.bank})"
-                    )
-                if rec.cycle - track.last_pre < self.trp_c:
-                    problems.append(
-                        f"@{rec.cycle}: REFsb to bank ({rec.rank},{rec.bank}) "
-                        f"only {rec.cycle - track.last_pre} < {self.trp_c} "
-                        f"cycles after PRE"
-                    )
-                if rec.cycle < track.refsb_busy_until:
-                    problems.append(
-                        f"@{rec.cycle}: REFsb to bank ({rec.rank},{rec.bank}) "
-                        f"during REFsb (busy until {track.refsb_busy_until})"
-                    )
-                previous_rank = last_refsb_rank.get(rec.rank)
-                if (
-                    previous_rank is not None
-                    and rec.cycle - previous_rank < self.trefsb_gap_c
-                ):
-                    problems.append(
-                        f"@{rec.cycle}: tREFSB_GAP violation on rank "
-                        f"{rec.rank}: REFsb {rec.cycle - previous_rank} < "
-                        f"{self.trefsb_gap_c} cycles after previous REFsb"
-                    )
-                if (
-                    track.last_refsb is not None
-                    and rec.cycle - track.last_refsb
-                    > REF_DEBIT_LIMIT * self.trefi_c + self.trfc_sb_c
-                ):
-                    problems.append(
-                        f"@{rec.cycle}: refresh deadline violation on bank "
-                        f"({rec.rank},{rec.bank}): {rec.cycle - track.last_refsb} "
-                        f"cycles since last REFsb (limit {REF_DEBIT_LIMIT} x tREFI)"
-                    )
-                last_refsb_rank[rec.rank] = rec.cycle
-                if track.first_refsb is None:
-                    track.first_refsb = rec.cycle
-                track.last_refsb = rec.cycle
-                track.refsb_busy_until = rec.cycle + self.trfc_sb_c
-            elif rec.kind == "REF":
-                open_banks = [
-                    key
-                    for key, track in banks.items()
-                    if key[0] == rec.rank and track.open_row is not None
-                ]
-                if open_banks:
-                    problems.append(
-                        f"@{rec.cycle}: REF to rank {rec.rank} with open banks "
-                        f"{open_banks}"
-                    )
-                refsb_busy = [
-                    key
-                    for key, track in banks.items()
-                    if key[0] == rec.rank and rec.cycle < track.refsb_busy_until
-                ]
-                if refsb_busy:
-                    problems.append(
-                        f"@{rec.cycle}: REF to rank {rec.rank} with REFsb in "
-                        f"flight on banks {refsb_busy}"
-                    )
-                last_pre = max(
-                    (t.last_pre for k, t in banks.items() if k[0] == rec.rank),
-                    default=-1 << 60,
-                )
-                if rec.cycle - last_pre < self.trp_c:
-                    problems.append(
-                        f"@{rec.cycle}: REF to rank {rec.rank} only "
-                        f"{rec.cycle - last_pre} < {self.trp_c} cycles after PRE"
-                    )
-                previous = last_ref.get(rec.rank)
-                if (
-                    previous is not None
-                    and rec.cycle - previous > REF_DEBIT_LIMIT * self.trefi_c + self.trfc_c
-                ):
-                    problems.append(
-                        f"@{rec.cycle}: refresh deadline violation on rank "
-                        f"{rec.rank}: {rec.cycle - previous} cycles since last "
-                        f"REF (limit {REF_DEBIT_LIMIT} x tREFI)"
-                    )
-                last_ref[rec.rank] = rec.cycle
-                ref_busy_until[rec.rank] = rec.cycle + self.trfc_c
-                for key, track in banks.items():
-                    if key[0] == rec.rank:
-                        track.open_row = None
-                        track.last_pre = max(track.last_pre, rec.cycle)
-
-        # Data-bus occupancy: each burst holds the channel's data bus for
-        # tBL starting tCL (RD) / tCWL (WR) after its column command; two
-        # bursts on one channel must never overlap.  Sorted by burst start
-        # (command order is not burst order: tCL > tCWL means a WR issued
-        # just after a RD would burst *earlier*), so adjacent-pair checking
-        # catches every overlap.
-        bus_bursts.sort(key=lambda item: item[0])
-        for (start, rec), (prev_start, prev) in zip(bus_bursts[1:], bus_bursts):
-            prev_end = prev_start + self.tbl_c
-            if start < prev_end:
-                problems.append(
-                    f"@{rec.cycle}: data-bus conflict: {rec.kind} burst on bank "
-                    f"({rec.rank},{rec.bank}) starts @{start}, before the "
-                    f"{prev.kind} burst from bank ({prev.rank},{prev.bank}) "
-                    f"ends @{prev_end}"
-                )
-            elif prev.kind != rec.kind:
-                # Bus turnaround: a direction change additionally leaves
-                # tRTW (after a read) / tWTR (after a write) of idle bus.
-                name, gap = (
-                    ("tRTW", self.trtw_c) if prev.kind == "RD"
-                    else ("tWTR", self.twtr_c)
-                )
-                if start < prev_end + gap:
-                    problems.append(
-                        f"@{rec.cycle}: {name} violation: {rec.kind} burst on "
-                        f"bank ({rec.rank},{rec.bank}) starts @{start}, only "
-                        f"{start - prev_end} < {gap} cycles after the "
-                        f"{prev.kind} burst from bank ({prev.rank},{prev.bank}) "
-                        f"ends @{prev_end}"
-                    )
-
-        # Endpoint refresh-deadline checks for REF-based engines: the gap
-        # rule above only fires between two REFs, so a rank that is never
-        # (or no longer) refreshed must be flagged from the stream bounds.
-        # Same-bank mode applies the analogous per-bank REFsb bounds to
-        # every engine that owes a periodic cadence (baseline, elastic,
-        # and HiRA's tRefSlack-scheduled REFsb stream).
-        if (
-            self.refresh_granularity == "same_bank"
-            and self.refresh_mode in ("baseline", "elastic", "hira")
-            and self.records
-        ):
-            end = max(r.cycle for r in self.records)
-            limit = REF_DEBIT_LIMIT * self.trefi_c + self.trfc_sb_c
-            for rank in range(self.n_ranks):
-                for bank in range(self.banks_per_rank):
-                    track = banks.get((rank, bank))
-                    last = track.last_refsb if track is not None else None
-                    if last is None:
-                        if end > limit:
-                            problems.append(
-                                f"bank ({rank},{bank}): no REFsb issued in "
-                                f"{end} cycles (limit {REF_DEBIT_LIMIT} x tREFI)"
-                            )
-                        continue
-                    first = track.first_refsb
-                    if first > limit:
-                        problems.append(
-                            f"bank ({rank},{bank}): first REFsb only at {first} "
-                            f"cycles (limit {REF_DEBIT_LIMIT} x tREFI)"
-                        )
-                    if end - last > limit:
-                        problems.append(
-                            f"bank ({rank},{bank}): no REFsb in the last "
-                            f"{end - last} cycles of the stream "
-                            f"(limit {REF_DEBIT_LIMIT} x tREFI)"
-                        )
-        elif self.refresh_mode in ("baseline", "elastic") and self.records:
-            end = max(r.cycle for r in self.records)
-            limit = REF_DEBIT_LIMIT * self.trefi_c + self.trfc_c
-            for rank in range(self.n_ranks):
-                first = min(
-                    (r.cycle for r in self.records if r.kind == "REF" and r.rank == rank),
-                    default=None,
-                )
-                if first is None:
-                    if end > limit:
-                        problems.append(
-                            f"rank {rank}: no REF issued in {end} cycles "
-                            f"(limit {REF_DEBIT_LIMIT} x tREFI)"
-                        )
-                    continue
-                if first > limit:
-                    problems.append(
-                        f"rank {rank}: first REF only at {first} cycles "
-                        f"(limit {REF_DEBIT_LIMIT} x tREFI)"
-                    )
-                if end - last_ref[rank] > limit:
-                    problems.append(
-                        f"rank {rank}: no REF in the last {end - last_ref[rank]} "
-                        f"cycles of the stream (limit {REF_DEBIT_LIMIT} x tREFI)"
-                    )
-        return problems
+        The recorded stream is replayed through the oracle built from the
+        controller's configuration; the auditor itself holds no rules.
+        """
+        return oracle_for_config(self.mc.config).check_messages(self.records)
 
     def check(self) -> None:
         """Raise ``AssertionError`` with every violation, if any."""

@@ -25,7 +25,6 @@ kernel A/B goldens and audit-digest goldens in
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -56,10 +55,11 @@ class TimingArrays:
 
     ``act_floor[rank]`` is a maintained derived gate:
     ``max(next_act_any[rank], faw[rank][0] + tFAW)`` (0 while fewer than
-    four ACTs are in the window).  It is resynced at every ACT record
-    and by the state views whenever ``faw``/``next_act_any`` are poked
-    directly, so ``act_allowed_at`` and its inlined copies fold one
-    precomputed value instead of re-deriving the tFAW gate per scan.
+    four ACTs are in the window).  It is recomputed at every ACT record,
+    so ``act_allowed_at`` and its inlined copies fold one precomputed
+    value instead of re-deriving the tFAW gate per scan.  Code that
+    writes a column directly (tests) must keep this invariant and call
+    ``mark_dirty`` afterwards.
     """
 
     __slots__ = (
@@ -91,235 +91,6 @@ class TimingArrays:
         self.act_floor = [0] * ranks
         self.faw = [deque() for __ in range(ranks)]
         self.group_gate = [0] * (ranks * groups_per_rank)
-
-
-class _FawView:
-    """Deque-like view of one rank's tFAW ACT history.
-
-    Mutations resync the rank's derived ``act_floor`` so tests that poke
-    the window directly (e.g. ``mc.ranks[0].faw.clear()``) keep the
-    maintained gate coherent with the raw deque, and invalidate the
-    controller's schedule/next_event memos like any other scheduling-state
-    mutation would.
-    """
-
-    __slots__ = ("_mc", "_r", "_dq")
-
-    def __init__(self, mc: "MemoryController", rank: int):
-        self._mc = mc
-        self._r = rank
-        self._dq = mc._ta.faw[rank]
-
-    def append(self, value: int) -> None:
-        self._dq.append(value)
-        self._mc._resync_act_floor(self._r)
-        self._mc.mark_dirty()
-
-    def popleft(self) -> int:
-        value = self._dq.popleft()
-        self._mc._resync_act_floor(self._r)
-        self._mc.mark_dirty()
-        return value
-
-    def clear(self) -> None:
-        self._dq.clear()
-        self._mc._resync_act_floor(self._r)
-        self._mc.mark_dirty()
-
-    def __len__(self) -> int:
-        return len(self._dq)
-
-    def __bool__(self) -> bool:
-        return bool(self._dq)
-
-    def __getitem__(self, index):
-        return self._dq[index]
-
-    def __iter__(self):
-        return iter(self._dq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_FawView({list(self._dq)!r})"
-
-
-class _GroupGates:
-    """List-like view of one rank's bank-group ACT gates (tRRD_L)."""
-
-    __slots__ = ("_mc", "_gates", "_base", "_n")
-
-    def __init__(self, mc: "MemoryController", gates: list, base: int, n: int):
-        self._mc = mc
-        self._gates = gates
-        self._base = base
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, index: int) -> int:
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError(index)
-        return self._gates[self._base + index]
-
-    def __setitem__(self, index: int, value: int) -> None:
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError(index)
-        self._gates[self._base + index] = value
-        self._mc.mark_dirty()
-
-    def __iter__(self):
-        base = self._base
-        return iter(self._gates[base : base + self._n])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_GroupGates({list(self)!r})"
-
-
-class _BankState:
-    """Per-bank view over the :class:`TimingArrays` columns.
-
-    The stable external surface (``mc.bank(rank, bank)``) for tracers,
-    tests, and cold paths; hot code indexes the arrays directly.  The
-    ``open_row`` setter resyncs the controller's row-hit bank index so
-    direct pokes cannot strand a stale FR candidate.
-    """
-
-    __slots__ = ("_mc", "_g", "_open", "_act", "_pre", "_rdwr")
-
-    def __init__(self, mc: "MemoryController", g: int):
-        self._mc = mc
-        self._g = g
-        ta = mc._ta
-        self._open = ta.open_row
-        self._act = ta.next_act
-        self._pre = ta.next_pre
-        self._rdwr = ta.next_rdwr
-
-    @property
-    def open_row(self) -> int | None:
-        row = self._open[self._g]
-        return None if row < 0 else row
-
-    @open_row.setter
-    def open_row(self, row: int | None) -> None:
-        g = self._g
-        self._open[g] = -1 if row is None else row
-        mc = self._mc
-        mc._hit_read.discard(g)
-        mc._hit_write.discard(g)
-        if row is not None:
-            if (g, row) in mc._row_q_read:
-                mc._hit_read.add(g)
-            if (g, row) in mc._row_q_write:
-                mc._hit_write.add(g)
-        mc.mark_dirty()
-
-    @property
-    def next_act(self) -> int:
-        return self._act[self._g]
-
-    @next_act.setter
-    def next_act(self, value: int) -> None:
-        self._act[self._g] = value
-        self._mc.mark_dirty()
-
-    @property
-    def next_pre(self) -> int:
-        return self._pre[self._g]
-
-    @next_pre.setter
-    def next_pre(self, value: int) -> None:
-        self._pre[self._g] = value
-        self._mc.mark_dirty()
-
-    @property
-    def next_rdwr(self) -> int:
-        return self._rdwr[self._g]
-
-    @next_rdwr.setter
-    def next_rdwr(self, value: int) -> None:
-        self._rdwr[self._g] = value
-        self._mc.mark_dirty()
-
-
-class _RankState:
-    """Per-rank view over the :class:`TimingArrays` columns.
-
-    Writes to ``next_act_any`` (and any ``faw`` mutation through the
-    :class:`_FawView`) resync the derived ``act_floor``.
-    """
-
-    __slots__ = ("_mc", "_r", "_busy", "_due", "_ready", "_refsb", "_any")
-
-    def __init__(self, mc: "MemoryController", rank: int):
-        self._mc = mc
-        self._r = rank
-        ta = mc._ta
-        self._busy = ta.busy_until
-        self._due = ta.ref_due
-        self._ready = ta.ref_ready
-        self._refsb = ta.next_refsb
-        self._any = ta.next_act_any
-
-    @property
-    def faw(self) -> _FawView:
-        return _FawView(self._mc, self._r)
-
-    @property
-    def busy_until(self) -> int:
-        return self._busy[self._r]
-
-    @busy_until.setter
-    def busy_until(self, value: int) -> None:
-        self._busy[self._r] = value
-        self._mc.mark_dirty()
-
-    @property
-    def ref_due(self) -> int:
-        return self._due[self._r]
-
-    @ref_due.setter
-    def ref_due(self, value: int) -> None:
-        self._due[self._r] = value
-        self._mc.mark_dirty()
-
-    @property
-    def ref_ready(self) -> int:
-        return self._ready[self._r]
-
-    @ref_ready.setter
-    def ref_ready(self, value: int) -> None:
-        self._ready[self._r] = value
-        self._mc.mark_dirty()
-
-    @property
-    def next_refsb(self) -> int:
-        return self._refsb[self._r]
-
-    @next_refsb.setter
-    def next_refsb(self, value: int) -> None:
-        self._refsb[self._r] = value
-        self._mc.mark_dirty()
-
-    @property
-    def next_act_any(self) -> int:
-        return self._any[self._r]
-
-    @next_act_any.setter
-    def next_act_any(self, value: int) -> None:
-        self._any[self._r] = value
-        self._mc._resync_act_floor(self._r)
-        self._mc.mark_dirty()
-
-    @property
-    def next_act_group(self) -> _GroupGates:
-        mc = self._mc
-        n = mc.bankgroups_per_rank
-        return _GroupGates(mc, mc._ta.group_gate, self._r * n, n)
 
 
 @dataclass(slots=True)
@@ -510,16 +281,17 @@ class BaselineRefreshEngine(RefreshEngine):
             self._sb_due: dict[tuple[int, int], int] = {}
             self._sb_heap: list[tuple[int, int, int]] = []
             self._sb_draining: set[tuple[int, int]] = set()
-            total = len(mc.ranks) * mc.banks_per_rank
+            n_ranks = mc.config.ranks_per_channel
+            total = n_ranks * mc.banks_per_rank
             index = 0
-            for rank_id in range(len(mc.ranks)):
+            for rank_id in range(n_ranks):
                 for bank_id in range(mc.banks_per_rank):
                     due = ((index + 1) * trefi) // total
                     self._sb_due[(rank_id, bank_id)] = due
                     heapq.heappush(self._sb_heap, (due, rank_id, bank_id))
                     index += 1
             return
-        n_ranks = len(mc.ranks)
+        n_ranks = mc.config.ranks_per_channel
         for i in range(n_ranks):
             # Stagger REF across ranks so they do not collide on the bus.
             mc._ta.ref_due[i] = trefi + (i * trefi) // max(1, n_ranks)
@@ -740,11 +512,6 @@ class MemoryController:
         self._ta = TimingArrays(
             n_ranks, self.banks_per_rank, self.bankgroups_per_rank
         )
-        #: Stable view objects: the object-per-rank/bank external surface.
-        self.ranks = [_RankState(self, r) for r in range(n_ranks)]
-        self._bank_views = [
-            _BankState(self, g) for g in range(n_ranks * self.banks_per_rank)
-        ]
         self.read_q: list[Request] = []
         self.write_q: list[Request] = []
         self._reads_first = (self.read_q, self.write_q)
@@ -799,9 +566,6 @@ class MemoryController:
         #: only set when a call issued nothing and mutated nothing, from
         #: gates that are frozen until the next (memo-voiding) mutation.
         self._progress_at = 0
-        #: Kill switch for A/B debugging: REPRO_NO_SCHED_MEMO=1 keeps
-        #: ``_progress_at`` at 0 so schedule runs on every visited cycle.
-        self._memo = os.environ.get("REPRO_NO_SCHED_MEMO") != "1"
         self.stats = ControllerStats()
         self.completions: list[tuple[int, Request]] = []
         #: Optional :class:`repro.sim.audit.CommandAuditor` observing the
@@ -828,17 +592,6 @@ class MemoryController:
         self._dirty = True
         self._epoch += 1
         self._progress_at = 0
-
-    def bank(self, rank: int, bank: int) -> _BankState:
-        return self._bank_views[rank * self.banks_per_rank + bank]
-
-    def _resync_act_floor(self, rank: int) -> None:
-        """Recompute the derived ACT floor (tRRD_S + tFAW) for one rank."""
-        ta = self._ta
-        faw = ta.faw[rank]
-        fg = faw[0] + self.tfaw_c if len(faw) >= 4 else 0
-        any_gate = ta.next_act_any[rank]
-        ta.act_floor[rank] = any_gate if any_gate > fg else fg
 
     def _group_gate_at(self, rank: int, bank_id: int) -> int:
         return self._ta.group_gate[
@@ -1257,7 +1010,7 @@ class MemoryController:
         if now < self.bus_next:
             if self.tracer is not None:
                 self.tracer.on_stall(now)
-            elif self._memo:
+            else:
                 # Nothing below the bus gate can run or mutate: this call
                 # is provably a no-op until the command bus frees.
                 self._progress_at = self.bus_next
@@ -1288,7 +1041,7 @@ class MemoryController:
             wake = w
         if self.tracer is not None:
             self.tracer.on_stall(now)
-        elif self._memo and self._epoch == epoch:
+        elif self._epoch == epoch:
             # Issued nothing, mutated nothing: the folded queue gates plus
             # the engine's never-late wake bound hold until the next
             # mutation (which resets _progress_at).  A bound <= now just

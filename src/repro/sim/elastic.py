@@ -31,10 +31,11 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
 
     def attach(self, mc) -> None:
         super().attach(mc)
-        self._debt = [0] * len(mc.ranks)
+        n_ranks = mc.config.ranks_per_channel
+        self._debt = [0] * n_ranks
         #: Ranks that have started a REF sequence (precharge + tRP wait);
         #: once committed, newly arriving reads no longer cancel it.
-        self._committed = [False] * len(mc.ranks)
+        self._committed = [False] * n_ranks
         if self._same_bank:
             #: Per-bank postponement debt (same_bank granularity).
             self._sb_debt = dict.fromkeys(self._sb_due, 0)

@@ -1,15 +1,17 @@
-"""Second-opinion timing oracle: a declarative rule-table checker.
+"""The timing oracle: a declarative rule-table checker.
 
-The controller (:mod:`repro.sim.controller`) and the auditor
-(:mod:`repro.sim.audit`) grew out of one codebase, so a shared
-misconception — a wrong formula, a missing interlock — passes both
-silently.  This module is the independent second opinion: it compiles
+This is the stack's one after-the-fact timing checker, and the second
+opinion on the controller (:mod:`repro.sim.controller`): a timing rule
+the controller's issue gates get wrong — a wrong formula, a missing
+interlock — must not pass here too.  The module compiles
 :class:`repro.dram.timing.TimingParams` into an explicit, serialisable
 table of declarative rules and replays a recorded command stream against
-that table.  It shares **no scheduling code** with the controller or the
-auditor; the only common ground is the log format (``cycle``, ``kind``,
-``rank``, ``bank``, ``row``, ``tag`` per command) and the ps→cycle
-conversion that defines the cycle domain itself.
+that table.  :class:`repro.sim.audit.CommandAuditor` only records the
+stream; its ``violations()`` calls :func:`oracle_for_config`.  The oracle
+shares **no scheduling code** with the controller or the auditor; the
+only common ground is the log format (``cycle``, ``kind``, ``rank``,
+``bank``, ``row``, ``tag`` per command) and the ps→cycle conversion that
+defines the cycle domain itself.
 
 The idiom is ported from the antmicro ``lpddr4-dram-controller`` UVM
 testbench's ``TimingChecker``: a timing constraint is *data* — a
@@ -62,7 +64,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 #: Maximum REF-to-REF gap DDR4 allows (8 postponed commands ⇒ 9 × tREFI).
-#: Deliberately restated here rather than imported from the auditor.
 REF_DEBIT_LIMIT = 9
 
 SAME_BANK = "same-bank"

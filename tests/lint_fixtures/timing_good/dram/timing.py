@@ -1,4 +1,4 @@
-"""Fixture: both fields are enforced on all three surfaces."""
+"""Fixture: both fields are enforced on both surfaces."""
 
 
 class TimingParams:

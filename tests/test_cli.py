@@ -35,10 +35,10 @@ class TestParser:
     def test_audit_args(self):
         args = build_parser().parse_args([
             "audit", "--mode", "baseline", "--granularity", "same_bank",
-            "--oracle", "--export-log", "log.json", "--rules-out", "rules.json",
+            "--export-log", "log.json", "--rules-out", "rules.json",
         ])
         assert args.mode == "baseline" and args.granularity == "same_bank"
-        assert args.oracle and args.export_log == "log.json"
+        assert args.export_log == "log.json"
         assert args.rules_out == "rules.json"
 
     def test_worker_args(self):
@@ -169,11 +169,11 @@ class TestCommands:
         rules = tmp_path / "rules.json"
         assert main([
             "audit", "--mode", "hira", "--granularity", "same_bank",
-            "--instructions", "3000", "--oracle",
+            "--instructions", "3000",
             "--export-log", str(log), "--rules-out", str(rules),
         ]) == 0
         out = capsys.readouterr().out
-        assert "OK: command stream clean under auditor + oracle" in out
+        assert "OK: command stream clean under the oracle" in out
         payload = json.loads(log.read_text())
         assert payload["records"]
         from repro.sim.audit import records_from_log
@@ -192,6 +192,39 @@ class TestCommands:
     def test_characterize_rejects_zero(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["characterize", "--module", "A0", flag, "0"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--channels", "--ranks", "--instructions", "--capacity",
+    ])
+    def test_simulate_rejects_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", flag, "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err or "must be greater than 0" in err
+
+    @pytest.mark.parametrize("flag", [
+        "--channels", "--ranks", "--instructions", "--capacity",
+    ])
+    def test_audit_rejects_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", flag, "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err or "must be greater than 0" in err
+
+    @pytest.mark.parametrize("flag", ["--mixes", "--instructions"])
+    def test_sweep_rejects_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", flag, "0", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_perf_rejects_zero_reps(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", "--reps", "0", "--out", ""])
         assert excinfo.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 

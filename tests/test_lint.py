@@ -62,13 +62,12 @@ def test_dirty_flag_finding_details():
     assert "bus_next" in finding.message
 
 
-def test_timing_coverage_flags_all_three_surfaces():
+def test_timing_coverage_flags_both_surfaces():
     result = _run(FIXTURES / "timing_bad", ["timing-coverage"])
     messages = [f.message for f in result.findings]
-    assert len(messages) == 3  # gating + auditor + oracle, tfoo only
+    assert len(messages) == 2  # gating + oracle, tfoo only
     assert all(f.symbol == "tfoo" for f in result.findings)
     assert any("controller gating" in m for m in messages)
-    assert any("auditor check" in m for m in messages)
     assert any("oracle rule generation" in m for m in messages)
 
 

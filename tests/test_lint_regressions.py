@@ -34,8 +34,8 @@ class TestDirtyFlagFixes:
         """Entering the REF drain (blocking a rank) must wake next_event."""
         mc = make_mc(BaselineRefreshEngine(), refresh_mode="baseline")
         mc.issue_act(0, 0, 5, 0)  # open a bank: PRE is tRAS-gated, so
-        rank = mc.ranks[0]        # urgent() can only block, not issue
-        rank.ref_due = 1
+        mc._ta.ref_due[0] = 1     # urgent() can only block, not issue
+        mc.mark_dirty()
         mc._dirty = False
         issued = mc.engine.urgent(2)
         assert not issued  # nothing issuable yet (tRAS still elapsing)
@@ -45,7 +45,8 @@ class TestDirtyFlagFixes:
     def test_baseline_block_does_not_remark_when_already_blocked(self):
         mc = make_mc(BaselineRefreshEngine(), refresh_mode="baseline")
         mc.issue_act(0, 0, 5, 0)
-        mc.ranks[0].ref_due = 1
+        mc._ta.ref_due[0] = 1
+        mc.mark_dirty()
         mc.engine.urgent(2)
         mc._dirty = False
         mc.engine.urgent(3)  # rank already blocked: no state change
@@ -54,8 +55,8 @@ class TestDirtyFlagFixes:
     def test_elastic_committed_rank_block_marks_dirty(self):
         mc = make_mc(ElasticRefreshEngine(), refresh_mode="elastic")
         mc.issue_act(0, 0, 5, 0)
-        rank = mc.ranks[0]
-        rank.ref_due = 1
+        mc._ta.ref_due[0] = 1
+        mc.mark_dirty()
         mc.engine._committed[0] = True  # already committed: only the
         mc._dirty = False               # blocked-rank add can mark
         issued = mc.engine.urgent(2)

@@ -120,13 +120,12 @@ def test_turnaround_and_refsb_recomputed_from_audit_log(
     mode, granularity, seed, read_fraction, mpki, locality
 ):
     """Differential audit: fuzzed mixed read/write traces across every
-    engine × refresh granularity, checked three ways — the auditor's
-    ``violations()``, the declarative rule-table oracle, and the
-    tRTW/tWTR/REFsb constraints recomputed inline below.  Any
-    two-out-of-three disagreement fails: a bug shared by the controller
-    and auditor (one codebase) cannot hide from the oracle, and a bug in
-    the auditor cannot hide one in the scheduler.  Bounded examples:
-    2-core, small budgets (1-CPU box).
+    engine × refresh granularity.  The controller's issue gates produce
+    the log; two derivations that share no code with them check it — the
+    declarative rule-table oracle (which ``auditor.violations()`` runs)
+    and the tRTW/tWTR/REFsb constraints recomputed inline below.  A bug
+    in the gates cannot hide from either, and a bug in the oracle cannot
+    hide one in the scheduler.  Bounded examples: 2-core, small budgets.
     """
     from repro.sim.audit import attach_auditors
     from repro.sim.config import SystemConfig
@@ -154,20 +153,20 @@ def test_turnaround_and_refsb_recomputed_from_audit_log(
     far_past = -1 << 60
     oracle = oracle_for_config(config)
     for auditor in auditors:
-        assert auditor.violations() == []
+        mc = auditor.mc
         assert oracle.check_messages(auditor.records) == []
         records = sorted(auditor.records, key=lambda r: r.cycle)
         # Data-bus occupancy + turnaround, recomputed from RD/WR records.
         bursts = sorted(
-            (r.cycle + (auditor.tcwl_c if r.kind == "WR" else auditor.tcl_c), r.kind)
+            (r.cycle + (mc.tcwl_c if r.kind == "WR" else mc.tcl_c), r.kind)
             for r in records
             if r.kind in ("RD", "WR")
         )
         for (start0, kind0), (start1, kind1) in zip(bursts, bursts[1:]):
             gap = 0
             if kind0 != kind1:
-                gap = auditor.trtw_c if kind0 == "RD" else auditor.twtr_c
-            assert start1 >= start0 + auditor.tbl_c + gap, (
+                gap = mc.trtw_c if kind0 == "RD" else mc.twtr_c
+            assert start1 >= start0 + mc.tbl_c + gap, (
                 f"{kind0}@{start0} -> {kind1}@{start1} breaks "
                 f"tBL+{'tRTW' if kind0 == 'RD' else 'tWTR'}"
             )
@@ -193,13 +192,13 @@ def test_turnaround_and_refsb_recomputed_from_audit_log(
                 assert not open_row.get(key, False), (
                     f"REFSB@{r.cycle} to open bank {key}"
                 )
-                assert r.cycle - last_pre.get(key, far_past) >= auditor.trp_c
+                assert r.cycle - last_pre.get(key, far_past) >= mc.trp_c
                 assert r.cycle >= refsb_busy.get(key, far_past)
                 previous = last_refsb_rank.get(r.rank)
                 if previous is not None:
-                    assert r.cycle - previous >= auditor.trefsb_gap_c
+                    assert r.cycle - previous >= mc.trefsb_gap_c
                 last_refsb_rank[r.rank] = r.cycle
-                refsb_busy[key] = r.cycle + auditor.trfc_sb_c
+                refsb_busy[key] = r.cycle + mc.trfc_sb_c
             elif r.kind == "REF":
                 assert granularity == "all_bank"
                 for (rank, bank), busy in refsb_busy.items():
@@ -211,7 +210,7 @@ def test_turnaround_and_refsb_recomputed_from_audit_log(
                         last_pre[bank_key] = max(
                             last_pre.get(bank_key, far_past), r.cycle
                         )
-        if granularity == "same_bank" and result.cycles > auditor.trefi_c:
+        if granularity == "same_bank" and result.cycles > mc.trefi_c:
             # The staggered per-bank cadence must actually produce REFsb.
             assert any(r.kind == "REFSB" for r in records)
 

@@ -105,7 +105,7 @@ class TestFrFcfs:
         mc = make_mc()
         mc.enqueue(req(row=3, col=0))
         run_until(mc, 60)
-        assert mc.bank(0, 0).open_row == 3
+        assert mc._ta.open_row[0] == 3
 
     def test_write_drain_hysteresis(self):
         mc = make_mc()
@@ -148,43 +148,42 @@ class TestBaselineRefresh:
         # refresh control, so the same-bank refresh gate must move past
         # the tRFC busy window — not just every bank's next_act.
         mc = make_mc(mode="baseline")
-        rank = mc.ranks[0]
         mc.issue_ref(0, 1_000)
-        assert rank.busy_until == 1_000 + mc.trfc_c
-        assert rank.next_refsb >= 1_000 + mc.trfc_c
+        assert mc._ta.busy_until[0] == 1_000 + mc.trfc_c
+        assert mc._ta.next_refsb[0] >= 1_000 + mc.trfc_c
 
     def test_ref_precharges_open_banks_first(self):
         mc = make_mc(mode="baseline")
         mc.enqueue(req(row=5))
         for cycle in range(60):
             mc.schedule(cycle)
-        assert mc.bank(0, 0).open_row == 5
+        assert mc._ta.open_row[0] == 5
         for cycle in range(60, mc.trefi_c + mc.trp_c + 120):
             mc.schedule(cycle)
         assert mc.stats.refs == 1
-        assert mc.bank(0, 0).open_row is None
+        assert mc._ta.open_row[0] == -1  # precharged
 
 
 class TestHiraPrimitives:
     def test_hira_act_delays_activation_by_gap(self):
         mc = make_mc()
         mc.issue_hira_act(0, 0, refresh_row=100, target_row=5, now=10)
-        bank = mc.bank(0, 0)
-        assert bank.open_row == 5
-        assert bank.next_rdwr == 10 + mc.hira_gap_c + mc.trcd_c
+        ta = mc._ta
+        assert ta.open_row[0] == 5
+        assert ta.next_rdwr[0] == 10 + mc.hira_gap_c + mc.trcd_c
         assert mc.stats.hira_access_parallelized == 1
 
     def test_hira_refresh_pair_busy_time(self):
         mc = make_mc()
         mc.issue_hira_refresh_pair(0, 0, now=0)
-        bank = mc.bank(0, 0)
+        next_act = mc._ta.next_act[0]
         expected_close = mc.hira_gap_c + mc.tras_c
-        assert bank.next_act == expected_close + mc.trp_c
+        assert next_act == expected_close + mc.trp_c
         # 38 ns + tRP at paper defaults: strictly less than two solo passes.
-        assert bank.next_act < 2 * (mc.tras_c + mc.trp_c)
+        assert next_act < 2 * (mc.tras_c + mc.trp_c)
 
     def test_solo_refresh_busy_time(self):
         mc = make_mc()
         mc.issue_solo_refresh(0, 0, now=0)
-        assert mc.bank(0, 0).next_act == mc.tras_c + mc.trp_c
+        assert mc._ta.next_act[0] == mc.tras_c + mc.trp_c
         assert mc.stats.solo_refreshes == 1

@@ -141,14 +141,14 @@ class TestEnginesHoldInvariants:
     @pytest.mark.parametrize("trace_seed", [41, 43])
     def test_bankgroup_spacing_randomized(self, mode, trace_seed):
         # Same-group ACT pairs must be spaced by tRRD_L, cross-group by
-        # tRRD_S — recomputed here independently of the auditor so a bug
-        # in the auditor's own bookkeeping cannot hide one in the
-        # scheduler.
+        # tRRD_S — recomputed here independently of the oracle so a bug
+        # in its rule table cannot hide one in the scheduler.
         config = SystemConfig(refresh_mode=mode)
         __, auditors = run_audited(config, random_mix(trace_seed), seed=trace_seed)
         assert_clean(auditors)
         for auditor in auditors:
-            groups = auditor.banks_per_bankgroup
+            mc = auditor.mc
+            groups = mc.banks_per_bankgroup
             acts = sorted(
                 (r for r in auditor.records if r.kind == "ACT" and r.tag != "hira2"),
                 key=lambda r: r.cycle,
@@ -158,11 +158,11 @@ class TestEnginesHoldInvariants:
             for rec in acts:
                 prev = by_rank.get(rec.rank)
                 if prev is not None:
-                    assert rec.cycle - prev.cycle >= auditor.trrd_s_c, (rec, prev)
+                    assert rec.cycle - prev.cycle >= mc.trrd_s_c, (rec, prev)
                 group_key = (rec.rank, rec.bank // groups)
                 prev_group = by_group.get(group_key)
                 if prev_group is not None:
-                    assert rec.cycle - prev_group.cycle >= auditor.trrd_l_c, (
+                    assert rec.cycle - prev_group.cycle >= mc.trrd_l_c, (
                         rec, prev_group,
                     )
                 by_rank[rec.rank] = rec
@@ -186,7 +186,7 @@ class TestRefreshProgress:
             system = System(config, mix, seed=4, instr_budget=40_000)
             auditors = attach_auditors(system)
             result = system.run(max_cycles=6_000_000)
-            trefi_c = auditors[0].trefi_c
+            trefi_c = system.controllers[0].trefi_c
             elapsed_trefis = result.cycles / trefi_c
             assert result.stat_total("refs") >= int(elapsed_trefis) - 1, mode
             assert_clean(auditors)
@@ -194,11 +194,12 @@ class TestRefreshProgress:
     def test_auditor_flags_missing_refs(self):
         config = SystemConfig(refresh_mode="baseline")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         # A long command stream with no REF at all (the starved case).
-        span = 10 * auditor.trefi_c
+        span = 10 * mc.trefi_c
         auditor.on_act(0, 0, 0, 1)
-        auditor.on_pre(auditor.tras_c, 0, 0)
+        auditor.on_pre(mc.tras_c, 0, 0)
         auditor.on_act(span, 0, 0, 2)
         problems = auditor.violations()
         assert any("no REF" in p for p in problems)
@@ -206,9 +207,8 @@ class TestRefreshProgress:
     def test_baseline_ref_cadence(self):
         config = SystemConfig(refresh_mode="baseline")
         result, auditors = run_audited(config, random_mix(3), seed=3, instr=30_000)
-        mc = None  # auditors carry the controller
         refs = result.stat_total("refs")
-        expected = result.cycles / auditors[0].trefi_c
+        expected = result.cycles / auditors[0].mc.trefi_c
         assert refs >= int(expected) - 1
 
     def test_hira_meets_deadlines_with_slack(self):
@@ -239,7 +239,7 @@ class TestRefreshProgress:
             system = System(config, mix, seed=4, instr_budget=40_000)
             auditors = attach_auditors(system)
             result = system.run(max_cycles=6_000_000)
-            trefi_c = auditors[0].trefi_c
+            trefi_c = system.controllers[0].trefi_c
             banks = config.geometry.banks_per_rank
             # One REFsb per bank per tREFI; elastic may defer each bank's
             # REFsb by up to the 8-command postponement budget.
@@ -277,7 +277,8 @@ class TestAuditorMechanics:
     def test_detects_planted_trc_violation(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 7)
         auditor.on_act(1010, 0, 0, 9)  # same bank, far below tRC
         auditor.on_act(1012, 0, 1, 3)  # other bank, below tRRD
@@ -290,9 +291,10 @@ class TestAuditorMechanics:
         # the long parameter.
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, 1, 6)  # bank 1: same group
+        auditor.on_act(1000 + mc.trrd_s_c, 0, 1, 6)  # bank 1: same group
         problems = auditor.violations()
         assert any("tRRD_L" in p for p in problems)
         assert not any("tRRD_S" in p for p in problems)
@@ -304,77 +306,84 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup  # first bank of group 1
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         assert auditor.violations() == []
 
     def test_detects_planted_trcd_violation(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_col(1000 + auditor.trcd_c - 1, 0, 0, is_write=False)
+        auditor.on_col(1000 + mc.trcd_c - 1, 0, 0, is_write=False)
         assert any("tRCD" in p for p in auditor.violations())
 
     def test_col_at_trcd_boundary_is_legal(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_col(1000 + auditor.trcd_c, 0, 0, is_write=False)
+        auditor.on_col(1000 + mc.trcd_c, 0, 0, is_write=False)
         assert auditor.violations() == []
 
     def test_detects_read_during_ref(self):
         config = SystemConfig(refresh_mode="baseline")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_ref(1000, 0)
         auditor.on_col(1005, 0, 0, is_write=False)
         assert any(
-            "RD to rank 0 during REF" in p for p in auditor.violations()
+            "tRFC(REF->RD)@same-rank violation" in p for p in auditor.violations()
         )
 
     def test_detects_planted_twr_violation(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 5)
-        wr = 1000 + system.controllers[0].trcd_c
+        wr = 1000 + mc.trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        burst_end = wr + auditor.tcwl_c + auditor.tbl_c
-        auditor.on_pre(burst_end + auditor.twr_c - 1, 0, 0)  # one cycle early
+        burst_end = wr + mc.tcwl_c + mc.tbl_c
+        auditor.on_pre(burst_end + mc.twr_c - 1, 0, 0)  # one cycle early
         problems = auditor.violations()
         assert any("tWR" in p for p in problems)
 
     def test_pre_at_twr_boundary_is_legal(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 5)
-        wr = 1000 + system.controllers[0].trcd_c
+        wr = 1000 + mc.trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        burst_end = wr + auditor.tcwl_c + auditor.tbl_c
-        auditor.on_pre(max(burst_end + auditor.twr_c, 1000 + auditor.tras_c), 0, 0)
+        burst_end = wr + mc.tcwl_c + mc.tbl_c
+        auditor.on_pre(max(burst_end + mc.twr_c, 1000 + mc.tras_c), 0, 0)
         assert auditor.violations() == []
 
     def test_detects_planted_trtp_violation(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 5)
-        rd = 1000 + auditor.tras_c  # tRAS already satisfied at the PRE below
+        rd = 1000 + mc.tras_c  # tRAS already satisfied at the PRE below
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_pre(rd + auditor.trtp_c - 1, 0, 0)  # one cycle early
+        auditor.on_pre(rd + mc.trtp_c - 1, 0, 0)  # one cycle early
         problems = auditor.violations()
         assert any("tRTP" in p for p in problems)
 
     def test_pre_at_trtp_boundary_is_legal(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
-        auditor = CommandAuditor(system.controllers[0])
+        mc = system.controllers[0]
+        auditor = CommandAuditor(mc)
         auditor.on_act(1000, 0, 0, 5)
-        rd = 1000 + auditor.tras_c
+        rd = 1000 + mc.tras_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_pre(rd + auditor.trtp_c, 0, 0)
+        auditor.on_pre(rd + mc.trtp_c, 0, 0)
         assert auditor.violations() == []
 
     def test_detects_planted_data_bus_conflict(self):
@@ -386,12 +395,12 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
         auditor.on_col(rd + 1, 0, bank_cross, is_write=False)
         problems = auditor.violations()
-        assert any("data-bus conflict" in p for p in problems)
+        assert any("tBL(RD->RD)@same-channel-bus violation" in p for p in problems)
 
     def test_detects_read_write_data_bus_conflict(self):
         # tCL > tCWL: a WR issued right after a RD bursts *earlier*, so the
@@ -402,15 +411,17 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
         # tCL - tCWL cycles later the WR burst would abut the RD burst; a
         # couple of cycles after that it lands mid-burst.
-        wr = rd + (auditor.tcl_c - auditor.tcwl_c) + auditor.tbl_c - 2
+        wr = rd + (mc.tcl_c - mc.tcwl_c) + mc.tbl_c - 2
         auditor.on_col(wr, 0, bank_cross, is_write=True)
         problems = auditor.violations()
-        assert any("data-bus conflict" in p for p in problems)
+        assert any(
+            "tBL+tRTW(RD->WR)@data-bus-direction violation" in p for p in problems
+        )
 
     def test_back_to_back_bursts_are_legal(self):
         config = SystemConfig(refresh_mode="none")
@@ -419,10 +430,10 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_col(rd + auditor.tbl_c, 0, bank_cross, is_write=False)
+        auditor.on_col(rd + mc.tbl_c, 0, bank_cross, is_write=False)
         assert auditor.violations() == []
 
     def test_detects_planted_tfaw_violation(self):
@@ -458,11 +469,11 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        rd_end = rd + auditor.tcl_c + auditor.tbl_c
-        wr = rd_end + auditor.trtw_c - 1 - auditor.tcwl_c
+        rd_end = rd + mc.tcl_c + mc.tbl_c
+        wr = rd_end + mc.trtw_c - 1 - mc.tcwl_c
         auditor.on_col(wr, 0, bank_cross, is_write=True)
         problems = auditor.violations()
         assert any("tRTW" in p for p in problems)
@@ -472,11 +483,11 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        rd_end = rd + auditor.tcl_c + auditor.tbl_c
-        auditor.on_col(rd_end + auditor.trtw_c - auditor.tcwl_c, 0, bank_cross,
+        rd_end = rd + mc.tcl_c + mc.tbl_c
+        auditor.on_col(rd_end + mc.trtw_c - mc.tcwl_c, 0, bank_cross,
                        is_write=True)
         assert auditor.violations() == []
 
@@ -484,11 +495,11 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         wr = 1000 + mc.trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        wr_end = wr + auditor.tcwl_c + auditor.tbl_c
-        rd = wr_end + auditor.twtr_c - 1 - auditor.tcl_c
+        wr_end = wr + mc.tcwl_c + mc.tbl_c
+        rd = wr_end + mc.twtr_c - 1 - mc.tcl_c
         auditor.on_col(rd, 0, bank_cross, is_write=False)
         problems = auditor.violations()
         assert any("tWTR" in p for p in problems)
@@ -498,11 +509,11 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         wr = 1000 + mc.trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        wr_end = wr + auditor.tcwl_c + auditor.tbl_c
-        auditor.on_col(wr_end + auditor.twtr_c - auditor.tcl_c, 0, bank_cross,
+        wr_end = wr + mc.tcwl_c + mc.tbl_c
+        auditor.on_col(wr_end + mc.twtr_c - mc.tcl_c, 0, bank_cross,
                        is_write=False)
         assert auditor.violations() == []
 
@@ -512,10 +523,10 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_col(rd + auditor.tbl_c, 0, bank_cross, is_write=False)
+        auditor.on_col(rd + mc.tbl_c, 0, bank_cross, is_write=False)
         assert auditor.violations() == []
 
     def test_attaching_auditor_does_not_change_results(self):
@@ -539,102 +550,110 @@ class TestRefsbAuditorMechanics:
         return mc, CommandAuditor(mc)
 
     def test_detects_refsb_to_open_bank(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_act(1000, 0, 0, 5)
         auditor.on_refsb(1010, 0, 0)
-        assert any("REFsb to open bank" in p for p in auditor.violations())
+        assert any(
+            "REFSB @1010 to open bank (0, 0)" in p for p in auditor.violations()
+        )
 
     def test_detects_refsb_inside_trp(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_act(1000, 0, 0, 5)
-        pre = 1000 + auditor.tras_c
+        pre = 1000 + mc.tras_c
         auditor.on_pre(pre, 0, 0)
-        auditor.on_refsb(pre + auditor.trp_c - 1, 0, 0)  # one cycle early
+        auditor.on_refsb(pre + mc.trp_c - 1, 0, 0)  # one cycle early
         assert any(
-            "REFsb" in p and "after PRE" in p for p in auditor.violations()
+            "tRP(PRE->REFSB)@same-bank violation" in p for p in auditor.violations()
         )
 
     def test_refsb_at_trp_boundary_is_legal(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_act(1000, 0, 0, 5)
-        pre = 1000 + auditor.tras_c
+        pre = 1000 + mc.tras_c
         auditor.on_pre(pre, 0, 0)
-        auditor.on_refsb(pre + auditor.trp_c, 0, 0)
+        auditor.on_refsb(pre + mc.trp_c, 0, 0)
         assert auditor.violations() == []
 
     def test_detects_act_during_refsb(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_act(1000 + auditor.trfc_sb_c - 1, 0, 0, 5)  # one early
-        assert any("during REFsb" in p for p in auditor.violations())
+        auditor.on_act(1000 + mc.trfc_sb_c - 1, 0, 0, 5)  # one early
+        assert any(
+            "tRFC_sb(REFSB->ACT)@same-bank violation" in p
+            for p in auditor.violations()
+        )
 
     def test_act_at_trfc_sb_boundary_is_legal(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_act(1000 + auditor.trfc_sb_c, 0, 0, 5)
+        auditor.on_act(1000 + mc.trfc_sb_c, 0, 0, 5)
         assert auditor.violations() == []
 
     def test_sibling_bank_act_during_refsb_is_legal(self):
         # The whole point of REFsb: only the refreshed bank is busy.
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
         auditor.on_act(1005, 0, 4, 5)  # other bank group, other bank
         assert auditor.violations() == []
 
     def test_detects_trefsb_gap_violation(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_refsb(1000 + auditor.trefsb_gap_c - 1, 0, 1)  # one early
+        auditor.on_refsb(1000 + mc.trefsb_gap_c - 1, 0, 1)  # one early
         assert any("tREFSB_GAP" in p for p in auditor.violations())
 
     def test_refsb_at_trefsb_gap_boundary_is_legal(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_refsb(1000 + auditor.trefsb_gap_c, 0, 1)
+        auditor.on_refsb(1000 + mc.trefsb_gap_c, 0, 1)
         assert auditor.violations() == []
 
     def test_detects_refsb_during_ref(self):
         # The interlock's other direction: a same-bank refresh inside a
         # rank-wide tRFC busy window.
-        __, auditor = self._auditor(mode="baseline")
+        mc, auditor = self._auditor(mode="baseline")
         auditor.on_ref(1000, 0)
-        auditor.on_refsb(1000 + auditor.trfc_c - 1, 0, 0)  # one cycle early
+        auditor.on_refsb(1000 + mc.trfc_c - 1, 0, 0)  # one cycle early
         assert any(
-            "REFsb to rank 0 during REF" in p for p in auditor.violations()
+            "tRFC(REF->REFSB)@same-rank violation" in p for p in auditor.violations()
         )
 
     def test_refsb_at_trfc_boundary_is_legal(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_ref(1000, 0)
-        auditor.on_refsb(1000 + auditor.trfc_c, 0, 0)
+        auditor.on_refsb(1000 + mc.trfc_c, 0, 0)
         assert auditor.violations() == []
 
     def test_detects_ref_during_refsb(self):
-        __, auditor = self._auditor(mode="baseline")
+        mc, auditor = self._auditor(mode="baseline")
         auditor.on_refsb(1000, 0, 2)
         auditor.on_ref(1005, 0)
-        assert any("REFsb in flight" in p for p in auditor.violations())
+        assert any(
+            "tRFC_sb(REFSB->REF)@same-rank violation" in p
+            for p in auditor.violations()
+        )
 
     def test_detects_per_bank_cadence_gap(self):
-        __, auditor = self._auditor()
+        mc, auditor = self._auditor()
         auditor.on_refsb(0, 0, 3)
-        auditor.on_refsb(10 * auditor.trefi_c, 0, 3)
+        auditor.on_refsb(10 * mc.trefi_c, 0, 3)
         assert any(
-            "refresh deadline violation on bank" in p
+            "tREFI-cadence(REFSB)@same-bank violation" in p
             for p in auditor.violations()
         )
 
     def test_detects_starved_bank_in_same_bank_mode(self):
         # A long same-bank-mode stream with no REFsb at all: every bank of
         # the rank must be flagged from the stream bounds.
-        __, auditor = self._auditor(granularity="same_bank", mode="baseline")
-        span = 10 * auditor.trefi_c
+        mc, auditor = self._auditor(granularity="same_bank", mode="baseline")
+        span = 10 * mc.trefi_c
         auditor.on_act(0, 0, 0, 1)
-        auditor.on_pre(auditor.tras_c, 0, 0)
+        auditor.on_pre(mc.tras_c, 0, 0)
         auditor.on_act(span, 0, 0, 2)
         problems = auditor.violations()
-        starved = [p for p in problems if "no REFsb issued" in p]
-        assert len(starved) == auditor.banks_per_rank
+        starved = [p for p in problems if "no REFSB issued" in p]
+        assert len(starved) == mc.banks_per_rank
 
 
 class TestPairingPolicy:
@@ -765,6 +784,6 @@ class TestPairingPolicy:
         self._saturate_rank(mc, now)
         assert engine.on_act(demand, now) is None  # slot saved for a pair
         assert state.pending  # request still queued
-        # The same request rides a demand ACT when the rank is idle.
-        mc.ranks[0].faw.clear()
-        assert engine.on_act(demand, now) is not None
+        # The same request rides a demand ACT once the rank's tFAW window
+        # has drained.
+        assert engine.on_act(demand, now + mc.tfaw_c) is not None

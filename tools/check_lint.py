@@ -58,10 +58,10 @@ def _mutate_dirty_flag(tree: Path) -> None:
 
 
 def _mutate_timing(tree: Path) -> None:
-    """Stop the auditor from enforcing tRTP."""
-    path = tree / "sim" / "audit.py"
+    """Stop the oracle's rule table from enforcing tRTP."""
+    path = tree / "sim" / "oracle.py"
     text = path.read_text(encoding="utf-8")
-    assert "trtp" in text, "audit.py no longer references trtp"
+    assert "trtp" in text, "oracle.py no longer references trtp"
     path.write_text(text.replace("trtp", "ztrtp"), encoding="utf-8")
 
 

@@ -1,13 +1,14 @@
-"""CI differential gate: controller vs auditor vs rule-table oracle.
+"""CI differential gate: controller issue gates vs the rule-table oracle.
 
 Runs the property-suite matrix (three refresh engines × two granularities,
-plus the no-refresh engine) under fuzzed trace mixes, and requires every
-command stream to be clean under BOTH the :class:`CommandAuditor` and the
-independent declarative oracle — any disagreement between the two
-checkers, or any violation either one reports, fails the job.  A planted
-mutation pass then shifts one command per stream into an illegal position
-and requires both checkers to flag it, which guards against a vacuously
-permissive rule table.
+plus the no-refresh engine) under fuzzed trace mixes.  The controller's
+issue gates produce each command stream and a :class:`CommandAuditor`
+records it; the declarative oracle, which shares no code with the
+controller, must find every stream clean — any violation it reports is a
+disagreement between the two timing derivations and fails the job.  A
+planted mutation pass then shifts one command per stream into an illegal
+position and requires the oracle to flag it, which guards against a
+vacuously permissive rule table.
 
 Usage::
 
@@ -66,32 +67,26 @@ def _run(mode: str, granularity: str, seed: int):
 
 
 def _planted_mutation(auditor, oracle) -> list[str]:
-    """Shift one ACT into its predecessor's tRC shadow; both must flag it."""
+    """Shift one ACT into its predecessor's tRC shadow; the oracle must
+    flag it."""
     acts = [
         (i, r) for i, r in enumerate(auditor.records)
         if r.kind == "ACT" and r.tag == "demand"
     ]
+    trc_c = auditor.mc.trc_c
     by_bank: dict[tuple, CommandRecord] = {}
     for index, rec in acts:
         key = (rec.rank, rec.bank)
         prev = by_bank.get(key)
-        if prev is not None and rec.cycle - prev.cycle >= auditor.trc_c:
+        if prev is not None and rec.cycle - prev.cycle >= trc_c:
             mutated = list(auditor.records)
             mutated[index] = CommandRecord(
-                prev.cycle + auditor.trc_c - 1, "ACT", rec.rank, rec.bank,
+                prev.cycle + trc_c - 1, "ACT", rec.rank, rec.bank,
                 rec.row, rec.tag,
             )
-            problems = []
-            original = auditor.records
-            try:
-                auditor.records = mutated
-                if not auditor.violations():
-                    problems.append("auditor missed the planted tRC shift")
-            finally:
-                auditor.records = original
             if not any("tRC" in v.rule for v in oracle.check(mutated)):
-                problems.append("oracle missed the planted tRC shift")
-            return problems
+                return ["oracle missed the planted tRC shift"]
+            return []
         by_bank[key] = rec
     return []  # stream too short to host a mutation — not a failure
 
@@ -104,19 +99,14 @@ def check_matrix(export_dir: Path | None) -> int:
             config, auditors = _run(mode, granularity, seed)
             oracle = oracle_for_config(config)
             for channel, auditor in enumerate(auditors):
-                auditor_v = auditor.violations()
                 oracle_v = oracle.check_messages(auditor.records)
                 tag = f"{mode}/{granularity} seed={seed} ch={channel}"
                 status = "ok"
-                if auditor_v or oracle_v:
+                if oracle_v:
                     failures += 1
-                    status = (
-                        f"FAIL (auditor {len(auditor_v)}, oracle {len(oracle_v)})"
-                    )
-                    for problem in auditor_v[:5]:
-                        print(f"  auditor: {problem}")
+                    status = f"FAIL (oracle {len(oracle_v)})"
                     for problem in oracle_v[:5]:
-                        print(f"  oracle:  {problem}")
+                        print(f"  oracle: {problem}")
                 planted = _planted_mutation(auditor, oracle)
                 if planted:
                     failures += 1
@@ -168,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print(f"FAIL: {failures} disagreement(s)")
         return 1
-    print("OK: controller, auditor, and oracle agree on every stream")
+    print("OK: controller gates and oracle agree on every stream")
     return 0
 
 
