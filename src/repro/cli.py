@@ -700,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "checked by tools/check_kernel_perf.py")
     p.add_argument("--profile", action="store_true",
                    help="also attribute wall time to kernel phases "
-                        "(schedule, queue-scan, next-event, refresh-engine, "
+                        "(schedule, queue-scan, refresh-engine, "
                         "bus-gating, trace-refill) via one instrumented run "
                         "per workload; recorded under 'profile' in --out")
     p.set_defaults(func=_cmd_perf)

@@ -161,8 +161,8 @@ class HiraRefreshEngine(RefreshEngine):
                     self._bank_deadline[key] = deadline
             state.next_gen += state.period
             heapq.heappush(heap, (int(state.next_gen), rank, bank))
-        # New pending requests mean new deadlines: invalidate the memoized
-        # next_event (generation can fire outside a command issue).
+        # New pending requests mean new deadlines: invalidate the schedule
+        # memo (generation can fire outside a command issue).
         self._struct_dirty = True
         self.mc.mark_dirty()
 
@@ -171,7 +171,7 @@ class HiraRefreshEngine(RefreshEngine):
         raw deadline)."""
         self._struct_dirty = True
         # Every caller pops a pending refresh first, which changes the
-        # deadline structure feeding next_event; marking here (the shared
+        # deadline structure feeding urgent_wake; marking here (the shared
         # pop chokepoint) keeps the memo contract local instead of relying
         # on each caller's subsequent command issue to set the flag.
         self.mc.mark_dirty()
@@ -303,11 +303,11 @@ class HiraRefreshEngine(RefreshEngine):
                 else:
                     spilled.append((rank, bank_id, row, deadline))
             # Re-admitted entries regain deadline-driven scheduling: the
-            # memoized next_event must see the new deadlines.  Marking
+            # schedule memo must see the new deadlines.  Marking
             # unconditionally (even when every FIFO was still full and
-            # ``spilled`` is identical) only costs a recompute of the same
-            # value on this already-rare spill path, and keeps the
-            # mutation and its mark on one branch.
+            # ``spilled`` is identical) only forgoes skipping on this
+            # already-rare spill path, and keeps the mutation and its mark
+            # on one branch.
             self._preventive = spilled
             self._struct_dirty = True
             self.mc.mark_dirty()
@@ -530,36 +530,20 @@ class HiraRefreshEngine(RefreshEngine):
         else:
             self._queue_preventive(rank, bank_id, row, deadline)
 
-    # ------------------------------------------------------------------
-    def next_deadline(self, now: int) -> int:
-        heap = self._gen_heap
-        if heap and heap[0][0] <= now:
-            self._advance_generation(now)
-        return self._deadline_wake(now)
-
     def _deadline_wake(self, now: int) -> int:
         """Earliest cycle pending refresh work wants the bus.
 
-        Pure over scheduling state, but it refreshes the engine-internal
-        ``_min_deadline`` memo (same formula as ``urgent``'s) and uses it
-        as a fast path: while no bank is within tRC of its deadline, the
-        per-bank fold below reduces to ``_min_deadline - tRC`` — the
-        "already due" branch prices bank/rank gates that cannot bind yet.
+        Pure over scheduling state.  Its only caller, ``urgent_wake``,
+        runs after ``urgent`` settled the ``_min_deadline`` memo, so that
+        memo is a fast path here: while no bank is within tRC of its
+        deadline, the per-bank fold below reduces to
+        ``_min_deadline - tRC`` — the "already due" branch prices
+        bank/rank gates that cannot bind yet.
         """
         mc = self.mc
         trc = mc.trc_c
         bank_deadline = self._bank_deadline
         raw_deadline = self._raw_deadline
-        if self._struct_dirty:
-            soonest_d = _FAR_FUTURE
-            for key in self._active:
-                deadline = bank_deadline.get(key)
-                if deadline is None:
-                    deadline = raw_deadline(key)
-                if deadline < soonest_d:
-                    soonest_d = deadline
-            self._min_deadline = soonest_d
-            self._struct_dirty = False
         md = self._min_deadline
         if md - trc > now:
             soonest = self._preventive_deadline(now)

@@ -6,8 +6,8 @@ Seven repo-specific rules guard the invariants the runtime layers
 ========================  ==============================================
 rule                      invariant
 ========================  ==============================================
-``dirty-flag``            scheduling-state mutations set the
-                          ``next_event`` memo's dirty flag on all paths
+``dirty-flag``            scheduling-state mutations reset the
+                          ``schedule()`` memo on all paths
 ``timing-coverage``       every ``TimingParams`` field is enforced by
                           controller gating and the oracle
 ``determinism``           no wall clocks, unseeded RNGs, ``id()``/

@@ -1,13 +1,14 @@
 """Rule ``dirty-flag``: scheduling-state mutations must invalidate the
-``next_event`` memo.
+``schedule()`` memo.
 
-``MemoryController.next_event`` is memoized behind ``_dirty`` (PR 3); the
-memo's contract is that *every* mutation of deadline-bearing scheduling
-state sets the flag (``mark_dirty()`` / ``self._dirty = True``).  A
-forgotten mark is the repo's nastiest latent-bug class: the simulator
-stays plausible but wakes at stale cycles, silently reordering deep-queue
-scheduling.  This checker makes the contract statically enforced over
-``sim/controller.py`` plus the refresh engines.
+``MemoryController.schedule`` memoizes its next useful cycle in
+``_progress_at``, and the system loop skips the controller until then.
+The memo's contract is that *every* mutation of scheduling state resets
+it (``mark_dirty()`` / ``self._progress_at = 0``).  A forgotten reset is
+the repo's nastiest latent-bug class: the simulator stays plausible but
+sleeps past cycles at which a dense every-cycle loop would issue,
+silently reordering scheduling.  This checker makes the contract
+statically enforced over ``sim/controller.py`` plus the refresh engines.
 
 How it works (intra-procedural abstract interpretation + a call-graph
 fixpoint):
@@ -20,7 +21,8 @@ fixpoint):
   local alias, mutating method calls (``.append()``, ``.pop()``,
   ``heapq.heappush(...)``) on the same, and parameter aliases (any
   non-``self`` parameter is conservatively assumed to alias state).
-* **Marks** are ``mark_dirty(...)`` calls and ``x._dirty = True`` stores.
+* **Marks** are ``mark_dirty(...)`` calls and ``x._progress_at = 0``
+  stores.
 * Each method body is walked **path-sensitively**: branch states carry
   ``(mutated, marked)`` plus the values of boolean-literal locals, so the
   house idiom ``promoted = True ... if promoted: mark_dirty()`` is
@@ -48,8 +50,8 @@ from repro.lint.core import Finding, LintTree
 
 NAME = "dirty-flag"
 DESCRIPTION = (
-    "every mutation of scheduling state must set the next_event dirty flag "
-    "on all paths (mark_dirty / self._dirty = True)"
+    "every mutation of scheduling state must reset the schedule() memo "
+    "on all paths (mark_dirty / self._progress_at = 0)"
 )
 
 #: Files holding the controller and the refresh engines.
@@ -104,15 +106,14 @@ WATCHED = frozenset(
 )
 
 #: Deliberately NOT watched, with the reason each is excluded:
-#:   _dirty / _next_event_cache   — the memo itself;
-#:   _epoch / _progress_at        — the schedule() wake memo: _epoch is
-#:                                  bumped alongside every mark and
-#:                                  _progress_at stores the memoized
+#:   _epoch / _progress_at        — the schedule() wake memo itself:
+#:                                  _epoch is bumped alongside every mark
+#:                                  and _progress_at stores the memoized
 #:                                  bound, so watching them would flag
 #:                                  the memo machinery itself;
 #:   _struct_dirty / _min_deadline / _sb_forced_min
 #:                                — engine-internal memos *over* watched
-#:                                  state, never read by next_event;
+#:                                  state, settled inside urgent();
 #:   _draining_writes             — write-drain hysteresis: changes which
 #:                                  queue schedule() tries first, never a
 #:                                  wake time;
@@ -126,8 +127,6 @@ WATCHED = frozenset(
 #:   stats / completions          — telemetry, not scheduling state.
 EXCLUDED = frozenset(
     {
-        "_dirty",
-        "_next_event_cache",
         "_epoch",
         "_progress_at",
         "_struct_dirty",
@@ -313,9 +312,9 @@ class _MethodAnalyzer:
             if isinstance(sub, ast.Assign):
                 if (
                     isinstance(sub.value, ast.Constant)
-                    and sub.value.value is True
+                    and sub.value.value == 0
                     and any(
-                        isinstance(t, ast.Attribute) and t.attr == "_dirty"
+                        isinstance(t, ast.Attribute) and t.attr == "_progress_at"
                         for t in sub.targets
                     )
                 ):
@@ -579,8 +578,8 @@ def check(tree: LintTree) -> list[Finding]:
                 line=line,
                 symbol=f"{cls}.{name}",
                 message=(
-                    f"{detail} on a path that never sets the next_event "
-                    "dirty flag (mark_dirty() / self._dirty = True)"
+                    f"{detail} on a path that never resets the schedule() "
+                    "memo (mark_dirty() / self._progress_at = 0)"
                 ),
             )
         )

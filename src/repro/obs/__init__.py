@@ -18,8 +18,8 @@ and the chaos suite stay bit-identical and the events/sec floor holds.
   worker heartbeat ages, and journal-derived progress, snapshotted
   atomically to the status file behind ``repro status``.
 - :mod:`repro.obs.profiler` — the kernel phase profiler behind
-  ``repro perf --profile`` (schedule pass, ``next_event``, refresh
-  engines, trace refill, bus gating).
+  ``repro perf --profile`` (schedule pass, queue scan, refresh engines,
+  trace refill, bus gating).
 """
 
 from repro.obs.fleet import FleetStatus, journal_progress, load_status, render_status

@@ -6,9 +6,8 @@ phases the SoA-rewrite ROADMAP item needs a target list for:
 
 - ``schedule`` — the per-cycle schedule pass (excluding the sub-phases)
 - ``queue-scan`` — the FR-FCFS queue scans inside the pass
-- ``next-event`` — the memoized ``next_event`` recomputation
-- ``refresh-engine`` — engine hooks (``urgent`` / ``next_deadline`` /
-  ``on_act``) across whichever engines the workload instantiates
+- ``refresh-engine`` — engine hooks (``urgent`` / ``on_act`` /
+  ``urgent_wake``) across whichever engines the workload instantiates
 - ``bus-gating`` — the ``data_bus_free_at`` turnaround/data-bus gate
 - ``trace-refill`` — synthetic trace generation (``TraceGenerator``)
 
@@ -34,7 +33,6 @@ from collections import Counter
 PHASES = (
     "schedule",
     "queue-scan",
-    "next-event",
     "refresh-engine",
     "bus-gating",
     "trace-refill",
@@ -98,7 +96,6 @@ class PhaseProfiler:
 
         self._patch(MemoryController, "schedule", "schedule")
         self._patch(MemoryController, "_schedule_queues", "queue-scan")
-        self._patch(MemoryController, "next_event", "next-event")
         self._patch(MemoryController, "data_bus_free_at", "bus-gating")
         engines = (
             RefreshEngine,
@@ -108,7 +105,7 @@ class PhaseProfiler:
             HiraRefreshEngine,
         )
         for cls in engines:
-            for name in ("urgent", "next_deadline", "on_act", "urgent_wake"):
+            for name in ("urgent", "on_act", "urgent_wake"):
                 self._patch(cls, name, "refresh-engine")
         self._patch(TraceGenerator, "_refill", "trace-refill")
 

@@ -158,12 +158,16 @@ class SimTracer:
     # Stall attribution
     # ------------------------------------------------------------------
     def on_stall(self, now: int) -> None:
-        """Called when a visited cycle's schedule pass issued nothing.
+        """Called when a cycle's schedule pass issued nothing.
 
         Re-derives the scheduler's legality checks for the head window of
         each demand queue (read-only) and records the binding gate with
         the earliest release cycle.  Idle cycles (no demand queued) are
-        not stalls and record nothing.
+        not stalls and record nothing.  With a tracer armed, ``schedule``
+        leaves its ``_progress_at`` memo unset, so the system loop visits
+        the controller on every cycle: ``stall_counts`` count stalled
+        cycles, not loop visits.  Results stay identical, because the
+        loop's outcome never depends on which cycles it visits.
         """
         mc = self.mc
         if not mc.read_q and not mc.write_q:

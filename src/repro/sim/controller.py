@@ -14,12 +14,12 @@ rank / flattened ``(rank, bankgroup)`` (rank axes), instead of nested
 per-object attributes.  The scheduler no longer scans request queues:
 per-bank FCFS deques and per-``(bank, row)`` row-hit deques are
 maintained at enqueue/dequeue, so command selection visits only banks
-that have work.  ``schedule()`` additionally memoizes its own next
-useful cycle (``_progress_at``) whenever a call provably issued nothing
-and mutated nothing, letting the system loop skip idle controllers
-entirely.  All of it is bit-identical to the scan-based kernel — the
-kernel A/B goldens and audit-digest goldens in
-``tests/test_kernel_equivalence.py`` enforce exactly that.
+that have work.  ``schedule()`` memoizes its own next useful cycle
+(``_progress_at``) whenever a call provably issued nothing and mutated
+nothing; the system loop wakes each controller there and nowhere else,
+so a run is bit-identical to a dense loop that calls ``schedule`` on
+every cycle — ``tests/test_kernel_equivalence.py`` checks exactly that,
+besides pinning the kernel A/B and audit-digest goldens.
 """
 
 from __future__ import annotations
@@ -233,10 +233,6 @@ class RefreshEngine:
         """Issue due refresh work; returns True if a command was issued."""
         return self._service_preventive(now)
 
-    def next_deadline(self, now: int) -> int:
-        """Next cycle at which the engine wants the bus."""
-        return self._preventive_deadline(now)
-
     def urgent_wake(self, now: int) -> int:
         """Never-late bound for the next cycle ``urgent`` could act.
 
@@ -375,13 +371,6 @@ class BaselineRefreshEngine(RefreshEngine):
         self._sb_promote(now)
         return self._sb_issue_due(now)
 
-    def _sb_next_deadline(self, now: int) -> int:
-        soonest = self._sb_drain_wake(now, self._preventive_deadline(now))
-        heap = self._sb_heap
-        if heap and heap[0][0] < soonest:
-            soonest = heap[0][0]
-        return soonest
-
     def _sb_urgent_wake(self, now: int) -> int:
         """Mirror of ``_sb_urgent``'s gates for the schedule memo."""
         # _sb_drain_wake mirrors _sb_issue_due's per-bank gates exactly;
@@ -428,20 +417,6 @@ class BaselineRefreshEngine(RefreshEngine):
             ta.ref_due[rank_id] += mc.trefi_c
             return True
         return False
-
-    def next_deadline(self, now: int) -> int:
-        if self._same_bank:
-            return self._sb_next_deadline(now)
-        soonest = self._preventive_deadline(now)
-        ta = self.mc._ta
-        ref_ready = ta.ref_ready
-        for rank_id, due in enumerate(ta.ref_due):
-            c = ref_ready[rank_id]
-            if c > due:
-                due = c
-            if due < soonest:
-                soonest = due
-        return soonest
 
     def urgent_wake(self, now: int) -> int:
         if self._same_bank:
@@ -549,15 +524,9 @@ class MemoryController:
         self._hit_write: set[int] = set()
         #: Monotonic arrival stamp; queue order == ascending ``seq``.
         self._seq = 0
-        #: ``next_event`` memo: valid while ``_dirty`` is False and the
-        #: cached cycle is still in the future.  Every mutation that can
-        #: create an earlier event — command issue, enqueue, dequeue, or a
-        #: refresh-engine state change — sets ``_dirty``.
-        self._dirty = True
-        self._next_event_cache = -1
-        #: Mutation epoch: bumped by every state mutation (alongside
-        #: ``_dirty``).  ``schedule`` snapshots it to prove a failing call
-        #: was mutation-free before trusting its computed wake bound.
+        #: Mutation epoch: bumped by every state mutation.  ``schedule``
+        #: snapshots it to prove a failing call was mutation-free before
+        #: trusting its computed wake bound.
         self._epoch = 0
         #: ``schedule`` self-memo: the earliest cycle at which calling
         #: ``schedule`` could do anything (issue or mutate).  The system
@@ -582,14 +551,13 @@ class MemoryController:
     # State access helpers (also used by refresh engines)
     # ------------------------------------------------------------------
     def mark_dirty(self) -> None:
-        """Invalidate the ``next_event`` memo and the schedule self-memo.
+        """Invalidate the ``schedule`` self-memo (``_progress_at``).
 
-        Called by every command-issue primitive and by refresh engines
-        whenever they mutate deadline-bearing state outside an issue (e.g.
-        periodic request generation, PR-FIFO re-admission).  Also bumps
-        the mutation epoch so an in-flight ``schedule`` call knows it may
-        not record a wake bound."""
-        self._dirty = True
+        Called by refresh engines whenever they mutate scheduling state
+        outside a command issue (e.g. periodic request generation, PR-FIFO
+        re-admission), and by code that writes timing columns directly.
+        Also bumps the mutation epoch so an in-flight ``schedule`` call
+        knows it may not record a wake bound."""
         self._epoch += 1
         self._progress_at = 0
 
@@ -646,14 +614,13 @@ class MemoryController:
     def act_allowed_at(self, rank: int, bank_id: int) -> int:
         """Earliest cycle the bank's next ACT satisfies every rank gate.
 
-        KEEP IN LOCKSTEP: this formula is hand-inlined in four hot scans
+        KEEP IN LOCKSTEP: this formula is hand-inlined in three hot scans
         — ``RefreshEngine._service_preventive`` /
-        ``_preventive_deadline``, ``next_event``, the FCFS pass of
-        ``_schedule_queues``, and the due-scan slow path of the HiRA
-        engine's ``_deadline_wake`` (all marked "act_allowed_at,
-        inlined").  A
-        new ACT gate must be added to all of them or the event loop's
-        wake times diverge from the issue-time legality checks.  The
+        ``_preventive_deadline``, the FCFS pass of ``_schedule_queues``,
+        and the due-scan slow path of the HiRA engine's
+        ``_deadline_wake`` (all marked "act_allowed_at, inlined").  A new
+        ACT gate must be added to all of them or the ``schedule`` memo's
+        wake bounds diverge from the issue-time legality checks.  The
         tFAW and tRRD_S terms are pre-folded into the maintained
         ``act_floor`` (see :class:`TimingArrays`); a gate that cannot
         fold into it must be added to every inline copy.  (tRTP feeds
@@ -742,7 +709,6 @@ class MemoryController:
         self._hit_read.discard(g)
         self._hit_write.discard(g)
         self.bus_next = now + 1
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         self.stats.pres += 1
@@ -765,7 +731,6 @@ class MemoryController:
             self._hit_write.add(g)
         self._record_act(rank, bank_id, now)
         self.bus_next = now + 1
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         self.stats.acts += 1
@@ -799,7 +764,6 @@ class MemoryController:
         # Three commands (ACT, PRE, ACT) occupy three bus slots; the bus is
         # free between them for other banks.
         self.bus_next = now + 3
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         self.stats.acts += 2
@@ -830,7 +794,6 @@ class MemoryController:
         self._record_act(rank, bank_id, now)
         self._record_act(rank, bank_id, now + self.hira_gap_c)
         self.bus_next = now + 3
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         heapq.heappush(self._scheduled_closes, (close, rank, bank_id))
@@ -861,7 +824,6 @@ class MemoryController:
         self._hit_write.discard(g)
         self._record_act(rank, bank_id, now)
         self.bus_next = now + 1
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         heapq.heappush(self._scheduled_closes, (close, rank, bank_id))
@@ -894,7 +856,6 @@ class MemoryController:
             hit_read.discard(g)
             hit_write.discard(g)
         self.bus_next = now + 1
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         self.stats.refs += 1
@@ -924,7 +885,6 @@ class MemoryController:
         self._hit_read.discard(g)
         self._hit_write.discard(g)
         self.bus_next = now + 1
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         self.stats.refs_sb += 1
@@ -970,7 +930,6 @@ class MemoryController:
             dq.append(req)
         if self._ta.open_row[g] == addr.row:
             hit.add(g)
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         return True
@@ -1003,9 +962,10 @@ class MemoryController:
         gate fold is recorded in ``_progress_at`` and the system loop
         skips the controller until that cycle.  The bound is never late:
         all gates are frozen until the next mutation, and every mutation
-        path resets ``_progress_at`` to 0.  ``next_event`` is untouched
-        by this memo (its candidate set stays value-identical; it is the
-        *visit* schedule, this is the *per-visit* work filter).
+        path resets ``_progress_at`` to 0.  It is the only memo the loop
+        consults, so the run equals one that calls ``schedule`` on every
+        cycle.  An armed tracer keeps ``_progress_at`` unset (it records a
+        stall per call), so traced runs visit every cycle.
         """
         if now < self.bus_next:
             if self.tracer is not None:
@@ -1026,7 +986,6 @@ class MemoryController:
             if c <= now:
                 heapq.heappop(closes)
                 self.bus_next = now + 1
-                self._dirty = True
                 self._epoch = epoch + 1
                 self._progress_at = 0
                 return True
@@ -1229,7 +1188,6 @@ class MemoryController:
             hit.discard(g)
         ta = self._ta
         self.bus_next = now + 1
-        self._dirty = True
         self._epoch += 1
         self._progress_at = 0
         if req.is_write:
@@ -1264,108 +1222,6 @@ class MemoryController:
             self.auditor.on_col(now, rank, bank_id, req.is_write)
         if self.tracer is not None:
             self.tracer.on_col(now, rank, bank_id, req.is_write)
-
-    # ------------------------------------------------------------------
-    def next_event(self, now: int) -> int:
-        """Earliest future cycle at which scheduling could make progress.
-
-        Memoized: the candidate set only changes through mutations that
-        set ``_dirty`` (command issues, queue changes, engine updates), and
-        every candidate only grows over time otherwise — so while the
-        controller is clean, a cached value still in the future is exactly
-        what a recomputation would return.
-
-        The candidate set is deliberately VALUE-IDENTICAL to the original
-        per-entry scan (first 8 requests per queue): it is the system
-        loop's visit schedule, and any visit-set change reorders
-        deep-queue scheduling.  Only the constants moved — the arrays are
-        flat and the tFAW/tRRD_S fold is the maintained ``act_floor``.
-        """
-        if not self._dirty and self._next_event_cache > now:
-            return self._next_event_cache
-        c = self.bus_next
-        if c == now + 1:
-            # A command just issued: every candidate is > now, and the
-            # command-bus gate now+1 is the smallest value any candidate
-            # can take — the fold below provably returns now+1, so skip
-            # it (engine deadline folds included; deferring the engine's
-            # generation advance is state-identical because it is a pure
-            # function of (heap, now) and every consumer advances first).
-            # During saturated bursts this collapses the per-issue
-            # recompute to O(1); the full fold runs at the burst's end.
-            self._next_event_cache = c
-            self._dirty = False
-            return c
-        best = _FAR_FUTURE
-        have_future = False
-        if c > now:
-            best = c
-            have_future = True
-        closes = self._scheduled_closes
-        if closes:
-            c = closes[0][0]
-            if c > now:
-                have_future = True
-                if c < best:
-                    best = c
-        c = self.engine.next_deadline(now)
-        if c > now:
-            have_future = True
-            if c < best:
-                best = c
-        ta = self._ta
-        b_open = ta.open_row
-        b_act = ta.next_act
-        b_pre = ta.next_pre
-        b_rdwr = ta.next_rdwr
-        r_busy = ta.busy_until
-        act_floor = ta.act_floor
-        group_gate = ta.group_gate
-        for queue in (self.read_q, self.write_q):
-            n = len(queue)
-            if n > 8:
-                n = 8
-            if n:
-                # Data-bus gate: a column access can issue no earlier than
-                # tCL/tCWL before the bus frees for this queue's direction
-                # (including any tRTW/tWTR turnaround); wake then.
-                c = self.data_bus_free_at(queue is self.write_q) - (
-                    self.tcwl_c if queue is self.write_q else self.tcl_c
-                )
-                if c > now:
-                    have_future = True
-                    if c < best:
-                        best = c
-            for qi in range(n):
-                req = queue[qi]
-                g = req.gbank
-                c = r_busy[req.rank]
-                if c > now:
-                    have_future = True
-                    if c < best:
-                        best = c
-                orow = b_open[g]
-                if orow == req.row:
-                    c = b_rdwr[g]
-                elif orow < 0:
-                    # act_allowed_at, inlined (hot scan).
-                    c = b_act[g]
-                    gate = act_floor[req.rank]
-                    if gate > c:
-                        c = gate
-                    gate = group_gate[req.ggroup]
-                    if gate > c:
-                        c = gate
-                else:
-                    c = b_pre[g]
-                if c > now:
-                    have_future = True
-                    if c < best:
-                        best = c
-        result = best if have_future else now + 1
-        self._next_event_cache = result
-        self._dirty = False
-        return result
 
     @property
     def pending_requests(self) -> int:

@@ -101,24 +101,6 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
         if missed and self.mc.tracer is not None:
             self.mc.tracer.on_decision("postpone", now, key[0], key[1], missed)
 
-    def _sb_next_deadline(self, now: int) -> int:
-        soonest = self._sb_drain_wake(now, self._preventive_deadline(now))
-        mc = self.mc
-        trefi = mc.trefi_c
-        read_q = bool(mc.read_q)
-        draining = self._sb_draining
-        for key, due in self._sb_due.items():
-            if key in draining:
-                continue
-            if read_q:
-                budget_left = self.max_postponed - self._sb_debt[key]
-                wake = due + max(0, budget_left) * trefi
-            else:
-                wake = due  # idle opportunity: refresh early
-            if wake < soonest:
-                soonest = wake
-        return soonest
-
     def _sb_urgent_wake(self, now: int) -> int:
         """Mirror of ``_sb_urgent``'s gates for the schedule memo.
 
@@ -167,8 +149,8 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
                 continue
             # Commit and block demand to the rank: newly arriving reads can
             # no longer cancel the drain or push tRP-readiness away.  The
-            # commit switches next_deadline to the drain-gate formula, so
-            # the transition invalidates the memoized next_event.
+            # commit switches urgent_wake to the drain-gate formula, so the
+            # transition invalidates the schedule memo.
             if not committed[rank_id]:
                 committed[rank_id] = True
                 mc.mark_dirty()
@@ -194,41 +176,6 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
             ta.ref_due[rank_id] = due + mc.trefi_c
             return True
         return False
-
-    def next_deadline(self, now: int) -> int:
-        """Wake at the postponement limit rather than every tREFI."""
-        if self._same_bank:
-            return self._sb_next_deadline(now)
-        mc = self.mc
-        ta = mc._ta
-        trefi = mc.trefi_c
-        read_q = bool(mc.read_q)
-        soonest = _FAR_FUTURE
-        for rank_id, due in enumerate(ta.ref_due):
-            if self._committed[rank_id]:
-                # Mid-drain: wake when the next drain step can proceed (a
-                # bank precharge or the tRP-after-PRE REF gate).  The true
-                # gate is returned even when already past — the controller
-                # handles lateness once instead of being spun cycle by cycle.
-                gate = ta.busy_until[rank_id]
-                c = ta.ref_ready[rank_id]
-                if c > gate:
-                    gate = c
-                open_bank = mc.first_open_bank(rank_id)
-                if open_bank is not None:
-                    c = ta.next_pre[rank_id * mc.banks_per_rank + open_bank]
-                    if c > gate:
-                        gate = c
-                if gate < soonest:
-                    soonest = gate
-                continue
-            budget_left = self.max_postponed - self._debt[rank_id]
-            deadline = due + max(0, budget_left) * trefi
-            idle_opportunity = due if not read_q else deadline
-            if idle_opportunity < soonest:
-                soonest = idle_opportunity
-        p = self._preventive_deadline(now)
-        return p if p < soonest else soonest
 
     def urgent_wake(self, now: int) -> int:
         if self._same_bank:

@@ -149,12 +149,14 @@ class System:
     def run(self, max_cycles: int = 10_000_000) -> SimResult:
         """Run until every core finishes its budget or ``max_cycles``.
 
-        The loop is incremental: per-core wake times are cached and
-        invalidated only by the events that can change them (a read
-        completion, an issued request), and each controller memoizes its
-        ``next_event`` behind a dirty flag set by the command-issue
-        primitives — so a visited cycle costs work proportional to what
-        actually happened, not to the number of cores and queued requests.
+        The result is exactly that of a dense loop which calls every
+        controller's ``schedule`` on every cycle.  Skipping a cycle is
+        only allowed where that loop provably does nothing: per-core wake
+        times are cached and invalidated only by the events that can
+        change them (a read completion, an issued request), and a
+        controller is woken at its ``_progress_at`` — the bound its last
+        ``schedule`` call proved, which every mutation resets to 0 — or
+        on the next cycle when it has none.
         """
         cores = self.cores
         mcs = self.controllers
@@ -172,11 +174,6 @@ class System:
         #: of those events mutates the core.
         core_wake = [0] * len(cores)
         n_undone = len(cores)
-        #: Controllers whose next_event must be consulted in the jump.
-        active_mcs = [
-            mc for mc in mcs if mc.config.refresh_mode != "none"
-        ]
-        passive_mcs = [mc for mc in mcs if mc.config.refresh_mode == "none"]
         cycle = 0
         #: Cached min(core_wake): step 2 is skipped while every core
         #: sleeps and no completion was delivered this cycle (every
@@ -231,15 +228,11 @@ class System:
                 min_core_wake = min(core_wake)
 
             # 3. Each channel issues at most one command this cycle.
-            # (schedule must run on every visited cycle: ``next_event``
-            # only inspects each queue's head window, so an issue slot for
-            # a deeper request can open at a cycle another controller or
-            # core made interesting.  The one exception is proven by the
-            # controller itself: ``_progress_at`` is set only when a call
-            # issued nothing and mutated nothing, from exact gate folds
-            # that hold until the next memo-voiding mutation — so skipping
-            # until then is behavior-identical.  Completions only appear
-            # when schedule runs, so the drain is skipped with it.)
+            # ``_progress_at`` is set only when a call issued nothing and
+            # mutated nothing, from exact gate folds that hold until the
+            # next mutation (which resets it to 0), so skipping until then
+            # is behavior-identical.  Completions only appear when
+            # schedule runs, so the drain is skipped with it.
             for mc in mcs:
                 if mc._progress_at > cycle:
                     continue
@@ -261,21 +254,12 @@ class System:
                 nxt = completion_heap[0][0]
             if min_core_wake < nxt:
                 nxt = min_core_wake
-            for mc in active_mcs:
-                # Inlined next_event memo guard: on clean visits the call
-                # (and its preamble) is pure overhead at loop frequency.
-                ne = mc._next_event_cache
-                if mc._dirty or ne <= cycle:
-                    ne = mc.next_event(cycle)
-                if ne < nxt:
-                    nxt = ne
-            for mc in passive_mcs:
-                if mc.read_q or mc.write_q:
-                    ne = mc._next_event_cache
-                    if mc._dirty or ne <= cycle:
-                        ne = mc.next_event(cycle)
-                    if ne < nxt:
-                        nxt = ne
+            for mc in mcs:
+                wake = mc._progress_at
+                if wake <= cycle:
+                    wake = cycle + 1
+                if wake < nxt:
+                    nxt = wake
             if nxt <= cycle:
                 nxt = cycle + 1
             if nxt == _FAR_FUTURE:

@@ -3,11 +3,12 @@
 
 class MemoryController:
     def mark_dirty(self):
-        self._dirty = True
+        self._epoch += 1
+        self._progress_at = 0
 
     def issue_col(self, now):
         self.bus_next = now + 4
-        self._dirty = True
+        self._progress_at = 0
         return True
 
     def promote(self):

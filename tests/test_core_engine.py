@@ -94,7 +94,7 @@ class TestDeadlineEnforcement:
         limit = int(mc.config.per_bank_refresh_interval_cycles * 3)
         while cycle < limit:
             if not mc.schedule(cycle):
-                cycle = max(cycle + 1, mc.next_event(cycle))
+                cycle = max(cycle + 1, mc._progress_at)
             else:
                 cycle += 1
         assert mc.stats.deadline_misses == 0
@@ -111,7 +111,7 @@ class TestDeadlineEnforcement:
         cycle = 0
         while cycle < limit:
             if not mc.schedule(cycle):
-                cycle = max(cycle + 1, mc.next_event(cycle))
+                cycle = max(cycle + 1, mc._progress_at)
             else:
                 cycle += 1
         assert mc.stats.hira_refresh_parallelized == 0

@@ -1,13 +1,14 @@
 """Regression tests for the bugs the first ``repro lint`` run surfaced.
 
 The dirty-flag rule found four places where a refresh engine mutated
-deadline-bearing scheduling state without invalidating the memoized
-``next_event`` (the rank-drain block in the baseline and elastic engines,
-HiRA's ``_refresh_active`` chokepoint, and the elastic same-bank
-heap->deferred promotion); the protocol-dispatch rule found that the
-worker entered its job loop on *any* non-reject registration reply.  Each
-test here pins the fixed behavior so the lint rules are backed by
-runtime evidence, not just static cleanliness.
+scheduling state without invalidating the controller's memo (the
+rank-drain block in the baseline and elastic engines, HiRA's
+``_refresh_active`` chokepoint, and the elastic same-bank heap->deferred
+promotion); the protocol-dispatch rule found that the worker entered its
+job loop on *any* non-reject registration reply.  Each test here pins the
+fixed behavior so the lint rules are backed by runtime evidence, not just
+static cleanliness.  The memo is ``schedule()``'s ``_progress_at``: a
+mark bumps ``_epoch`` and resets ``_progress_at`` to 0.
 """
 
 import socket
@@ -21,6 +22,9 @@ from repro.sim.config import SystemConfig
 from repro.sim.controller import BaselineRefreshEngine, MemoryController
 from repro.sim.elastic import ElasticRefreshEngine
 
+#: A memoized wake no real run reaches: only a mark can turn it into 0.
+SENTINEL = 1 << 50
+
 
 def make_mc(engine, **overrides):
     config = SystemConfig(**overrides)
@@ -29,18 +33,32 @@ def make_mc(engine, **overrides):
     return mc
 
 
+def arm_memo(mc) -> int:
+    """Pretend ``schedule()`` memoized a wake; return the epoch to diff."""
+    mc._progress_at = SENTINEL
+    return mc._epoch
+
+
+def marked(mc, epoch: int) -> bool:
+    return mc._epoch > epoch and mc._progress_at == 0
+
+
+def untouched(mc, epoch: int) -> bool:
+    return mc._epoch == epoch and mc._progress_at == SENTINEL
+
+
 class TestDirtyFlagFixes:
     def test_baseline_rank_drain_block_marks_dirty(self):
-        """Entering the REF drain (blocking a rank) must wake next_event."""
+        """Entering the REF drain (blocking a rank) must void the memo."""
         mc = make_mc(BaselineRefreshEngine(), refresh_mode="baseline")
         mc.issue_act(0, 0, 5, 0)  # open a bank: PRE is tRAS-gated, so
         mc._ta.ref_due[0] = 1     # urgent() can only block, not issue
         mc.mark_dirty()
-        mc._dirty = False
+        epoch = arm_memo(mc)
         issued = mc.engine.urgent(2)
         assert not issued  # nothing issuable yet (tRAS still elapsing)
         assert 0 in mc.blocked_ranks
-        assert mc._dirty, "blocking a rank must invalidate the memo"
+        assert marked(mc, epoch), "blocking a rank must invalidate the memo"
 
     def test_baseline_block_does_not_remark_when_already_blocked(self):
         mc = make_mc(BaselineRefreshEngine(), refresh_mode="baseline")
@@ -48,9 +66,9 @@ class TestDirtyFlagFixes:
         mc._ta.ref_due[0] = 1
         mc.mark_dirty()
         mc.engine.urgent(2)
-        mc._dirty = False
+        epoch = arm_memo(mc)
         mc.engine.urgent(3)  # rank already blocked: no state change
-        assert not mc._dirty
+        assert untouched(mc, epoch)
 
     def test_elastic_committed_rank_block_marks_dirty(self):
         mc = make_mc(ElasticRefreshEngine(), refresh_mode="elastic")
@@ -58,20 +76,20 @@ class TestDirtyFlagFixes:
         mc._ta.ref_due[0] = 1
         mc.mark_dirty()
         mc.engine._committed[0] = True  # already committed: only the
-        mc._dirty = False               # blocked-rank add can mark
+        epoch = arm_memo(mc)            # blocked-rank add can mark
         issued = mc.engine.urgent(2)
         assert not issued
         assert 0 in mc.blocked_ranks
-        assert mc._dirty
+        assert marked(mc, epoch)
 
     def test_hira_refresh_active_marks_dirty(self):
         mc = make_mc(
             HiraRefreshEngine(), refresh_mode="hira", capacity_gbit=8.0
         )
-        mc._dirty = False
+        epoch = arm_memo(mc)
         mc.engine._refresh_active(0, 0)
-        assert mc._dirty, (
-            "recomputing a bank's deadline-set membership feeds next_event "
+        assert marked(mc, epoch), (
+            "recomputing a bank's deadline-set membership feeds urgent_wake "
             "and must invalidate the memo"
         )
 
@@ -84,10 +102,10 @@ class TestDirtyFlagFixes:
         engine = mc.engine
         assert engine._sb_heap, "same-bank attach seeds the due heap"
         now = engine._sb_heap[0][0] + 1  # first entry is due
-        mc._dirty = False
+        epoch = arm_memo(mc)
         engine._sb_promote(now)
         assert not engine._sb_heap or engine._sb_heap[0][0] > now
-        assert mc._dirty, "heap->deferred moves must invalidate the memo"
+        assert marked(mc, epoch), "heap->deferred moves must invalidate the memo"
 
     def test_elastic_sb_promote_noop_stays_clean(self):
         mc = make_mc(
@@ -96,9 +114,9 @@ class TestDirtyFlagFixes:
             refresh_granularity="same_bank",
         )
         engine = mc.engine
-        mc._dirty = False
+        epoch = arm_memo(mc)
         engine._sb_promote(0)  # nothing due at cycle 0
-        assert not mc._dirty
+        assert untouched(mc, epoch)
 
 
 class TestWorkerRegistrationReply:

@@ -48,12 +48,12 @@ MYPY_TARGETS = (
 
 
 def _mutate_dirty_flag(tree: Path) -> None:
-    """Drop the dirty mark from the PRE issue primitive."""
+    """Drop the schedule-memo reset from the PRE issue primitive."""
     path = tree / "sim" / "controller.py"
     text = path.read_text(encoding="utf-8")
     head, sep, tail = text.partition("def issue_pre")
-    marker = "        self._dirty = True\n"
-    assert sep and marker in tail, "issue_pre dirty mark not found to remove"
+    marker = "        self._progress_at = 0\n"
+    assert sep and marker in tail, "issue_pre memo reset not found to remove"
     path.write_text(head + sep + tail.replace(marker, "", 1), encoding="utf-8")
 
 
