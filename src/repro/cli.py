@@ -214,7 +214,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     variants = []
     for mode in _parse_list(args.modes, str):
         if mode == "hira":
-            for slack in _parse_list(args.slacks, int):
+            for slack in args.slacks:
                 variants.append(
                     Variant.make(
                         f"HiRA-{slack}", refresh_mode="hira", tref_slack_acts=slack
@@ -530,6 +530,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """An argparse type for counts that may be 0 but not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _nonnegative_ints(text: str) -> tuple:
+    """An argparse type for a comma list of :func:`_nonnegative_int`."""
+    return _parse_list(text, _nonnegative_int)
+
+
 def _positive_float(text: str) -> float:
     """An argparse type for sizes that must be greater than 0."""
     value = float(text)
@@ -560,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all_bank",
                    help="refresh command granularity: DDR4-style rank-wide "
                         "REF or DDR5-style per-bank REFsb")
-    p.add_argument("--slack", type=int, default=2)
+    p.add_argument("--slack", type=_nonnegative_int, default=2)
     p.add_argument("--para-nrh", type=float, default=None, dest="para_nrh")
     p.add_argument("--mix", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
@@ -582,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="hira")
     p.add_argument("--granularity", choices=("all_bank", "same_bank"),
                    default="all_bank")
-    p.add_argument("--slack", type=int, default=2)
+    p.add_argument("--slack", type=_nonnegative_int, default=2)
     p.add_argument("--mix", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--instructions", type=_positive_int, default=20_000)
@@ -596,7 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="cli-sweep")
     p.add_argument("--modes", default="baseline,hira",
                    help="comma list of refresh modes (none,baseline,elastic,hira)")
-    p.add_argument("--slacks", default="2", help="HiRA-N slack values (for mode hira)")
+    p.add_argument("--slacks", type=_nonnegative_ints, default="2",
+                   help="HiRA-N slack values (for mode hira)")
     p.add_argument("--capacities", default="8", help="chip capacities in Gbit")
     p.add_argument("--channels", default="1")
     p.add_argument("--ranks", default="1")
@@ -685,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("security", help="PARA configuration for a threshold")
     p.add_argument("--nrh", type=float, default=128.0)
-    p.add_argument("--slack", type=int, default=0)
+    p.add_argument("--slack", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_security)
 
     p = sub.add_parser("perf", help="measure kernel throughput (events/sec)")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.pr_fifo import PreventiveRequest, PrFifo
 from repro.core.refptr_table import RefPtrTable
 from repro.core.spt import SubarrayPairsTable
-from repro.sim.controller import RefreshEngine
+from repro.sim.controller import _ISSUED, RefreshEngine
 from repro.sim.request import Request
 
 _FAR_FUTURE = 1 << 60
@@ -171,7 +171,7 @@ class HiraRefreshEngine(RefreshEngine):
         raw deadline)."""
         self._struct_dirty = True
         # Every caller pops a pending refresh first, which changes the
-        # deadline structure feeding urgent_wake; marking here (the shared
+        # deadlines urgent folds its wake from; marking here (the shared
         # pop chokepoint) keeps the memo contract local instead of relying
         # on each caller's subsequent command issue to set the flag.
         self.mc.mark_dirty()
@@ -286,7 +286,7 @@ class HiraRefreshEngine(RefreshEngine):
     # ------------------------------------------------------------------
     # Deadline enforcement (Fig. 8, Case 2)
     # ------------------------------------------------------------------
-    def urgent(self, now: int) -> bool:
+    def urgent(self, now: int) -> int:
         # Re-admit spilled preventive refreshes as PR-FIFO slots free up,
         # so they regain deadline-driven scheduling (and keep the original
         # deadlines they were spilled with).  Entries whose bank FIFO is
@@ -311,13 +311,19 @@ class HiraRefreshEngine(RefreshEngine):
             self._preventive = spilled
             self._struct_dirty = True
             self.mc.mark_dirty()
-        if self._preventive and self._service_preventive(now):  # PR-FIFO overflow
-            return True
+        wake = self._service_preventive(now)  # PR-FIFO overflow
+        if wake == _ISSUED:
+            return _ISSUED
+        # The next generation pop is itself a mutation: wake for it even
+        # when the generated request's deadline lies further out.
         heap = self._gen_heap
         if heap and heap[0][0] <= now:
             self._advance_generation(now)
+        if heap and heap[0][0] < wake:
+            wake = heap[0][0]
         mc = self.mc
-        cutoff = now + mc.trc_c
+        trc = mc.trc_c
+        cutoff = now + trc
         bank_deadline = self._bank_deadline
         raw_deadline = self._raw_deadline
         if self._struct_dirty:
@@ -330,12 +336,25 @@ class HiraRefreshEngine(RefreshEngine):
                     soonest = deadline
             self._min_deadline = soonest
             self._struct_dirty = False
-        if self._min_deadline > cutoff:
+        md = self._min_deadline
+        if md > cutoff:
             # Nothing approaches its deadline: the scan below would issue
             # nothing (raw deadlines move only on push/pop, never with
             # time, so the memo stays exact until the structure changes).
-            return False
+            # The scan skips every bank until the earliest deadline is
+            # tRC away.
+            if md != _FAR_FUTURE and md - trc < wake:
+                wake = md - trc
+            return wake
         ta = mc._ta
+        banks_per_rank = mc.banks_per_rank
+        groups = mc.bankgroups_per_rank
+        bpg = mc.banks_per_bankgroup
+        b_open = ta.open_row
+        r_busy = ta.busy_until
+        act_floor = ta.act_floor
+        group_gate = ta.group_gate
+        same_bank = self._same_bank
         # Iterating the set directly is safe: the loop either leaves the
         # set untouched (continue) or mutates it and returns immediately.
         for key in self._active:
@@ -343,38 +362,43 @@ class HiraRefreshEngine(RefreshEngine):
             if deadline is None:
                 deadline = raw_deadline(key)
             if deadline > cutoff:
-                continue
-            rank, bank_id = key
-            if self._same_bank:
-                if self._sb_handle_due(key, rank, bank_id, now):
-                    return True
-                continue
-            if now < ta.busy_until[rank]:
-                continue
-            g = rank * mc.banks_per_rank + bank_id
-            if ta.open_row[g] >= 0:
-                if now >= ta.next_pre[g]:
-                    mc.issue_pre(rank, bank_id, now)
-                    return True
-                continue
-            if now < ta.next_act[g] or not mc.faw_ok(rank, now) or not mc.trrd_ok(rank, bank_id, now):
-                continue
-            if now > deadline + mc.trc_c:
-                mc.stats.deadline_misses += 1
-            self._perform_due_refresh(rank, bank_id, now)
-            return True
-        return False
+                gate = deadline - trc
+            elif same_bank:
+                gate = self._sb_handle_due(key, now)
+                if gate == _ISSUED:
+                    return _ISSUED
+            else:
+                rank, bank_id = key
+                g = rank * banks_per_rank + bank_id
+                gate = r_busy[rank]
+                if b_open[g] >= 0:
+                    c = ta.next_pre[g]
+                    if c > gate:
+                        gate = c
+                    if gate <= now:
+                        mc.issue_pre(rank, bank_id, now)
+                        return _ISSUED
+                else:
+                    # act_allowed_at, inlined (hot scan).
+                    c = ta.next_act[g]
+                    if c > gate:
+                        gate = c
+                    c = act_floor[rank]
+                    if c > gate:
+                        gate = c
+                    c = group_gate[rank * groups + bank_id // bpg]
+                    if c > gate:
+                        gate = c
+                    if gate <= now:
+                        if now > deadline + trc:
+                            mc.stats.deadline_misses += 1
+                        self._perform_due_refresh(rank, bank_id, now)
+                        return _ISSUED
+            if gate < wake:
+                wake = gate
+        return wake
 
-    def _sb_periodic_first(self, key: tuple[int, int]) -> bool:
-        """Whether the bank's due item is its periodic REFsb (vs a
-        preventive row refresh)."""
-        head = self.pr[key[0]].head(key[1])
-        periodic_deadline = self._periodic_deadline(self._periodic[key])
-        return head is None or periodic_deadline <= head.deadline
-
-    def _sb_handle_due(
-        self, key: tuple[int, int], rank: int, bank_id: int, now: int
-    ) -> bool:
+    def _sb_handle_due(self, key: tuple[int, int], now: int) -> int:
         """Due refresh work for one bank in same-bank mode.
 
         A due periodic item is one REFsb: commit the bank (defer demand so
@@ -382,8 +406,10 @@ class HiraRefreshEngine(RefreshEngine):
         precharge it, wait out tRP and the rank's tREFSB_GAP, then issue.
         A due preventive item stays a row-granular nominal refresh with
         the usual ACT gates (and may still pair with a second preventive).
+        Returns ``_ISSUED``, else the gate of the bank's next step.
         """
         mc = self.mc
+        rank, bank_id = key
         head = self.pr[rank].head(bank_id)
         periodic = self._periodic[key]
         periodic_deadline = self._periodic_deadline(periodic)
@@ -394,19 +420,27 @@ class HiraRefreshEngine(RefreshEngine):
             mc.blocked_banks.add(key)
             mc.mark_dirty()
         ta = mc._ta
-        if now < ta.busy_until[rank]:
-            return False
         g = rank * mc.banks_per_rank + bank_id
+        gate = ta.busy_until[rank]
         if ta.open_row[g] >= 0:
-            if now >= ta.next_pre[g]:
+            c = ta.next_pre[g]
+            if c > gate:
+                gate = c
+            if gate <= now:
                 mc.issue_pre(rank, bank_id, now)
-                return True
-            return False
+                return _ISSUED
+            return gate
         if refsb_first:
             # next_act carries tRP-after-PRE and any previous REFsb busy
             # window; next_refsb is the rank's REFsb spacing.
-            if now < ta.next_act[g] or now < ta.next_refsb[rank]:
-                return False
+            c = ta.next_act[g]
+            if c > gate:
+                gate = c
+            c = ta.next_refsb[rank]
+            if c > gate:
+                gate = c
+            if gate > now:
+                return gate
             if now > periodic_deadline + mc.trc_c:
                 mc.stats.deadline_misses += 1
             periodic.pending.popleft()
@@ -414,13 +448,16 @@ class HiraRefreshEngine(RefreshEngine):
             self._sb_blocked.discard(key)
             mc.blocked_banks.discard(key)
             mc.issue_refsb(rank, bank_id, now)
-            return True
-        if now < ta.next_act[g] or not mc.faw_ok(rank, now) or not mc.trrd_ok(rank, bank_id, now):
-            return False
+            return _ISSUED
+        c = mc.act_allowed_at(rank, bank_id)
+        if c > gate:
+            gate = c
+        if gate > now:
+            return gate
         if now > preventive_deadline + mc.trc_c:
             mc.stats.deadline_misses += 1
         self._perform_due_refresh(rank, bank_id, now)
-        return True
+        return _ISSUED
 
     def _pop_first_due(self, rank: int, bank_id: int) -> int | None:
         """Pop the earliest-deadline pending refresh; returns its row."""
@@ -529,102 +566,6 @@ class HiraRefreshEngine(RefreshEngine):
             self.mc.mark_dirty()
         else:
             self._queue_preventive(rank, bank_id, row, deadline)
-
-    def _deadline_wake(self, now: int) -> int:
-        """Earliest cycle pending refresh work wants the bus.
-
-        Pure over scheduling state.  Its only caller, ``urgent_wake``,
-        runs after ``urgent`` settled the ``_min_deadline`` memo, so that
-        memo is a fast path here: while no bank is within tRC of its
-        deadline, the per-bank fold below reduces to
-        ``_min_deadline - tRC`` — the "already due" branch prices
-        bank/rank gates that cannot bind yet.
-        """
-        mc = self.mc
-        trc = mc.trc_c
-        bank_deadline = self._bank_deadline
-        raw_deadline = self._raw_deadline
-        md = self._min_deadline
-        if md - trc > now:
-            soonest = self._preventive_deadline(now)
-            if md != _FAR_FUTURE and md - trc < soonest:
-                soonest = md - trc
-            if self._gen_heap:
-                gen_wake = self._gen_heap[0][0] + self.slack_c - trc
-                if gen_wake < soonest:
-                    soonest = gen_wake
-            return soonest
-        soonest = self._preventive_deadline(now)
-        ta = mc._ta
-        banks_per_rank = mc.banks_per_rank
-        b_open = ta.open_row
-        b_act = ta.next_act
-        b_pre = ta.next_pre
-        r_busy = ta.busy_until
-        act_floor = ta.act_floor
-        same_bank = self._same_bank
-        for key in self._active:
-            deadline = bank_deadline.get(key)
-            if deadline is None:
-                deadline = raw_deadline(key)
-            if deadline == _FAR_FUTURE:
-                continue
-            rank, bank_id = key
-            wake = deadline - trc
-            if wake <= now:
-                # Already due: report the true cycle the refresh can issue
-                # (bank/rank gates) instead of clamping to now + 1, which
-                # would busy-spin the event loop one cycle at a time.
-                g = rank * banks_per_rank + bank_id
-                gate = r_busy[rank]
-                if b_open[g] >= 0:
-                    if b_pre[g] > gate:
-                        gate = b_pre[g]
-                elif same_bank and self._sb_periodic_first(key):
-                    # The due item is a REFsb: gated by the bank's busy
-                    # window and the rank's REFsb spacing, not ACT gates.
-                    if b_act[g] > gate:
-                        gate = b_act[g]
-                    if ta.next_refsb[rank] > gate:
-                        gate = ta.next_refsb[rank]
-                else:
-                    # act_allowed_at, inlined (hot scan).
-                    act_gate = b_act[g]
-                    c = act_floor[rank]
-                    if c > act_gate:
-                        act_gate = c
-                    c = mc._group_gate_at(rank, bank_id)
-                    if c > act_gate:
-                        act_gate = c
-                    if act_gate > gate:
-                        gate = act_gate
-                if gate > wake:
-                    wake = gate
-            if wake < soonest:
-                soonest = wake
-        if self._gen_heap:
-            gen_wake = self._gen_heap[0][0] + self.slack_c - trc
-            if gen_wake < soonest:
-                soonest = gen_wake
-        return soonest
-
-    def urgent_wake(self, now: int) -> int:
-        # Called only after a mutation-free failing schedule call (the
-        # memo contract): the spill re-admit did not fire (it marks
-        # unconditionally when entries exist), generation had nothing due
-        # (a due pop marks), and urgent's scan left every due bank gated.
-        # ``_deadline_wake`` prices exactly those gates without calling
-        # the mutating ``_advance_generation``; the raw gen-heap head is
-        # folded on top because the generation *pop* itself is a mutation
-        # urgent would perform at that cycle (``_deadline_wake``'s own
-        # gen fold is slack-shifted and can be later).
-        if self._struct_dirty:
-            return now  # defensive: deadlines unsettled, no skipping
-        wake = self._deadline_wake(now)
-        heap = self._gen_heap
-        if heap and heap[0][0] < wake:
-            wake = heap[0][0]
-        return wake
 
     # ------------------------------------------------------------------
     # Introspection for tests and benchmarks

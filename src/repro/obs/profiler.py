@@ -6,8 +6,8 @@ phases the SoA-rewrite ROADMAP item needs a target list for:
 
 - ``schedule`` — the per-cycle schedule pass (excluding the sub-phases)
 - ``queue-scan`` — the FR-FCFS queue scans inside the pass
-- ``refresh-engine`` — engine hooks (``urgent`` / ``on_act`` /
-  ``urgent_wake``) across whichever engines the workload instantiates
+- ``refresh-engine`` — engine hooks (``urgent`` / ``on_act``) across
+  whichever engines the workload instantiates
 - ``bus-gating`` — the ``data_bus_free_at`` turnaround/data-bus gate
 - ``trace-refill`` — synthetic trace generation (``TraceGenerator``)
 
@@ -105,7 +105,7 @@ class PhaseProfiler:
             HiraRefreshEngine,
         )
         for cls in engines:
-            for name in ("urgent", "on_act", "urgent_wake"):
+            for name in ("urgent", "on_act"):
                 self._patch(cls, name, "refresh-engine")
         self._patch(TraceGenerator, "_refill", "trace-refill")
 

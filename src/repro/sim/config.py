@@ -92,6 +92,10 @@ class SystemConfig:
             )
         if self.defense not in ("para", "graphene"):
             raise ValueError(f"unknown defense {self.defense!r}")
+        if self.tref_slack_acts < 0:
+            raise ValueError(
+                f"tref_slack_acts must be non-negative, got {self.tref_slack_acts}"
+            )
         if self.geometry is None:
             geom = geometry_for_capacity(
                 self.capacity_gbit,

@@ -163,41 +163,15 @@ class RefreshEngine:
         self._preventive.append((rank, bank_id, row, deadline))
         self.mc.mark_dirty()
 
-    def _service_preventive(self, now: int) -> bool:
-        """Perform the oldest feasible queued preventive refresh."""
-        pending = self._preventive
-        if not pending:
-            return False
-        mc = self.mc
-        ta = mc._ta
-        b_open = ta.open_row
-        busy = ta.busy_until
-        act_floor = ta.act_floor
-        banks_per_rank = mc.banks_per_rank
-        for i, (rank, bank_id, row, __) in enumerate(pending):
-            if now < busy[rank]:
-                continue
-            g = rank * banks_per_rank + bank_id
-            if b_open[g] >= 0:
-                if now >= ta.next_pre[g]:
-                    mc.issue_pre(rank, bank_id, now)
-                    return True
-                continue
-            # act_allowed_at, inlined (this scan is on the hot path).
-            if (
-                now >= ta.next_act[g]
-                and now >= act_floor[rank]
-                and now >= mc._group_gate_at(rank, bank_id)
-            ):
-                del pending[i]
-                mc.issue_solo_refresh(rank, bank_id, now)
-                return True
-        return False
+    def _service_preventive(self, now: int) -> int:
+        """Perform the oldest feasible queued preventive refresh.
 
-    def _preventive_deadline(self, now: int) -> int:
+        Returns ``_ISSUED``, else the earliest cycle any queued entry's
+        gates open (``_FAR_FUTURE`` when the queue is empty)."""
         pending = self._preventive
+        wake = _FAR_FUTURE
         if not pending:
-            return _FAR_FUTURE
+            return wake
         mc = self.mc
         ta = mc._ta
         b_open = ta.open_row
@@ -207,46 +181,47 @@ class RefreshEngine:
         banks_per_rank = mc.banks_per_rank
         groups = mc.bankgroups_per_rank
         bpg = mc.banks_per_bankgroup
-        soonest = _FAR_FUTURE
-        for rank, bank_id, __, __dl in pending:
+        for i, (rank, bank_id, row, __) in enumerate(pending):
             g = rank * banks_per_rank + bank_id
+            gate = busy[rank]
             if b_open[g] >= 0:
-                gate = ta.next_pre[g]
+                c = ta.next_pre[g]
+                if c > gate:
+                    gate = c
+                if gate <= now:
+                    mc.issue_pre(rank, bank_id, now)
+                    return _ISSUED
             else:
                 # act_allowed_at, inlined (this scan is on the hot path).
-                gate = ta.next_act[g]
+                c = ta.next_act[g]
+                if c > gate:
+                    gate = c
                 c = act_floor[rank]
                 if c > gate:
                     gate = c
                 c = group_gate[rank * groups + bank_id // bpg]
                 if c > gate:
                     gate = c
-            c = busy[rank]
-            if c > gate:
-                gate = c
-            if gate < soonest:
-                soonest = gate
-        return soonest
+                if gate <= now:
+                    del pending[i]
+                    mc.issue_solo_refresh(rank, bank_id, now)
+                    return _ISSUED
+            if gate < wake:
+                wake = gate
+        return wake
 
     # -- Policy hooks ------------------------------------------------------
-    def urgent(self, now: int) -> bool:
-        """Issue due refresh work; returns True if a command was issued."""
-        return self._service_preventive(now)
+    def urgent(self, now: int) -> int:
+        """Issue due refresh work: ``_ISSUED`` if a command went out.
 
-    def urgent_wake(self, now: int) -> int:
-        """Never-late bound for the next cycle ``urgent`` could act.
-
-        Consulted only at the end of a failing, mutation-free
-        ``schedule`` call (see its memo contract): until the returned
-        cycle, calling ``urgent`` again would provably neither issue a
-        command nor mutate any scheduling state.  The bound may be early
-        (the re-run is then a harmless no-op) but must never be late; a
-        bound ``<= now`` simply disables skipping for this controller.
-        Any engine mutation in the meantime voids the memo through
-        ``mark_dirty``, so the formulas only need to hold while state is
-        frozen.
+        Otherwise returns the exact cycle at which ``urgent`` could next
+        issue a command or mutate scheduling state, folded in the same
+        loop that checked the gates.  ``schedule`` trusts the value only
+        when its call mutated nothing (see its memo contract): the gates
+        are then frozen until the next mutation, which resets the memo.
+        A value ``<= now`` simply disables skipping for this controller.
         """
-        return self._preventive_deadline(now)
+        return self._service_preventive(now)
 
     def on_act(self, req: Request, now: int) -> int | None:
         """Refresh-access hook: row to refresh with a HiRA ACT, or None."""
@@ -293,9 +268,11 @@ class BaselineRefreshEngine(RefreshEngine):
             mc._ta.ref_due[i] = trefi + (i * trefi) // max(1, n_ranks)
 
     # -- Same-bank (REFsb) path --------------------------------------------
-    def _sb_promote(self, now: int) -> None:
+    def _sb_promote(self, now: int) -> int:
         """Commit due banks to draining: demand to them is deferred so a
-        hot row-hit stream cannot keep the bank open past its REFsb."""
+        hot row-hit stream cannot keep the bank open past its REFsb.
+
+        Returns the cycle the next promotion fires."""
         heap = self._sb_heap
         mc = self.mc
         promoted = False
@@ -309,142 +286,113 @@ class BaselineRefreshEngine(RefreshEngine):
                 mc.tracer.on_decision("sb-promote", now, rank_id, bank_id, due)
         if promoted:
             mc.mark_dirty()
+        return heap[0][0] if heap else _FAR_FUTURE
 
     def _sb_account(self, key: tuple[int, int], now: int, due: int) -> None:
         """Postponement bookkeeping hook (elastic overrides)."""
 
-    def _sb_issue_due(self, now: int) -> bool:
-        """Progress one draining bank: PRE it, wait tRP, then REFsb."""
+    def _sb_issue_due(self, now: int) -> int:
+        """Progress one draining bank: PRE it, wait tRP, then REFsb.
+
+        Returns ``_ISSUED``, else the earliest drain-step gate."""
         mc = self.mc
         ta = mc._ta
         banks_per_rank = mc.banks_per_rank
+        wake = _FAR_FUTURE
         for key in self._sb_draining:
             rank_id, bank_id = key
-            if now < ta.busy_until[rank_id]:
-                continue
-            g = rank_id * banks_per_rank + bank_id
-            if ta.open_row[g] >= 0:
-                if now >= ta.next_pre[g]:
-                    mc.issue_pre(rank_id, bank_id, now)
-                    return True
-                continue
-            # next_act carries both tRP-after-PRE and the previous REFsb's
-            # busy window; next_refsb is the rank's tREFSB_GAP spacing.
-            if now < ta.next_act[g] or now < ta.next_refsb[rank_id]:
-                continue
-            self._sb_draining.discard(key)
-            mc.blocked_banks.discard(key)
-            mc.issue_refsb(rank_id, bank_id, now)
-            due = self._sb_due[key]
-            self._sb_account(key, now, due)
-            self._sb_due[key] = due + mc.trefi_c
-            heapq.heappush(self._sb_heap, (due + mc.trefi_c, rank_id, bank_id))
-            return True
-        return False
-
-    def _sb_drain_wake(self, now: int, soonest: int) -> int:
-        """Fold each draining bank's next drain-step gate into ``soonest``."""
-        mc = self.mc
-        ta = mc._ta
-        banks_per_rank = mc.banks_per_rank
-        for rank_id, bank_id in self._sb_draining:
             g = rank_id * banks_per_rank + bank_id
             gate = ta.busy_until[rank_id]
             if ta.open_row[g] >= 0:
                 c = ta.next_pre[g]
                 if c > gate:
                     gate = c
+                if gate <= now:
+                    mc.issue_pre(rank_id, bank_id, now)
+                    return _ISSUED
             else:
+                # next_act carries both tRP-after-PRE and the previous
+                # REFsb's busy window; next_refsb is the rank's
+                # tREFSB_GAP spacing.
                 c = ta.next_act[g]
                 if c > gate:
                     gate = c
                 c = ta.next_refsb[rank_id]
                 if c > gate:
                     gate = c
-            if gate < soonest:
-                soonest = gate
-        return soonest
-
-    def _sb_urgent(self, now: int) -> bool:
-        if self._service_preventive(now):
-            return True
-        self._sb_promote(now)
-        return self._sb_issue_due(now)
-
-    def _sb_urgent_wake(self, now: int) -> int:
-        """Mirror of ``_sb_urgent``'s gates for the schedule memo."""
-        # _sb_drain_wake mirrors _sb_issue_due's per-bank gates exactly;
-        # the heap head is the cycle the next promotion (a mutation)
-        # fires; _preventive_deadline covers _service_preventive.
-        wake = self._sb_drain_wake(now, self._preventive_deadline(now))
-        heap = self._sb_heap
-        if heap and heap[0][0] < wake:
-            wake = heap[0][0]
+                if gate <= now:
+                    self._sb_draining.discard(key)
+                    mc.blocked_banks.discard(key)
+                    mc.issue_refsb(rank_id, bank_id, now)
+                    due = self._sb_due[key]
+                    self._sb_account(key, now, due)
+                    self._sb_due[key] = due + mc.trefi_c
+                    heapq.heappush(self._sb_heap, (due + mc.trefi_c, rank_id, bank_id))
+                    return _ISSUED
+            if gate < wake:
+                wake = gate
         return wake
 
+    def _sb_urgent(self, now: int) -> int:
+        wake = self._service_preventive(now)
+        if wake == _ISSUED:
+            return _ISSUED
+        w = self._sb_promote(now)
+        if w < wake:
+            wake = w
+        w = self._sb_issue_due(now)
+        return w if w < wake else wake
+
     # -- All-bank (rank REF) path ------------------------------------------
-    def urgent(self, now: int) -> bool:
+    def _engage_at(self, rank_id: int) -> int:
+        """Cycle the rank's REF drain engages (elastic may postpone it)."""
+        return self.mc._ta.ref_due[rank_id]
+
+    def _engage(self, rank_id: int) -> None:
+        """Drain the rank: defer new demand to it so sustained traffic
+        cannot keep reopening banks (or pushing tRP-readiness away)
+        faster than the tRAS-gated precharges close them — without this,
+        a saturated rank would starve REF forever."""
+        mc = self.mc
+        if rank_id not in mc.blocked_ranks:
+            mc.blocked_ranks.add(rank_id)
+            mc.mark_dirty()
+
+    def _on_ref(self, rank_id: int, now: int, due: int) -> None:
+        """Bookkeeping after the rank's REF issued (elastic overrides)."""
+
+    def urgent(self, now: int) -> int:
         if self._same_bank:
             return self._sb_urgent(now)
-        if self._service_preventive(now):
-            return True
-        mc = self.mc
-        ta = mc._ta
-        ref_due = ta.ref_due
-        busy = ta.busy_until
-        for rank_id in range(len(ref_due)):
-            if now < ref_due[rank_id] or now < busy[rank_id]:
-                continue
-            # Drain the rank: defer new demand to it so sustained traffic
-            # cannot keep reopening banks (or pushing tRP-readiness away)
-            # faster than the tRAS-gated precharges close them — without
-            # this, a saturated rank would starve REF forever.
-            if rank_id not in mc.blocked_ranks:
-                mc.blocked_ranks.add(rank_id)
-                mc.mark_dirty()
-            # All banks must be precharged before REF.
-            open_bank = mc.first_open_bank(rank_id)
-            if open_bank is None and now < ta.ref_ready[rank_id]:
-                continue  # tRP still elapsing; the rank stays blocked
-            if open_bank is not None:
-                g = rank_id * mc.banks_per_rank + open_bank
-                if now >= ta.next_pre[g]:
-                    mc.issue_pre(rank_id, open_bank, now)
-                    return True
-                continue
-            mc.blocked_ranks.discard(rank_id)
-            mc.issue_ref(rank_id, now)
-            ta.ref_due[rank_id] += mc.trefi_c
-            return True
-        return False
-
-    def urgent_wake(self, now: int) -> int:
-        if self._same_bank:
-            return self._sb_urgent_wake(now)
-        wake = self._preventive_deadline(now)
+        wake = self._service_preventive(now)
+        if wake == _ISSUED:
+            return _ISSUED
         mc = self.mc
         ta = mc._ta
         busy = ta.busy_until
-        for rank_id, due in enumerate(ta.ref_due):
-            gate = busy[rank_id]
-            if due > gate:
-                gate = due
-            if gate > now:
-                # Not yet engaged: urgent skips the rank until this cycle.
-                if gate < wake:
-                    wake = gate
-                continue
-            # Due and free now: the rank is already blocked and draining
-            # (the blocking add happened in an earlier, mutating call).
-            # Mirror urgent's drain branches: the first open bank's PRE
-            # gate, or the tRP-after-PRE REF-readiness gate.
-            open_bank = mc.first_open_bank(rank_id)
-            if open_bank is not None:
-                c = ta.next_pre[rank_id * mc.banks_per_rank + open_bank]
-            else:
-                c = ta.ref_ready[rank_id]
-            if c > gate:
-                gate = c
+        for rank_id in range(len(busy)):
+            gate = self._engage_at(rank_id)
+            if busy[rank_id] > gate:
+                gate = busy[rank_id]
+            if gate <= now:
+                self._engage(rank_id)
+                # All banks must be precharged before REF: close the first
+                # open bank (tRAS-gated), else wait out tRP.
+                open_bank = mc.first_open_bank(rank_id)
+                if open_bank is not None:
+                    gate = ta.next_pre[rank_id * mc.banks_per_rank + open_bank]
+                    if gate <= now:
+                        mc.issue_pre(rank_id, open_bank, now)
+                        return _ISSUED
+                else:
+                    gate = ta.ref_ready[rank_id]
+                    if gate <= now:
+                        due = ta.ref_due[rank_id]
+                        mc.blocked_ranks.discard(rank_id)
+                        mc.issue_ref(rank_id, now)
+                        self._on_ref(rank_id, now, due)
+                        ta.ref_due[rank_id] = due + mc.trefi_c
+                        return _ISSUED
             if gate < wake:
                 wake = gate
         return wake
@@ -615,12 +563,13 @@ class MemoryController:
         """Earliest cycle the bank's next ACT satisfies every rank gate.
 
         KEEP IN LOCKSTEP: this formula is hand-inlined in three hot scans
-        — ``RefreshEngine._service_preventive`` /
-        ``_preventive_deadline``, the FCFS pass of ``_schedule_queues``,
-        and the due-scan slow path of the HiRA engine's
-        ``_deadline_wake`` (all marked "act_allowed_at, inlined").  A new
-        ACT gate must be added to all of them or the ``schedule`` memo's
-        wake bounds diverge from the issue-time legality checks.  The
+        — ``RefreshEngine._service_preventive``, the FCFS pass of
+        ``_schedule_queues``, and the due scan of the HiRA engine's
+        ``urgent`` (all marked "act_allowed_at, inlined").  Each copy
+        both decides issue and folds the ``schedule`` memo's wake from
+        the same gate, so a new ACT gate added to all of them keeps
+        legality and wake in step; one missing from a copy makes that
+        copy issue an illegal ACT, which the timing oracle flags.  The
         tFAW and tRRD_S terms are pre-folded into the maintained
         ``act_floor`` (see :class:`TimingArrays`); a gate that cannot
         fold into it must be added to every inline copy.  (tRTP feeds
@@ -957,12 +906,16 @@ class MemoryController:
     def schedule(self, now: int) -> bool:
         """Try to issue one command at cycle ``now``; True if issued.
 
-        Self-memoizing: when a call issues nothing and — proven by an
-        unchanged ``_epoch`` — mutates nothing, every sub-pass's exact
-        gate fold is recorded in ``_progress_at`` and the system loop
-        skips the controller until that cycle.  The bound is never late:
-        all gates are frozen until the next mutation, and every mutation
-        path resets ``_progress_at`` to 0.  It is the only memo the loop
+        Self-memoizing: each sub-pass (the deferred closes, the engine's
+        ``urgent``, the demand queues) either issues or returns the exact
+        cycle its gates next open, in the same loop that checked them.
+        When a call issues nothing and — proven by an unchanged
+        ``_epoch`` — mutates nothing, the minimum of those folds is
+        recorded in ``_progress_at`` and the system loop skips the
+        controller until that cycle; no engine method runs after
+        ``urgent``.  The bound is never late: all gates are frozen until
+        the next mutation, and every mutation path resets
+        ``_progress_at`` to 0.  It is the only memo the loop
         consults, so the run equals one that calls ``schedule`` on every
         cycle.  An armed tracer keeps ``_progress_at`` unset (it records a
         stall per call), so traced runs visit every cycle.
@@ -990,8 +943,11 @@ class MemoryController:
                 self._progress_at = 0
                 return True
             wake = c
-        if self.engine.urgent(now):
+        w = self.engine.urgent(now)
+        if w == _ISSUED:
             return True
+        if w < wake:
+            wake = w
         queue_a, queue_b = self._active_queues()
         w = self._schedule_queues(queue_a, queue_b, now)
         if w == _ISSUED:
@@ -1001,23 +957,21 @@ class MemoryController:
         if self.tracer is not None:
             self.tracer.on_stall(now)
         elif self._epoch == epoch:
-            # Issued nothing, mutated nothing: the folded queue gates plus
-            # the engine's never-late wake bound hold until the next
-            # mutation (which resets _progress_at).  A bound <= now just
-            # means no skipping.
-            w = self.engine.urgent_wake(now)
-            if w < wake:
-                wake = w
+            # Issued nothing, mutated nothing: the engine's and the
+            # queues' exact gate folds hold until the next mutation
+            # (which resets _progress_at).  A bound <= now just means no
+            # skipping.
             self._progress_at = wake
         return False
 
     def _schedule_queues(self, queue_a: list[Request], queue_b: list[Request], now: int) -> int:
         """Try to issue from the two demand queues, in priority order.
 
-        Returns ``_ISSUED`` on success; otherwise a never-late wake bound
-        over both queues (the earliest cycle any of their banks could
-        issue, valid while the enclosing ``schedule`` call stays
-        mutation-free — see its memo contract).  Bit-identical to the
+        Returns ``_ISSUED`` on success; otherwise the wake over both
+        queues: the earliest cycle any of their banks' gates opens, folded
+        by the same checks that decide issue, and valid while the
+        enclosing ``schedule`` call stays mutation-free (see its memo
+        contract).  Bit-identical to the
         former O(queue) scans: queue order equals ascending ``seq``, so
         "first matching queue entry" and "minimum head ``seq`` over
         candidate banks" select the same request, and the per-bank gate

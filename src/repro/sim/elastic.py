@@ -48,12 +48,17 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
             self._sb_forced_min = _FAR_FUTURE
 
     # -- Same-bank (REFsb) overrides ---------------------------------------
-    def _sb_promote(self, now: int) -> None:
+    def _sb_promote(self, now: int) -> int:
         """Promote a due bank only at the postponement limit or when no
         latency-critical demand is queued (the elastic policy, per bank).
 
         A promoted bank is committed exactly like a committed rank in the
         all-bank path: demand to it is deferred until its REFsb issues.
+        Returns the cycle the next promotion fires: the heap head (a move
+        into the deferred pool) or the earliest forced promotion.  With
+        no read queued every deferred bank promotes here, and a read
+        leaves the queue only by an issue, so the forced minimum is the
+        deferred pool's only future trigger.
         """
         mc = self.mc
         heap = self._sb_heap
@@ -73,27 +78,22 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
                 self._sb_forced_min = forced
             moved = True
         if moved:
-            # Heap -> deferred moves leave the wake formula unchanged (both
-            # sides price the entry at due + budget * tREFI), but they do
-            # mutate scheduling containers; keep the memo contract uniform.
-            mc.mark_dirty()
-        if not deferred:
-            return
+            mc.mark_dirty()  # the moves mutate scheduling containers
         idle = not mc.read_q
-        if not idle and now < self._sb_forced_min:
-            return  # every due bank still has budget and demand is queued
-        promoted = False
-        for key, forced in list(deferred.items()):
-            if idle or forced <= now:
-                del deferred[key]
-                self._sb_draining.add(key)
-                mc.blocked_banks.add(key)
-                promoted = True
-                if mc.tracer is not None:
-                    mc.tracer.on_decision("sb-promote", now, key[0], key[1], forced)
-        if promoted:
+        if deferred and (idle or self._sb_forced_min <= now):
+            for key, forced in list(deferred.items()):
+                if idle or forced <= now:
+                    del deferred[key]
+                    self._sb_draining.add(key)
+                    mc.blocked_banks.add(key)
+                    if mc.tracer is not None:
+                        mc.tracer.on_decision("sb-promote", now, key[0], key[1], forced)
             self._sb_forced_min = min(deferred.values(), default=_FAR_FUTURE)
             mc.mark_dirty()
+        wake = self._sb_forced_min
+        if heap and heap[0][0] < wake:
+            wake = heap[0][0]
+        return wake
 
     def _sb_account(self, key: tuple[int, int], now: int, due: int) -> None:
         missed = max(0, (now - due) // self.mc.trefi_c)
@@ -101,112 +101,37 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
         if missed and self.mc.tracer is not None:
             self.mc.tracer.on_decision("postpone", now, key[0], key[1], missed)
 
-    def _sb_urgent_wake(self, now: int) -> int:
-        """Mirror of ``_sb_urgent``'s gates for the schedule memo.
+    # -- All-bank overrides --------------------------------------------------
+    def _engage_at(self, rank_id: int) -> int:
+        """Cycle the rank must start its REF drain.
 
-        Valid only for a mutation-free call (the memo contract): due heap
-        entries would have moved to the deferred pool (a marking
-        mutation), and idle promotion would have fired, so here the heap
-        head is in the future and every deferred bank waits on its
-        forced-promotion cycle.
+        A committed rank stays engaged.  Otherwise REF is postponed while
+        reads are queued (reads stall cores; writes drain lazily and can
+        absorb a REF) until the debt reaches the budget:
+        ``ref_due + max(0, max_postponed - debt) * tREFI``.  With no read
+        queued it engages at ``ref_due``.
         """
-        wake = self._sb_drain_wake(now, self._preventive_deadline(now))
-        heap = self._sb_heap
-        if heap and heap[0][0] < wake:
-            wake = heap[0][0]
-        if self._sb_deferred:
-            if not self.mc.read_q:
-                return now  # defensive: idle promotion fires immediately
-            if self._sb_forced_min < wake:
-                wake = self._sb_forced_min
-        return wake
-
-    def _rank_must_refresh(self, rank_id: int, now: int) -> bool:
-        due = self.mc._ta.ref_due[rank_id]
-        if now < due:
-            return False
-        overdue = (now - due) // self.mc.trefi_c
-        if self._debt[rank_id] + overdue >= self.max_postponed:
-            return True
-        # Refresh early when no latency-critical demand is queued: reads
-        # stall cores, writes drain lazily and can absorb a REF.
-        return not self.mc.read_q
-
-    def urgent(self, now: int) -> bool:
-        if self._same_bank:
-            return self._sb_urgent(now)
-        if self._service_preventive(now):
-            return True
         mc = self.mc
-        ta = mc._ta
-        committed = self._committed
-        for rank_id in range(len(committed)):
-            due = ta.ref_due[rank_id]
-            if now < ta.busy_until[rank_id] or now < due:
-                continue
-            if not committed[rank_id] and not self._rank_must_refresh(rank_id, now):
-                # Postpone: account the debt once per elapsed interval.
-                continue
-            # Commit and block demand to the rank: newly arriving reads can
-            # no longer cancel the drain or push tRP-readiness away.  The
-            # commit switches urgent_wake to the drain-gate formula, so the
-            # transition invalidates the schedule memo.
-            if not committed[rank_id]:
-                committed[rank_id] = True
-                mc.mark_dirty()
-            if rank_id not in mc.blocked_ranks:
-                mc.blocked_ranks.add(rank_id)
-                mc.mark_dirty()
-            open_bank = mc.first_open_bank(rank_id)
-            if open_bank is not None:
-                g = rank_id * mc.banks_per_rank + open_bank
-                if now >= ta.next_pre[g]:
-                    mc.issue_pre(rank_id, open_bank, now)
-                    return True
-                continue
-            if now < ta.ref_ready[rank_id]:
-                continue  # tRP still elapsing; the rank stays blocked
-            committed[rank_id] = False
-            mc.blocked_ranks.discard(rank_id)
-            mc.issue_ref(rank_id, now)
-            missed = max(0, (now - due) // mc.trefi_c)
-            self._debt[rank_id] = max(0, self._debt[rank_id] + missed - 1)
-            if missed and mc.tracer is not None:
-                mc.tracer.on_decision("postpone", now, rank_id, -1, missed)
-            ta.ref_due[rank_id] = due + mc.trefi_c
-            return True
-        return False
+        due = mc._ta.ref_due[rank_id]
+        if self._committed[rank_id] or not mc.read_q:
+            return due
+        return due + max(0, self.max_postponed - self._debt[rank_id]) * mc.trefi_c
 
-    def urgent_wake(self, now: int) -> int:
-        if self._same_bank:
-            return self._sb_urgent_wake(now)
-        wake = self._preventive_deadline(now)
-        mc = self.mc
-        ta = mc._ta
-        trefi = mc.trefi_c
-        read_q = bool(mc.read_q)
-        for rank_id, due in enumerate(ta.ref_due):
-            busy = ta.busy_until[rank_id]
-            if self._committed[rank_id]:
-                # Mid-drain (rank already blocked by an earlier, mutating
-                # call): next drain step per urgent's branches.
-                open_bank = mc.first_open_bank(rank_id)
-                if open_bank is not None:
-                    gate = ta.next_pre[rank_id * mc.banks_per_rank + open_bank]
-                else:
-                    gate = ta.ref_ready[rank_id]
-            else:
-                # Engagement cycle: _rank_must_refresh first holds at the
-                # debt-overflow deadline (or at ref_due when idle), and
-                # engaging commits the rank — a memo-voiding mutation.
-                gate = due
-                if read_q:
-                    gate += max(0, self.max_postponed - self._debt[rank_id]) * trefi
-            if busy > gate:
-                gate = busy
-            if gate < wake:
-                wake = gate
-        return wake
+    def _engage(self, rank_id: int) -> None:
+        # Commit: newly arriving reads can no longer cancel the drain or
+        # push tRP-readiness away.
+        if not self._committed[rank_id]:
+            self._committed[rank_id] = True
+            self.mc.mark_dirty()
+        super()._engage(rank_id)
+
+    def _on_ref(self, rank_id: int, now: int, due: int) -> None:
+        # Account the debt once per elapsed interval.
+        self._committed[rank_id] = False
+        missed = max(0, (now - due) // self.mc.trefi_c)
+        self._debt[rank_id] = max(0, self._debt[rank_id] + missed - 1)
+        if missed and self.mc.tracer is not None:
+            self.mc.tracer.on_decision("postpone", now, rank_id, -1, missed)
 
     def postponed_total(self) -> int:
         if self._same_bank:

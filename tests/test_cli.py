@@ -195,32 +195,51 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [
-        "--channels", "--ranks", "--instructions", "--capacity",
-    ])
-    def test_simulate_rejects_zero(self, capsys, flag):
+    #: (flag, rejected value) per option, test ids by flag.  Counts must
+    #: be at least 1; tRefSlack may be 0 but never negative.
+    SIZE_FLAGS = [
+        ("--channels", "0"), ("--ranks", "0"), ("--instructions", "0"),
+        ("--capacity", "0"), ("--slack", "-3"),
+    ]
+    REJECTED = ("must be at least 1", "must be greater than 0", "must be at least 0")
+
+    @pytest.mark.parametrize(
+        "flag, value", SIZE_FLAGS, ids=[flag for flag, __ in SIZE_FLAGS]
+    )
+    def test_simulate_rejects_zero(self, capsys, flag, value):
         with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", flag, "0"])
+            main(["simulate", flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "must be at least 1" in err or "must be greater than 0" in err
+        assert any(text in err for text in self.REJECTED)
 
-    @pytest.mark.parametrize("flag", [
-        "--channels", "--ranks", "--instructions", "--capacity",
-    ])
-    def test_audit_rejects_zero(self, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, value", SIZE_FLAGS, ids=[flag for flag, __ in SIZE_FLAGS]
+    )
+    def test_audit_rejects_zero(self, capsys, flag, value):
         with pytest.raises(SystemExit) as excinfo:
-            main(["audit", flag, "0"])
+            main(["audit", flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "must be at least 1" in err or "must be greater than 0" in err
+        assert any(text in err for text in self.REJECTED)
 
-    @pytest.mark.parametrize("flag", ["--mixes", "--instructions"])
-    def test_sweep_rejects_zero(self, capsys, flag):
+    SWEEP_FLAGS = [("--mixes", "0"), ("--instructions", "0"), ("--slacks", "2,-1")]
+
+    @pytest.mark.parametrize(
+        "flag, value", SWEEP_FLAGS, ids=[flag for flag, __ in SWEEP_FLAGS]
+    )
+    def test_sweep_rejects_zero(self, capsys, flag, value):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", flag, "0", "--no-cache"])
+            main(["sweep", flag, value, "--no-cache"])
         assert excinfo.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert any(text in err for text in self.REJECTED)
+
+    def test_security_rejects_negative_slack(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["security", "--slack", "-5"])
+        assert excinfo.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
 
     def test_perf_rejects_zero_reps(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

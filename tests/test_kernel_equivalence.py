@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
 import json
 import os
 import random
@@ -47,12 +48,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.engine import HiraRefreshEngine
+from repro.dram.geometry import Address
 from repro.dram.timing import timing_for_capacity
 from repro.obs.tracer import attach_tracers
 from repro.orchestrator import result_to_dict
 from repro.sim.audit import attach_auditors
 from repro.sim.config import SystemConfig
-from repro.sim.controller import MemoryController
+from repro.sim.controller import (
+    _ISSUED,
+    BaselineRefreshEngine,
+    MemoryController,
+    NoRefreshEngine,
+    RefreshEngine,
+)
+from repro.sim.elastic import ElasticRefreshEngine
+from repro.sim.request import Request
 from repro.sim.system import System
 from repro.workloads.mixes import mix_for
 
@@ -356,3 +367,198 @@ def test_dense_grid_covers_matrix():
         for e in DENSE_GRID.values()
     }
     assert len(combos) == 4 * 2 * 3 * 2
+
+
+# ----------------------------------------------------------------------
+# Engine wakes: ``urgent`` returns ``_ISSUED`` or its exact wake.
+#
+# The dense A/B above is the check the engine fold rests on; the test
+# below proves it can fail.  The parametrized states pin each engine's
+# wake formula on a hand-built frozen state: the returned cycle is the
+# gate a dense loop would next find open, and a call that issues
+# nothing leaves ``_epoch`` alone (so ``schedule`` may trust the value).
+# ----------------------------------------------------------------------
+ENGINE_CLASSES = (
+    RefreshEngine,
+    BaselineRefreshEngine,
+    ElasticRefreshEngine,
+    HiraRefreshEngine,
+)
+
+
+@contextmanager
+def late_engine_wake():
+    """Plant a late wake: every engine's non-issuing ``urgent`` reports
+    one cycle after its real wake."""
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in ENGINE_CLASSES:
+            original = cls.__dict__.get("urgent")
+            if original is None:
+                continue
+
+            def urgent(self, now, _original=original):
+                wake = _original(self, now)
+                return wake if wake == _ISSUED else wake + 1
+
+            mp.setattr(cls, "urgent", urgent)
+        yield
+
+
+def test_dense_loop_catches_late_engine_wake():
+    """A one-cycle-late engine wake must change every engine-bearing run.
+
+    Engine-bearing: a refresh mode with REF work, or PARA's preventive
+    refreshes.  The dense loop ignores wakes, so it is the reference.
+    """
+    engine_bearing = {
+        name: entry
+        for name, entry in DENSE_GRID.items()
+        if entry["config"]["refresh_mode"] != "none" or "para_nrh" in entry["config"]
+    }
+    assert len(engine_bearing) == 42
+    unchanged = []
+    with late_engine_wake():
+        for name, entry in sorted(engine_bearing.items()):
+            event = run_entry(entry)
+            with dense_loop():
+                dense = run_entry(entry)
+            if event == dense:
+                unchanged.append(name)
+    assert not unchanged, f"late engine wake went unnoticed on {unchanged}"
+
+
+def _mc(engine: RefreshEngine, **overrides) -> MemoryController:
+    mc = MemoryController(0, SystemConfig(**overrides), engine)
+    engine.para = None
+    return mc
+
+
+def _read(rank: int, bank: int, row: int) -> Request:
+    return Request(
+        addr=Address(channel=0, rank=rank, bank=bank, row=row, col=0),
+        line=0, is_write=False, core_id=0, arrival_cycle=0,
+    )
+
+
+def _overflow_preventive():
+    """Base engine: the overflow queue folds each entry's PRE/ACT gate."""
+    mc = _mc(NoRefreshEngine(), refresh_mode="none")
+    mc.issue_act(0, 0, 5, 0)  # bank 0 open: its PRE waits for tRAS
+    mc._ta.next_act[1] = 500  # bank 1 closed: its ACT waits here
+    mc.mark_dirty()
+    mc.engine._queue_preventive(0, 0, 9, 0)
+    mc.engine._queue_preventive(0, 1, 9, 0)
+    return mc, 1, min(mc._ta.next_pre[0], mc.act_allowed_at(0, 1))
+
+
+def _baseline_drain(bank_open: bool):
+    """Baseline all-bank: an engaged rank waits on its drain step."""
+    mc = _mc(BaselineRefreshEngine(), refresh_mode="baseline")
+    mc.issue_act(0, 0, 5, 0)
+    now = 2
+    if not bank_open:
+        now = mc.tras_c
+        mc.issue_pre(0, 0, now)
+        now += 1
+    mc._ta.ref_due[0] = 1
+    mc.blocked_ranks.add(0)  # engaged by an earlier call
+    mc.mark_dirty()
+    expected = mc._ta.next_pre[0] if bank_open else mc._ta.ref_ready[0]
+    return mc, now, expected
+
+
+def _same_bank_drain(next_act: int, next_refsb: int):
+    """Same-bank: a draining, precharged bank waits on tRP/tRFC_sb
+    (``next_act``) and the rank's REFsb spacing (``next_refsb``)."""
+    engine = BaselineRefreshEngine()
+    mc = _mc(engine, refresh_mode="baseline", refresh_granularity="same_bank")
+    engine._sb_heap = [entry for entry in engine._sb_heap if entry[1:] != (0, 0)]
+    heapq.heapify(engine._sb_heap)
+    engine._sb_draining.add((0, 0))
+    mc.blocked_banks.add((0, 0))
+    mc._ta.next_act[0] = next_act
+    mc._ta.next_refsb[0] = next_refsb
+    mc.mark_dirty()
+    return mc, 0, min(max(next_act, next_refsb), engine._sb_heap[0][0])
+
+
+def _elastic_engage():
+    """Elastic: with a read queued, REF engages when the debt budget
+    runs out, ``ref_due + (max_postponed - debt) * tREFI``."""
+    engine = ElasticRefreshEngine(max_postponed=8)
+    mc = _mc(engine, refresh_mode="elastic")
+    mc._ta.ref_due[0] = 10
+    engine._debt[0] = 3
+    mc.mark_dirty()
+    assert mc.enqueue(_read(0, 1, 7))
+    return mc, 20, 10 + (8 - 3) * mc.trefi_c
+
+
+def _hira(now: int, slack_acts: int = 2):
+    engine = HiraRefreshEngine(tref_slack_acts=slack_acts)
+    mc = _mc(engine, refresh_mode="hira", tref_slack_acts=slack_acts)
+    engine._gen_heap[:] = [(now + 10**6, 0, 3)]  # generation far away
+    return mc, engine
+
+
+def _hira_due(bank_open: bool):
+    """HiRA due scan: a bank within tRC of its deadline waits on its PRE
+    (open) or ACT gates (closed)."""
+    now = 1000
+    mc, engine = _hira(now)
+    engine._periodic[(0, 0)].pending.append(now - engine.slack_c)  # due now
+    engine._active.add((0, 0))
+    if bank_open:
+        mc.issue_act(0, 0, 5, now - 2)
+        expected = mc._ta.next_pre[0]
+    else:
+        mc._ta.next_act[0] = now + 50
+        mc.mark_dirty()
+        expected = mc.act_allowed_at(0, 0)
+    return mc, now, expected
+
+
+def _hira_not_yet_due():
+    """HiRA: the scan first acts when the earliest deadline is tRC away."""
+    now = 1000
+    mc, engine = _hira(now)
+    deadline = now + 3 * mc.trc_c
+    engine._periodic[(0, 1)].pending.append(deadline - engine.slack_c)
+    engine._active.add((0, 1))
+    return mc, now, deadline - mc.trc_c
+
+
+WAKE_STATES = {
+    "overflow-preventive": _overflow_preventive,
+    "baseline-drain-open-bank": functools.partial(_baseline_drain, True),
+    "baseline-drain-closed-bank": functools.partial(_baseline_drain, False),
+    "same-bank-drain-next-act": functools.partial(_same_bank_drain, 300, 200),
+    "same-bank-drain-next-refsb": functools.partial(_same_bank_drain, 200, 300),
+    "elastic-engage-read-queued": _elastic_engage,
+    "hira-due-open-bank": functools.partial(_hira_due, True),
+    "hira-due-closed-bank": functools.partial(_hira_due, False),
+    "hira-not-yet-due": _hira_not_yet_due,
+}
+
+
+@pytest.mark.parametrize("state", sorted(WAKE_STATES))
+def test_urgent_returns_exact_wake(state):
+    mc, now, expected = WAKE_STATES[state]()
+    assert expected > now
+    epoch = mc._epoch
+    assert mc.engine.urgent(now) == expected
+    assert mc._epoch == epoch, "a non-issuing urgent call mutated state"
+
+
+def test_hira0_wakes_at_the_generation_cycle():
+    """HiRA-0's next work is the generation pop itself, not ``gen - tRC``.
+
+    With zero slack a generated request is due on arrival, but it only
+    exists once the generation cycle ``G`` pops it: ``schedule`` must
+    memoize ``G``, not the earlier ``G - tRC`` a deadline formula gives.
+    """
+    generation = 1000
+    mc, engine = _hira(0, slack_acts=0)
+    engine._gen_heap[:] = [(generation, 0, 0)]
+    assert not mc.schedule(0)
+    assert mc._progress_at == generation

@@ -56,7 +56,8 @@ class TestDirtyFlagFixes:
         mc.mark_dirty()
         epoch = arm_memo(mc)
         issued = mc.engine.urgent(2)
-        assert not issued  # nothing issuable yet (tRAS still elapsing)
+        # Nothing issuable yet: urgent returns the tRAS-gated PRE's cycle.
+        assert issued == mc._ta.next_pre[0]
         assert 0 in mc.blocked_ranks
         assert marked(mc, epoch), "blocking a rank must invalidate the memo"
 
@@ -78,7 +79,7 @@ class TestDirtyFlagFixes:
         mc.engine._committed[0] = True  # already committed: only the
         epoch = arm_memo(mc)            # blocked-rank add can mark
         issued = mc.engine.urgent(2)
-        assert not issued
+        assert issued == mc._ta.next_pre[0]
         assert 0 in mc.blocked_ranks
         assert marked(mc, epoch)
 
@@ -89,8 +90,8 @@ class TestDirtyFlagFixes:
         epoch = arm_memo(mc)
         mc.engine._refresh_active(0, 0)
         assert marked(mc, epoch), (
-            "recomputing a bank's deadline-set membership feeds urgent_wake "
-            "and must invalidate the memo"
+            "recomputing a bank's deadline-set membership moves the wake "
+            "urgent returns and must invalidate the memo"
         )
 
     def test_elastic_sb_promote_move_marks_dirty(self):

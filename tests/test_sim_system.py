@@ -34,6 +34,11 @@ class TestBasicRuns:
         with pytest.raises(ValueError):
             System(config, small_mix(cores=3), seed=1)
 
+    def test_negative_tref_slack_rejected(self):
+        assert SystemConfig(refresh_mode="hira", tref_slack_acts=0).tref_slack_ps == 0
+        with pytest.raises(ValueError, match="tref_slack_acts"):
+            SystemConfig(refresh_mode="hira", tref_slack_acts=-3)
+
     def test_deterministic(self):
         a = run()
         b = run()

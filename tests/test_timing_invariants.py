@@ -14,6 +14,7 @@ import pytest
 
 from repro.sim.audit import CommandAuditor, attach_auditors
 from repro.sim.config import SystemConfig
+from repro.sim.controller import _ISSUED
 from repro.sim.system import System
 from repro.sim.trace import TraceProfile
 from repro.workloads.mixes import mix_for
@@ -695,7 +696,7 @@ class TestPairingPolicy:
         self._saturate_rank(mc, now)
         mc.enqueue(demand)
         assert mc.act_pressure(0, now) >= engine.pressure_threshold
-        assert engine.urgent(now)
+        assert engine.urgent(now) == _ISSUED
         assert mc.stats.hira_refresh_parallelized == 1
         assert mc.stats.solo_refreshes == 0
         assert state.credit == 1  # the partner came from the future stream
@@ -704,7 +705,7 @@ class TestPairingPolicy:
         __, mc, engine, state, demand, now = self._saturated_system()
         mc.enqueue(demand)  # demand alone is not enough
         assert mc.act_pressure(0, now) < engine.pressure_threshold
-        assert engine.urgent(now)
+        assert engine.urgent(now) == _ISSUED
         assert mc.stats.hira_refresh_parallelized == 0
         assert mc.stats.solo_refreshes == 1
         assert state.credit == 0
@@ -712,7 +713,7 @@ class TestPairingPolicy:
     def test_saturated_rank_without_demand_stays_solo(self):
         __, mc, engine, state, __demand, now = self._saturated_system()
         self._saturate_rank(mc, now)
-        assert engine.urgent(now)
+        assert engine.urgent(now) == _ISSUED
         assert mc.stats.hira_refresh_parallelized == 0
         assert mc.stats.solo_refreshes == 1
         assert state.credit == 0
@@ -721,7 +722,7 @@ class TestPairingPolicy:
         __, mc, engine, state, demand, now = self._saturated_system()
         self._saturate_rank(mc, now)
         mc.enqueue(demand)
-        assert engine.urgent(now)
+        assert engine.urgent(now) == _ISSUED
         assert state.credit == 1
         generated_before = mc.stats.periodic_generated
         import heapq
@@ -766,7 +767,7 @@ class TestPairingPolicy:
             assert engine.pr[0].push(0, PreventiveRequest(row=100 + i, deadline=far))
         engine._queue_preventive(0, 0, 999, far - 2)  # blocked bank first
         engine._queue_preventive(0, 1, 888, far - 1)  # free bank behind it
-        assert engine.urgent(now)
+        assert engine.urgent(now) == _ISSUED
         # Bank 1's spill was re-admitted (original deadline intact) even
         # though bank 0's sat ahead of it; bank 0's was serviced
         # opportunistically by the overflow path.
