@@ -13,9 +13,9 @@ Nine subcommands mirror the repository's main workflows:
 - ``security`` — print PARA's (revisited) configuration for a threshold.
 - ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``
   (``--profile`` adds the phase-attributed wall-time breakdown).
-- ``lint`` — AST-based invariant linter (dirty-flag discipline, timing
-  enforcement coverage, determinism, ``__slots__``, protocol
-  exhaustiveness); exit 0 clean / 1 findings / 2 usage error.
+- ``lint`` — AST-based invariant linter (timing enforcement coverage,
+  determinism, ``__slots__``, protocol exhaustiveness and timeouts,
+  stats export coverage); exit 0 clean / 1 findings / 2 usage error.
 
 Usage::
 

@@ -1,13 +1,11 @@
 """``repro lint``: AST-based invariant linting for the simulator.
 
-Seven repo-specific rules guard the invariants the runtime layers
+Six repo-specific rules guard the invariants the runtime layers
 (controller gates → oracle) cannot see:
 
 ========================  ==============================================
 rule                      invariant
 ========================  ==============================================
-``dirty-flag``            scheduling-state mutations reset the
-                          ``schedule()`` memo on all paths
 ``timing-coverage``       every ``TimingParams`` field is enforced by
                           controller gating and the oracle
 ``determinism``           no wall clocks, unseeded RNGs, ``id()``/
@@ -37,7 +35,6 @@ from pathlib import Path
 
 from repro.lint import (
     determinism,
-    dirty_flag,
     protocol_dispatch,
     protocol_timeouts,
     slots,
@@ -56,7 +53,6 @@ from repro.lint.core import (  # noqa: F401  (re-exported API)
 CHECKERS = {
     module.NAME: module
     for module in (
-        dirty_flag,
         timing_coverage,
         determinism,
         slots,

@@ -222,7 +222,10 @@ def run_lint(
             continue
         result.findings.append(finding)
     for entry in entries:
-        if entry.key not in matched:
+        # An entry is judged only when its rule ran; one naming no
+        # registered rule can never match again, so it is always stale.
+        judged = entry.rule in selected or entry.rule not in checkers
+        if judged and entry.key not in matched:
             result.findings.append(
                 Finding(
                     rule="stale-baseline",

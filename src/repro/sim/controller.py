@@ -218,7 +218,7 @@ class RefreshEngine:
         issue a command or mutate scheduling state, folded in the same
         loop that checked the gates.  ``schedule`` trusts the value only
         when its call mutated nothing (see its memo contract): the gates
-        are then frozen until the next mutation, which resets the memo.
+        are then frozen until the next mutation.
         A value ``<= now`` simply disables skipping for this controller.
         """
         return self._service_preventive(now)
@@ -472,16 +472,13 @@ class MemoryController:
         self._hit_write: set[int] = set()
         #: Monotonic arrival stamp; queue order == ascending ``seq``.
         self._seq = 0
-        #: Mutation epoch: bumped by every state mutation.  ``schedule``
-        #: snapshots it to prove a failing call was mutation-free before
-        #: trusting its computed wake bound.
+        #: Mutation epoch: ``schedule`` snapshots it to prove a
+        #: non-issuing call was mutation-free before trusting its wake
+        #: bound (the contract is in :meth:`schedule`).
         self._epoch = 0
         #: ``schedule`` self-memo: the earliest cycle at which calling
         #: ``schedule`` could do anything (issue or mutate).  The system
-        #: loop skips the call entirely while ``cycle < _progress_at``;
-        #: every mutation resets it to 0 ("must run").  Exact-by-proof:
-        #: only set when a call issued nothing and mutated nothing, from
-        #: gates that are frozen until the next (memo-voiding) mutation.
+        #: loop skips the call entirely while ``cycle < _progress_at``.
         self._progress_at = 0
         self.stats = ControllerStats()
         self.completions: list[tuple[int, Request]] = []
@@ -502,10 +499,9 @@ class MemoryController:
         """Invalidate the ``schedule`` self-memo (``_progress_at``).
 
         Called by refresh engines whenever they mutate scheduling state
-        outside a command issue (e.g. periodic request generation, PR-FIFO
-        re-admission), and by code that writes timing columns directly.
-        Also bumps the mutation epoch so an in-flight ``schedule`` call
-        knows it may not record a wake bound."""
+        without issuing (e.g. periodic request generation, PR-FIFO
+        re-admission), and by code that writes timing columns directly:
+        rules 2 and 3 of the contract in :meth:`schedule`."""
         self._epoch += 1
         self._progress_at = 0
 
@@ -658,8 +654,6 @@ class MemoryController:
         self._hit_read.discard(g)
         self._hit_write.discard(g)
         self.bus_next = now + 1
-        self._epoch += 1
-        self._progress_at = 0
         self.stats.pres += 1
         if self.auditor is not None:
             self.auditor.on_pre(now, rank, bank_id)
@@ -680,8 +674,6 @@ class MemoryController:
             self._hit_write.add(g)
         self._record_act(rank, bank_id, now)
         self.bus_next = now + 1
-        self._epoch += 1
-        self._progress_at = 0
         self.stats.acts += 1
         self.stats.row_misses += 1
         if self.auditor is not None:
@@ -713,8 +705,6 @@ class MemoryController:
         # Three commands (ACT, PRE, ACT) occupy three bus slots; the bus is
         # free between them for other banks.
         self.bus_next = now + 3
-        self._epoch += 1
-        self._progress_at = 0
         self.stats.acts += 2
         self.stats.pres += 1
         self.stats.hira_access_parallelized += 1
@@ -743,8 +733,6 @@ class MemoryController:
         self._record_act(rank, bank_id, now)
         self._record_act(rank, bank_id, now + self.hira_gap_c)
         self.bus_next = now + 3
-        self._epoch += 1
-        self._progress_at = 0
         heapq.heappush(self._scheduled_closes, (close, rank, bank_id))
         self.stats.acts += 2
         self.stats.pres += 2
@@ -773,8 +761,6 @@ class MemoryController:
         self._hit_write.discard(g)
         self._record_act(rank, bank_id, now)
         self.bus_next = now + 1
-        self._epoch += 1
-        self._progress_at = 0
         heapq.heappush(self._scheduled_closes, (close, rank, bank_id))
         self.stats.acts += 1
         self.stats.pres += 1
@@ -805,8 +791,6 @@ class MemoryController:
             hit_read.discard(g)
             hit_write.discard(g)
         self.bus_next = now + 1
-        self._epoch += 1
-        self._progress_at = 0
         self.stats.refs += 1
         if self.auditor is not None:
             self.auditor.on_ref(now, rank_id)
@@ -834,8 +818,6 @@ class MemoryController:
         self._hit_read.discard(g)
         self._hit_write.discard(g)
         self.bus_next = now + 1
-        self._epoch += 1
-        self._progress_at = 0
         self.stats.refs_sb += 1
         if self.auditor is not None:
             self.auditor.on_refsb(now, rank_id, bank_id)
@@ -913,12 +895,21 @@ class MemoryController:
         ``_epoch`` — mutates nothing, the minimum of those folds is
         recorded in ``_progress_at`` and the system loop skips the
         controller until that cycle; no engine method runs after
-        ``urgent``.  The bound is never late: all gates are frozen until
-        the next mutation, and every mutation path resets
-        ``_progress_at`` to 0.  It is the only memo the loop
-        consults, so the run equals one that calls ``schedule`` on every
-        cycle.  An armed tracer keeps ``_progress_at`` unset (it records a
-        stall per call), so traced runs visit every cycle.
+        ``urgent``.  It is the only memo the loop consults, and the bound
+        is never late as long as every mutation keeps this contract:
+
+        1. An issue ends the call, and a call that issued records no
+           wake (the issue primitives touch neither memo field).
+        2. A non-issuing mutation inside ``schedule`` bumps ``_epoch``
+           (``mark_dirty()``), so the call records no wake.
+        3. A mutation outside ``schedule`` (``enqueue``, a test writing a
+           timing column) resets ``_progress_at`` to 0 (``mark_dirty()``).
+
+        So the run equals one that calls ``schedule`` on every cycle.
+        ``dense_loop()`` in ``tests/test_kernel_equivalence.py`` checks
+        the contract on every cycle the memo would skip.  An armed tracer
+        keeps ``_progress_at`` unset (it records a stall per call), so
+        traced runs visit every cycle.
         """
         if now < self.bus_next:
             if self.tracer is not None:
@@ -939,8 +930,6 @@ class MemoryController:
             if c <= now:
                 heapq.heappop(closes)
                 self.bus_next = now + 1
-                self._epoch = epoch + 1
-                self._progress_at = 0
                 return True
             wake = c
         w = self.engine.urgent(now)
@@ -959,7 +948,7 @@ class MemoryController:
         elif self._epoch == epoch:
             # Issued nothing, mutated nothing: the engine's and the
             # queues' exact gate folds hold until the next mutation
-            # (which resets _progress_at).  A bound <= now just means no
+            # (rule 3 resets _progress_at).  A bound <= now just means no
             # skipping.
             self._progress_at = wake
         return False
@@ -1142,8 +1131,6 @@ class MemoryController:
             hit.discard(g)
         ta = self._ta
         self.bus_next = now + 1
-        self._epoch += 1
-        self._progress_at = 0
         if req.is_write:
             # Write recovery: the bank may not precharge until tWR after
             # the write data burst (WR + CWL + BL) has fully landed in the

@@ -155,8 +155,9 @@ class System:
         times are cached and invalidated only by the events that can
         change them (a read completion, an issued request), and a
         controller is woken at its ``_progress_at`` — the bound its last
-        ``schedule`` call proved, which every mutation resets to 0 — or
-        on the next cycle when it has none.
+        ``schedule`` call proved (kept exact by the contract in
+        ``MemoryController.schedule``) — or on the next cycle when it has
+        none.
         """
         cores = self.cores
         mcs = self.controllers
@@ -230,8 +231,8 @@ class System:
             # 3. Each channel issues at most one command this cycle.
             # ``_progress_at`` is set only when a call issued nothing and
             # mutated nothing, from exact gate folds that hold until the
-            # next mutation (which resets it to 0), so skipping until then
-            # is behavior-identical.  Completions only appear when
+            # next mutation (an outside one resets it to 0), so skipping
+            # until then is behavior-identical.  Completions only appear when
             # schedule runs, so the drain is skipped with it.
             for mc in mcs:
                 if mc._progress_at > cycle:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lint import CHECKERS
 
 
 class TestParser:
@@ -61,10 +62,10 @@ class TestLintCommand:
         assert "clean" in out
 
     def test_findings_exit_one(self, capsys):
-        root = str(self.FIXTURES / "dirty_flag_bad")
-        assert main(["lint", "--root", root, "--rules", "dirty-flag"]) == 1
+        root = str(self.FIXTURES / "protocol_timeouts_bad")
+        assert main(["lint", "--root", root, "--rules", "protocol-timeouts"]) == 1
         out = capsys.readouterr().out
-        assert "[dirty-flag]" in out and "finding" in out
+        assert "[protocol-timeouts]" in out and "finding" in out
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["lint", "--rules", "no-such-rule"]) == 2
@@ -143,8 +144,7 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("dirty-flag", "timing-coverage", "determinism",
-                     "slots", "protocol-dispatch"):
+        for rule in CHECKERS:
             assert rule in out
 
 

@@ -6,9 +6,11 @@ a controller only until its ``schedule()``-proven ``_progress_at`` bound,
 so its result must equal that loop's bit for bit.  :func:`dense_loop`
 builds the dense loop from the production one, with no production knob:
 it wraps ``MemoryController.schedule`` to forget the memo after every
-call, so the loop visits and schedules every cycle.  The A/B runs on
-every golden config and on a seeded randomized engine × granularity ×
-channels/ranks × PARA matrix.
+call, so the loop visits and schedules every cycle.  On each cycle the
+event kernel would have skipped, the wrapper also checks the memo
+contract stated in ``MemoryController.schedule``: such a call must issue
+nothing and mutate nothing.  The A/B runs on every golden config and on
+a seeded randomized engine × granularity × channels/ranks × PARA matrix.
 
 ``tests/goldens/kernel_ab.json`` holds full ``result_to_dict`` dumps
 across baseline/elastic/HiRA/PARA configurations, channel and rank
@@ -96,24 +98,75 @@ def run_entry(entry: dict) -> dict:
     return result_to_dict(build_system(entry).run())
 
 
+#: The ``_progress_at`` the dense wrapper leaves after every call: no
+#: bound to skip to, and unlike 0 not what an outside mutation writes.
+_NO_BOUND = -1
+
+
+class MemoContractError(AssertionError):
+    """A call the event kernel would have skipped issued or mutated."""
+
+
+def _scheduling_mode(mc: MemoryController) -> tuple:
+    """The controller's scheduling mode: what a non-issuing call may
+    change (write-drain priority, blocked ranks and banks), read apart
+    from ``_epoch`` so a mutation that forgets to bump it still shows."""
+    return (
+        mc._draining_writes,
+        frozenset(mc.blocked_ranks),
+        frozenset(mc.blocked_banks),
+    )
+
+
 @contextmanager
 def dense_loop():
-    """Run ``System.run`` as the dense reference loop inside the block.
+    """Run ``System.run`` as the dense reference loop inside the block,
+    checking the memo contract on every cycle the event kernel skips.
 
-    Resetting ``_progress_at`` after every ``schedule`` call leaves the
-    loop no bound to skip to, so it visits every cycle and calls every
-    controller's ``schedule`` on each one.
+    After each ``schedule`` call the wrapper saves the bound the call
+    proved and leaves ``_NO_BOUND`` in ``_progress_at``, so the loop has
+    no bound to skip to: it visits every cycle and calls every
+    controller's ``schedule`` on each one.  A call below the saved bound
+    with ``_NO_BOUND`` still in place (no outside mutation reset it) is
+    one the event kernel would have skipped: it must issue nothing and
+    leave ``_epoch`` and the scheduling mode unchanged.  Such a call
+    keeps the saved bound, as the event kernel would have kept it.
     """
     original = MemoryController.schedule
+    proved: dict[MemoryController, int] = {}
 
     def schedule(self, now):
+        bound = proved.get(self, _NO_BOUND)
+        skipped = now < bound and self._progress_at == _NO_BOUND
+        if skipped:
+            epoch = self._epoch
+            mode = _scheduling_mode(self)
         issued = original(self, now)
-        self._progress_at = 0
+        if skipped:
+            if issued or self._epoch != epoch or _scheduling_mode(self) != mode:
+                raise MemoContractError(
+                    f"channel {self.channel_id}, cycle {now}: schedule "
+                    f"{'issued' if issued else 'mutated state'} below its "
+                    f"memoized bound {bound}"
+                )
+        else:
+            proved[self] = self._progress_at
+        self._progress_at = _NO_BOUND
         return issued
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MemoryController, "schedule", schedule)
         yield
+
+
+def _contract_fires(plant, entry: dict) -> bool:
+    """Whether the dense loop's contract check stops the planted run."""
+    with plant(), dense_loop():
+        try:
+            run_entry(entry)
+        except MemoContractError:
+            return True
+    return False
 
 
 @functools.cache
@@ -372,8 +425,8 @@ def test_dense_grid_covers_matrix():
 # ----------------------------------------------------------------------
 # Engine wakes: ``urgent`` returns ``_ISSUED`` or its exact wake.
 #
-# The dense A/B above is the check the engine fold rests on; the test
-# below proves it can fail.  The parametrized states pin each engine's
+# The dense loop's contract check is what the engine fold rests on; the
+# test below proves it fires.  The parametrized states pin each engine's
 # wake formula on a hand-built frozen state: the returned cycle is the
 # gate a dense loop would next find open, and a call that issues
 # nothing leaves ``_epoch`` alone (so ``schedule`` may trust the value).
@@ -405,10 +458,12 @@ def late_engine_wake():
 
 
 def test_dense_loop_catches_late_engine_wake():
-    """A one-cycle-late engine wake must change every engine-bearing run.
+    """A one-cycle-late engine wake must break the memo contract on every
+    engine-bearing run.
 
     Engine-bearing: a refresh mode with REF work, or PARA's preventive
-    refreshes.  The dense loop ignores wakes, so it is the reference.
+    refreshes.  The late bound covers the cycle the engine really acts
+    on; the dense loop still visits it and stops there.
     """
     engine_bearing = {
         name: entry
@@ -416,15 +471,63 @@ def test_dense_loop_catches_late_engine_wake():
         if entry["config"]["refresh_mode"] != "none" or "para_nrh" in entry["config"]
     }
     assert len(engine_bearing) == 42
-    unchanged = []
-    with late_engine_wake():
-        for name, entry in sorted(engine_bearing.items()):
-            event = run_entry(entry)
-            with dense_loop():
-                dense = run_entry(entry)
-            if event == dense:
-                unchanged.append(name)
-    assert not unchanged, f"late engine wake went unnoticed on {unchanged}"
+    unnoticed = [
+        name
+        for name, entry in sorted(engine_bearing.items())
+        if not _contract_fires(late_engine_wake, entry)
+    ]
+    assert not unnoticed, f"late engine wake went unnoticed on {unnoticed}"
+
+
+# ----------------------------------------------------------------------
+# The memo contract: ``dense_loop`` catches a planted break of each rule.
+# ----------------------------------------------------------------------
+@contextmanager
+def enqueue_keeps_memo():
+    """Break rule 3: ``enqueue`` restores the memo it should reset."""
+    original = MemoryController.enqueue
+
+    def enqueue(self, req):
+        memo = self._progress_at
+        accepted = original(self, req)
+        self._progress_at = memo
+        return accepted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryController, "enqueue", enqueue)
+        yield
+
+
+@contextmanager
+def silent_drain_flip():
+    """Break rule 2: a write-drain priority flip leaves ``_epoch`` alone."""
+    original = MemoryController._active_queues
+
+    def _active_queues(self):
+        epoch = self._epoch
+        queues = original(self)
+        self._epoch = epoch
+        return queues
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryController, "_active_queues", _active_queues)
+        yield
+
+
+@pytest.mark.parametrize(
+    "plant,everywhere",
+    [(enqueue_keeps_memo, True), (silent_drain_flip, False)],
+    ids=["enqueue-keeps-memo", "silent-drain-flip"],
+)
+def test_memo_contract_catches_planted_mutation(plant, everywhere):
+    """A dropped reset (rule 3) must fire on every dense-matrix config;
+    a silent flip (rule 2), which no result A/B sees, on at least one."""
+    names = sorted(DENSE_GRID)
+    if everywhere:
+        missed = [n for n in names if not _contract_fires(plant, DENSE_GRID[n])]
+        assert not missed, f"planted mutation went unnoticed on {missed}"
+    else:
+        assert any(_contract_fires(plant, DENSE_GRID[n]) for n in names)
 
 
 def _mc(engine: RefreshEngine, **overrides) -> MemoryController:

@@ -3,7 +3,7 @@
 Each rule gets one *bad* fixture (a planted violation it must flag) and
 one *good* fixture (idiomatic code it must pass) under
 ``tests/lint_fixtures/``, mirroring real repo paths so the file-anchored
-rules (dirty-flag targets, protocol endpoints, timing surfaces) engage.
+rules (protocol endpoints, timing surfaces, metric tables) engage.
 The suite also locks the suppression/baseline workflow, the JSON report
 shape, and — most importantly — a no-false-positive run over the real
 ``src/repro`` tree.
@@ -23,11 +23,11 @@ from repro.lint.core import LintUsageError, run_lint
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 CASES = [
-    ("dirty-flag", "dirty_flag_bad", "dirty_flag_good"),
     ("timing-coverage", "timing_bad", "timing_good"),
     ("determinism", "determinism_bad", "determinism_good"),
     ("slots", "slots_bad", "slots_good"),
     ("protocol-dispatch", "protocol_bad", "protocol_good"),
+    ("protocol-timeouts", "protocol_timeouts_bad", "protocol_timeouts_good"),
     ("stats-coverage", "stats_coverage_bad", "stats_coverage_good"),
 ]
 
@@ -55,13 +55,6 @@ def test_rule_passes_good_fixture(rule, bad, good):
     assert result.clean, [f.render() for f in result.findings]
 
 
-def test_dirty_flag_finding_details():
-    result = _run(FIXTURES / "dirty_flag_bad", ["dirty-flag"])
-    (finding,) = result.findings
-    assert finding.symbol == "MemoryController.issue_col"
-    assert "bus_next" in finding.message
-
-
 def test_timing_coverage_flags_both_surfaces():
     result = _run(FIXTURES / "timing_bad", ["timing-coverage"])
     messages = [f.message for f in result.findings]
@@ -79,6 +72,13 @@ def test_stats_coverage_flags_both_directions():
     by_symbol = {f.symbol: f for f in result.findings}
     assert by_symbol["ControllerStats.acts"].path == "sim/controller.py"
     assert by_symbol["CONTROLLER_METRICS['row_hits']"].path == "obs/metrics.py"
+
+
+def test_protocol_timeouts_names_each_unbounded_receive():
+    result = _run(FIXTURES / "protocol_timeouts_bad", ["protocol-timeouts"])
+    # No timeout at all, and a timeout lifted by settimeout(None).
+    assert {f.symbol for f in result.findings} == {"await_welcome", "await_job"}
+    assert {f.path for f in result.findings} == {"orchestrator/backends/worker.py"}
 
 
 def test_protocol_dispatch_names_missing_arm():
@@ -113,15 +113,16 @@ def test_inline_suppression_silences_each_rule(rule, bad, good, tmp_path):
 
 def test_suppression_is_rule_specific(tmp_path):
     root = tmp_path / "tree"
-    shutil.copytree(FIXTURES / "dirty_flag_bad", root)
-    path = root / "sim" / "controller.py"
-    result = _run(root, ["dirty-flag"])
-    line = result.findings[0].line
+    shutil.copytree(FIXTURES / "protocol_timeouts_bad", root)
+    result = _run(root, ["protocol-timeouts"])
+    finding = result.findings[0]
+    path = root / finding.path
     text = path.read_text(encoding="utf-8").splitlines()
-    text[line - 1] += "  # repro-lint: disable=timing-coverage"
+    text[finding.line - 1] += "  # repro-lint: disable=timing-coverage"
     path.write_text("\n".join(text) + "\n", encoding="utf-8")
     # Disabling a *different* rule must not silence the finding.
-    assert not _run(root, ["dirty-flag"]).clean
+    after = _run(root, ["protocol-timeouts"])
+    assert len(after.findings) == len(result.findings)
 
 
 # ----------------------------------------------------------------------
@@ -157,25 +158,59 @@ def test_stale_baseline_entry_is_a_finding(tmp_path):
         tmp_path,
         [
             {
-                "rule": "dirty-flag",
-                "path": "sim/controller.py",
-                "symbol": "Ghost.method",
+                "rule": "protocol-timeouts",
+                "path": "orchestrator/backends/worker.py",
+                "symbol": "ghost",
                 "reason": "matches nothing",
             }
         ],
     )
-    result = _run(FIXTURES / "dirty_flag_good", ["dirty-flag"], baseline)
+    result = _run(
+        FIXTURES / "protocol_timeouts_good", ["protocol-timeouts"], baseline
+    )
     assert not result.clean
     assert result.findings[0].rule == "stale-baseline"
+
+
+def _slots_entry(rule: str) -> dict:
+    """A baseline entry keyed like the one ``slots_bad`` finding."""
+    return {
+        "rule": rule,
+        "path": "sim/cache.py",
+        "symbol": "Entry.hits",
+        "reason": "fixture: the slots_bad finding",
+    }
+
+
+def test_baseline_entry_of_a_rule_not_run_is_not_judged(tmp_path):
+    baseline = _baseline_file(tmp_path, [_slots_entry("slots")])
+    # Under --rules determinism the slots entry has no evidence either way.
+    assert _run(FIXTURES / "slots_bad", ["determinism"], baseline).clean
+    result = _run(FIXTURES / "slots_bad", ["slots"], baseline)
+    assert result.clean and result.baselined == 1
+
+
+def test_baseline_entry_of_an_unregistered_rule_is_stale(tmp_path):
+    baseline = _baseline_file(tmp_path, [_slots_entry("retired-rule")])
+    result = _run(FIXTURES / "slots_bad", ["determinism"], baseline)
+    (finding,) = result.findings
+    assert finding.rule == "stale-baseline"
+    assert "'retired-rule'" in finding.message
 
 
 def test_baseline_entry_without_reason_is_usage_error(tmp_path):
     baseline = _baseline_file(
         tmp_path,
-        [{"rule": "dirty-flag", "path": "sim/controller.py", "symbol": "X.y"}],
+        [
+            {
+                "rule": "protocol-timeouts",
+                "path": "orchestrator/backends/worker.py",
+                "symbol": "X.y",
+            }
+        ],
     )
     with pytest.raises(LintUsageError, match="justification"):
-        _run(FIXTURES / "dirty_flag_good", ["dirty-flag"], baseline)
+        _run(FIXTURES / "protocol_timeouts_good", ["protocol-timeouts"], baseline)
 
 
 def test_committed_baseline_is_empty():
@@ -191,12 +226,12 @@ def test_committed_baseline_is_empty():
 # ----------------------------------------------------------------------
 def test_unknown_rule_is_usage_error():
     with pytest.raises(LintUsageError, match="unknown rule"):
-        _run(FIXTURES / "dirty_flag_good", ["no-such-rule"])
+        _run(FIXTURES / "protocol_timeouts_good", ["no-such-rule"])
 
 
 def test_missing_root_is_usage_error(tmp_path):
     with pytest.raises(LintUsageError):
-        _run(tmp_path / "nope", ["dirty-flag"])
+        _run(tmp_path / "nope", ["protocol-timeouts"])
 
 
 def test_syntax_error_in_tree_is_usage_error(tmp_path):
@@ -204,7 +239,7 @@ def test_syntax_error_in_tree_is_usage_error(tmp_path):
     (root / "sim").mkdir(parents=True)
     (root / "sim" / "broken.py").write_text("def oops(:\n")
     with pytest.raises(LintUsageError):
-        _run(root, ["dirty-flag"])
+        _run(root, ["protocol-timeouts"])
 
 
 def test_json_report_shape():

@@ -1,14 +1,16 @@
-"""Regression tests for the bugs the first ``repro lint`` run surfaced.
+"""Regression tests for bugs that broke a runtime contract.
 
-The dirty-flag rule found four places where a refresh engine mutated
-scheduling state without invalidating the controller's memo (the
-rank-drain block in the baseline and elastic engines, HiRA's
-``_refresh_active`` chokepoint, and the elastic same-bank heap->deferred
-promotion); the protocol-dispatch rule found that the worker entered its
-job loop on *any* non-reject registration reply.  Each test here pins the
-fixed behavior so the lint rules are backed by runtime evidence, not just
-static cleanliness.  The memo is ``schedule()``'s ``_progress_at``: a
-mark bumps ``_epoch`` and resets ``_progress_at`` to 0.
+Four places once broke rule 2 of the memo contract stated in
+``MemoryController.schedule``: a non-issuing mutation inside ``schedule``
+must call ``mark_dirty()``, which bumps ``_epoch`` and resets the
+``_progress_at`` memo to 0.  They were the rank-drain block in the
+baseline and elastic engines, HiRA's ``_refresh_active`` chokepoint, and
+the elastic same-bank heap->deferred promotion.  ``TestMemoContract``
+pins each fix on a hand-built state; ``dense_loop()`` in
+``tests/test_kernel_equivalence.py`` checks the same contract on every
+cycle the event kernel skips.  The protocol-dispatch lint rule found
+that the worker entered its job loop on *any* non-reject registration
+reply; ``TestWorkerRegistrationReply`` pins that fix.
 """
 
 import socket
@@ -47,7 +49,7 @@ def untouched(mc, epoch: int) -> bool:
     return mc._epoch == epoch and mc._progress_at == SENTINEL
 
 
-class TestDirtyFlagFixes:
+class TestMemoContract:
     def test_baseline_rank_drain_block_marks_dirty(self):
         """Entering the REF drain (blocking a rank) must void the memo."""
         mc = make_mc(BaselineRefreshEngine(), refresh_mode="baseline")

@@ -7,10 +7,10 @@ this gate proves every rule still bites.  It runs two passes:
    committed baseline (the same check ``repro lint`` performs; running it
    here keeps the guard self-contained).
 2. **Planted-mutation pass** — for each rule, copy ``src/repro`` to a
-   temp tree, plant one realistic violation (a dropped dirty mark, an
-   unenforced timing field, a wall-clock read, a stray slot store, an
-   undispatched protocol message), and require exactly that rule to fire
-   on the mutated tree.
+   temp tree, plant one realistic violation (an unenforced timing field,
+   a wall-clock read, a stray slot store, an undispatched protocol
+   message, an unbounded receive, a dropped metrics-table entry), and
+   require that rule to fire on the mutated tree.
 
 Usage::
 
@@ -45,16 +45,6 @@ MYPY_TARGETS = (
     "src/repro/orchestrator/hashing.py",
     "src/repro/orchestrator/backends/protocol.py",
 )
-
-
-def _mutate_dirty_flag(tree: Path) -> None:
-    """Drop the schedule-memo reset from the PRE issue primitive."""
-    path = tree / "sim" / "controller.py"
-    text = path.read_text(encoding="utf-8")
-    head, sep, tail = text.partition("def issue_pre")
-    marker = "        self._progress_at = 0\n"
-    assert sep and marker in tail, "issue_pre memo reset not found to remove"
-    path.write_text(head + sep + tail.replace(marker, "", 1), encoding="utf-8")
 
 
 def _mutate_timing(tree: Path) -> None:
@@ -129,7 +119,6 @@ def _mutate_stats_coverage(tree: Path) -> None:
 
 
 MUTATIONS = (
-    ("dirty-flag", _mutate_dirty_flag),
     ("timing-coverage", _mutate_timing),
     ("determinism", _mutate_determinism),
     ("slots", _mutate_slots),
