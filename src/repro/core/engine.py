@@ -311,9 +311,11 @@ class HiraRefreshEngine(RefreshEngine):
             self._preventive = spilled
             self._struct_dirty = True
             self.mc.mark_dirty()
-        wake = self._service_preventive(now)  # PR-FIFO overflow
-        if wake == _ISSUED:
-            return _ISSUED
+        wake = _FAR_FUTURE
+        if self._preventive:  # PR-FIFO overflow: empty on almost every call
+            wake = self._service_preventive(now)
+            if wake == _ISSUED:
+                return _ISSUED
         # The next generation pop is itself a mutation: wake for it even
         # when the generated request's deadline lies further out.
         heap = self._gen_heap

@@ -160,7 +160,7 @@ class SimTracer:
     def on_stall(self, now: int) -> None:
         """Called when a cycle's schedule pass issued nothing.
 
-        Re-derives the scheduler's legality checks for the head window of
+        Re-derives the scheduler's legality checks for every bank head of
         each demand queue (read-only) and records the binding gate with
         the earliest release cycle.  Idle cycles (no demand queued) are
         not stalls and record nothing.  With a tracer armed, ``schedule``
@@ -201,23 +201,20 @@ class SimTracer:
         )
 
     def _classify_queue(self, queue, now: int):
-        """Binding gate for the queue's head window: (until, reason, rank,
-        bank) of the earliest-releasing blocked candidate, or None."""
+        """Binding gate over the queue's bank heads (the ones the
+        scheduler's FCFS pass reads): (until, reason, rank, bank) of the
+        earliest-releasing blocked head, or None."""
         mc = self.mc
         is_write_q = queue is mc.write_q
         burst_offset = mc.tcwl_c if is_write_q else mc.tcl_c
         data_free = mc.data_bus_free_at(is_write_q)
         bus_blocked = now + burst_offset < data_free
         best = None
-        seen = 0
-        banks_per_rank = mc.banks_per_rank
-        for req in list(queue)[:8]:
-            addr = req.addr
+        bank_q = mc._bank_q_write if is_write_q else mc._bank_q_read
+        # Oldest head first, so ties go to queue order as in the scheduler.
+        for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq):
+            addr = dq[0].addr
             rank, bank_id, row = addr.rank, addr.bank, addr.row
-            bit = 1 << (rank * banks_per_rank + bank_id)
-            if seen & bit:
-                continue
-            seen |= bit
             found = self._classify_candidate(
                 queue, rank, bank_id, row, now, bus_blocked, data_free, burst_offset
             )

@@ -28,11 +28,8 @@ class AddressMapper:
     def __post_init__(self) -> None:
         if self.mop_lines < 1 or self.geometry.columns_per_row % self.mop_lines:
             raise ValueError("mop_lines must divide columns_per_row")
-        # Per-line decode memo: traces revisit lines (row-buffer locality)
-        # and Address is frozen, so decoded objects are safely shared.
-        # Bound: one entry per distinct line the workload touches.  Set
-        # via object.__setattr__ because the mapper itself is frozen.
-        object.__setattr__(self, "_decode_cache", {})
+        # No per-line decode memo: a workload's demand stream almost never
+        # decodes the same line twice, so a memo only pins every Address.
 
     @property
     def lines_per_row(self) -> int:
@@ -40,9 +37,6 @@ class AddressMapper:
 
     def decode(self, line: int) -> Address:
         """Map a flat cache-line address to (channel, rank, bank, row, col)."""
-        addr = self._decode_cache.get(line)
-        if addr is not None:
-            return addr
         if line < 0:
             raise ValueError("line address must be non-negative")
         geom = self.geometry
@@ -55,9 +49,7 @@ class AddressMapper:
         row = remaining % geom.rows_per_bank
         bank = bankgroup * geom.banks_per_bankgroup + bank_in_group
         col = col_high * self.mop_lines + col_low
-        addr = Address(channel=channel, rank=rank, bank=bank, row=row, col=col)
-        self._decode_cache[line] = addr
-        return addr
+        return Address(channel=channel, rank=rank, bank=bank, row=row, col=col)
 
     def encode(self, addr: Address) -> int:
         """Inverse of :meth:`decode` (bijective within one row wrap)."""

@@ -11,15 +11,17 @@ Hot-path layout (struct of arrays)
 Timing state lives in :class:`TimingArrays`: flat lists indexed by the
 global bank id ``g = rank * banks_per_rank + bank`` (bank axes) or by
 rank / flattened ``(rank, bankgroup)`` (rank axes), instead of nested
-per-object attributes.  The scheduler no longer scans request queues:
-per-bank FCFS deques and per-``(bank, row)`` row-hit deques are
-maintained at enqueue/dequeue, so command selection visits only banks
-that have work.  ``schedule()`` memoizes its own next useful cycle
-(``_progress_at``) whenever a call provably issued nothing and mutated
-nothing; the system loop wakes each controller there and nowhere else,
-so a run is bit-identical to a dense loop that calls ``schedule`` on
-every cycle — ``tests/test_kernel_equivalence.py`` checks exactly that,
-besides pinning the kernel A/B and audit-digest goldens.
+per-object attributes.  The scheduler never scans request queues: per
+queue, a per-bank head index (bank id -> that bank's requests in
+arrival order), per-``(bank, row)`` row-hit deques and the hit-bank set
+are maintained at enqueue/dequeue, so command selection visits only the
+heads of banks that have work.  ``schedule()`` memoizes its own next
+useful cycle (``_progress_at``) whenever a call provably issued nothing
+and mutated nothing; the system loop wakes each controller there and
+nowhere else, so a run is bit-identical to a dense loop that calls
+``schedule`` on every cycle — ``tests/test_kernel_equivalence.py``
+checks exactly that, besides pinning the kernel A/B and audit-digest
+goldens.
 """
 
 from __future__ import annotations
@@ -457,15 +459,14 @@ class MemoryController:
         #: Deferred single commands (e.g. the PRE closing a refresh-refresh
         #: HiRA pair) as a min-heap of (cycle, rank, bank) bus reservations.
         self._scheduled_closes: list[tuple[int, int, int]] = []
-        #: Queued demand requests (both queues) per global bank id — kept
-        #: incrementally at enqueue/dequeue so ``demand_waiting`` is O(1).
-        self._bank_demand = [0] * (n_ranks * self.banks_per_rank)
-        #: Indexed per-bank scheduler state, per queue: per-(bank, row)
-        #: deques of row hits (exactly pruned — a column access always
-        #: dequeues its row deque's head) and the set of banks whose
-        #: *open* row has queued hits (the FR candidate set).  The FCFS
-        #: heads need no extra index: the queue list itself is in arrival
-        #: order, so the first occurrence per bank is that bank's head.
+        #: Indexed per-bank scheduler state, per queue: per-bank deques of
+        #: queued requests in arrival order (each deque's head is that
+        #: bank's FCFS head; an emptied bank's key is deleted), per-(bank,
+        #: row) deques of row hits (exactly pruned — a column access
+        #: always dequeues its row deque's head) and the set of banks
+        #: whose *open* row has queued hits (the FR candidate set).
+        self._bank_q_read: dict[int, deque] = {}
+        self._bank_q_write: dict[int, deque] = {}
         self._row_q_read: dict[tuple[int, int], deque] = {}
         self._row_q_write: dict[tuple[int, int], deque] = {}
         self._hit_read: set[int] = set()
@@ -518,17 +519,19 @@ class MemoryController:
                 return bank_id
         return None
 
-    def rank_available(self, rank: int, now: int) -> bool:
-        return now >= self._ta.busy_until[rank]
-
     def faw_ok(self, rank: int, now: int) -> bool:
         faw = self._ta.faw[rank]
         return len(faw) < 4 or now - faw[0] >= self.tfaw_c
 
     def recent_acts(self, rank: int, now: int) -> int:
         """Activations to the rank inside the current tFAW window."""
-        faw = self._ta.faw[rank]
-        return sum(1 for t in faw if now - t < self.tfaw_c)
+        # Plain loop: a generator over <= 4 entries costs more (hot path).
+        tfaw = self.tfaw_c
+        n = 0
+        for t in self._ta.faw[rank]:
+            if now - t < tfaw:
+                n += 1
+        return n
 
     def faw_ok_double(self, rank: int, now: int) -> bool:
         """Room for *two* activations in the four-activation window.
@@ -636,8 +639,9 @@ class MemoryController:
         The Concurrent Refresh Finder uses this to decide if a bank's
         *time* is contended: pairing two refreshes into one bank-busy
         window only pays off when demand is waiting to use the bank.
-        O(1): the per-bank counters are maintained at enqueue/dequeue."""
-        return self._bank_demand[rank * self.banks_per_rank + bank_id] > 0
+        O(1): a membership test on the per-bank FCFS indexes."""
+        g = rank * self.banks_per_rank + bank_id
+        return g in self._bank_q_read or g in self._bank_q_write
 
     # ------------------------------------------------------------------
     # Command issue primitives
@@ -846,13 +850,19 @@ class MemoryController:
         req.ggroup = rank * self.bankgroups_per_rank + addr.bank // self.banks_per_bankgroup
         req.seq = self._seq
         self._seq += 1
-        self._bank_demand[g] += 1
         if is_write:
+            bank_q = self._bank_q_write
             row_q = self._row_q_write
             hit = self._hit_write
         else:
+            bank_q = self._bank_q_read
             row_q = self._row_q_read
             hit = self._hit_read
+        dq = bank_q.get(g)
+        if dq is None:
+            bank_q[g] = deque((req,))
+        else:
+            dq.append(req)
         key = (g, addr.row)
         dq = row_q.get(key)
         if dq is None:
@@ -960,8 +970,9 @@ class MemoryController:
         queues: the earliest cycle any of their banks' gates opens, folded
         by the same checks that decide issue, and valid while the
         enclosing ``schedule`` call stays mutation-free (see its memo
-        contract).  Bit-identical to the
-        former O(queue) scans: queue order equals ascending ``seq``, so
+        contract).  Neither pass walks a queue list: FR visits the
+        hit-bank set, FCFS the per-bank head index.  Bit-identical to
+        queue-order scans: queue order equals ascending ``seq``, so
         "first matching queue entry" and "minimum head ``seq`` over
         candidate banks" select the same request, and the per-bank gate
         folds replicate the per-entry checks exactly.  One call handles
@@ -988,10 +999,12 @@ class MemoryController:
                 continue
             is_write_q = queue is write_q
             if is_write_q:
+                bank_q = self._bank_q_write
                 hit = self._hit_write
                 row_q = self._row_q_write
                 burst_offset = self.tcwl_c
             else:
+                bank_q = self._bank_q_read
                 hit = self._hit_read
                 row_q = self._row_q_read
                 burst_offset = self.tcl_c
@@ -1040,18 +1053,15 @@ class MemoryController:
             # a PRE is legal depends on bank/rank state alone, and a
             # younger conflicting request is always shadowed by the older
             # one (the open-row keep-alive check spans the whole queue).
-            # The queue list is in arrival order and holds exactly the
-            # live requests, so its first occurrence per bank IS that
-            # bank's FCFS head — the scan visits heads in ascending seq
-            # and exits at the first issuable one, touching no more
-            # entries than it must.
-            seen = set()
-            seen_add = seen.add
-            for head in queue:
+            # The per-bank index yields each bank's head directly; the
+            # issuable head with the smallest seq is the first issuable
+            # one in queue order.  (Dict order is not queue order: a bank
+            # emptied and refilled sits ahead of older heads.)
+            best = None
+            best_seq = _FAR_FUTURE
+            for dq in bank_q.values():
+                head = dq[0]
                 g = head.gbank
-                if g in seen:
-                    continue
-                seen_add(g)
                 rank = head.rank
                 if rank in blocked:
                     continue
@@ -1070,37 +1080,40 @@ class MemoryController:
                     c = group_gate[head.ggroup]
                     if c > gate:
                         gate = c
-                    if busy > gate:
-                        gate = busy
-                    if gate <= now:
-                        bank_id = g - rank * banks_per_rank
-                        row = head.row
-                        refresh_row = None
-                        if self.faw_ok_double(rank, now):
-                            refresh_row = self.engine.on_act(head, now)
-                        if refresh_row is not None:
-                            self.issue_hira_act(rank, bank_id, refresh_row, row, now)
-                        else:
-                            self.issue_act(rank, bank_id, row, now)
-                        self.engine.on_demand_act(head, now)
-                        return _ISSUED
-                    if gate < wake:
-                        wake = gate
                 elif orow != head.row:
                     if g in hit:
                         # Keep-alive: a queued hit still targets the open
                         # row; its wake is covered by the FR pass above.
                         continue
                     gate = b_pre[g]
-                    if busy > gate:
-                        gate = busy
-                    if gate <= now:
-                        self.issue_pre(rank, g - rank * banks_per_rank, now)
-                        return _ISSUED
-                    if gate < wake:
-                        wake = gate
-                # else: the head targets the open row — the FR pass owns
-                # it (and folds its wake through the hit set).
+                else:
+                    # The head targets the open row — the FR pass owns it
+                    # (and folds its wake through the hit set).
+                    continue
+                if busy > gate:
+                    gate = busy
+                if gate <= now:
+                    if head.seq < best_seq:
+                        best_seq = head.seq
+                        best = head
+                elif gate < wake:
+                    wake = gate
+            if best is not None:
+                g = best.gbank
+                rank = best.rank
+                bank_id = g - rank * banks_per_rank
+                if b_open[g] >= 0:
+                    self.issue_pre(rank, bank_id, now)
+                    return _ISSUED
+                refresh_row = None
+                if self.faw_ok_double(rank, now):
+                    refresh_row = self.engine.on_act(best, now)
+                if refresh_row is not None:
+                    self.issue_hira_act(rank, bank_id, refresh_row, best.row, now)
+                else:
+                    self.issue_act(rank, bank_id, best.row, now)
+                self.engine.on_demand_act(best, now)
+                return _ISSUED
         return wake
 
     def _row_hit_waiting(self, queue: list[Request], rank: int, bank_id: int, row: int) -> bool:
@@ -1116,13 +1129,21 @@ class MemoryController:
         g = req.gbank
         rank = req.rank
         bank_id = g - rank * self.banks_per_rank
-        self._bank_demand[g] -= 1
         if req.is_write:
+            bank_q = self._bank_q_write
             row_q = self._row_q_write
             hit = self._hit_write
         else:
+            bank_q = self._bank_q_read
             row_q = self._row_q_read
             hit = self._hit_read
+        dq = bank_q[g]
+        if dq[0] is req:
+            dq.popleft()
+        else:
+            dq.remove(req)  # keep-alive: FR served a hit behind the head
+        if not dq:
+            del bank_q[g]
         key = (g, req.row)
         dq = row_q[key]
         dq.popleft()  # req: FR always picks a row deque's head (oldest hit)
@@ -1163,7 +1184,3 @@ class MemoryController:
             self.auditor.on_col(now, rank, bank_id, req.is_write)
         if self.tracer is not None:
             self.tracer.on_col(now, rank, bank_id, req.is_write)
-
-    @property
-    def pending_requests(self) -> int:
-        return len(self.read_q) + len(self.write_q)

@@ -423,6 +423,42 @@ def test_dense_grid_covers_matrix():
 
 
 # ----------------------------------------------------------------------
+# The per-bank FCFS head index mirrors the queue lists exactly.
+# ----------------------------------------------------------------------
+def _check_head_index(mc: MemoryController) -> None:
+    """Each queue's index is that queue grouped by bank, in arrival
+    order, and ``demand_waiting`` agrees with the index."""
+    waiting = set()
+    for queue, bank_q in ((mc.read_q, mc._bank_q_read), (mc.write_q, mc._bank_q_write)):
+        grouped: dict[int, list[Request]] = {}
+        for req in queue:
+            grouped.setdefault(req.gbank, []).append(req)
+        assert {g: list(dq) for g, dq in bank_q.items()} == grouped
+        waiting |= grouped.keys()
+    bpr = mc.banks_per_rank
+    for g in range(mc.config.ranks_per_channel * bpr):
+        assert mc.demand_waiting(g // bpr, g % bpr) == (g in waiting)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_bank_head_index_matches_queues(name):
+    original = MemoryController.schedule
+    calls = 0
+
+    def schedule(self, now):
+        nonlocal calls
+        issued = original(self, now)
+        _check_head_index(self)
+        calls += 1
+        return issued
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryController, "schedule", schedule)
+        run_entry({**GOLDENS[name], "instr_budget": 2000})
+    assert calls
+
+
+# ----------------------------------------------------------------------
 # Engine wakes: ``urgent`` returns ``_ISSUED`` or its exact wake.
 #
 # The dense loop's contract check is what the engine fold rests on; the

@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.dram.geometry import Address
 from repro.obs.tracer import (
     DECISION_KINDS,
     STALL_REASONS,
@@ -25,6 +26,8 @@ from repro.obs.tracer import (
 from repro.orchestrator import result_to_dict
 from repro.orchestrator.execute import TRACE_DIR_ENV
 from repro.sim.config import SystemConfig
+from repro.sim.controller import MemoryController, NoRefreshEngine
+from repro.sim.request import Request
 from repro.sim.system import System
 from repro.workloads.mixes import mix_for
 
@@ -129,6 +132,32 @@ def test_ring_buffer_bounds_events_but_not_counters():
         payload = tracer.export()
         assert payload["otherData"]["dropped"] == tracer.dropped
         assert validate_chrome_trace(payload) == []
+
+
+def test_stall_attribution_reads_every_bank_head():
+    """The binding gate is found among all bank heads, not a queue prefix.
+
+    Eight reads wait on a bank that opens late; a ninth, behind them in
+    the queue, waits on a bank that opens earlier.  The stall must name
+    the ninth read's bank and its earlier release cycle.
+    """
+    mc = MemoryController(0, SystemConfig(refresh_mode="none"), NoRefreshEngine())
+    tracer = SimTracer(mc)
+    mc._ta.next_act[0] = 500
+    mc._ta.next_act[1] = 300
+    mc.mark_dirty()
+    for i, bank in enumerate([0] * 8 + [1]):
+        mc.enqueue(
+            Request(
+                addr=Address(channel=0, rank=0, bank=bank, row=i, col=0),
+                line=i, is_write=False, core_id=0, arrival_cycle=0,
+            )
+        )
+    assert not mc.schedule(100)
+    assert tracer.stall_counts == {"bank-timing": 1}
+    __, name, __, args = tracer._events[-1]
+    assert name == "stall"
+    assert (args["bank"], args["until"]) == (1, 300)
 
 
 def test_summary_reports_histograms():

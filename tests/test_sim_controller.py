@@ -120,6 +120,22 @@ class TestFrFcfs:
         assert accepted == mc.config.read_queue_depth
         assert mc.stats.queue_full_rejections == 80 - accepted
 
+    def test_fcfs_picks_oldest_head_across_banks(self):
+        """Bank A gets seq 0 and 2, bank B seq 1.  Once FR serves seq 0,
+        the head index still lists A first, yet B's older head (seq 1,
+        an ACT) must win over A's head (seq 2, a PRE)."""
+        mc = make_mc()
+        mc.issue_act(0, 0, 5, 0)
+        mc.enqueue(req(row=5, bank=0))  # seq 0: a row hit in bank A
+        mc.enqueue(req(row=1, bank=1))  # seq 1: bank B, closed
+        mc.enqueue(req(row=7, bank=0))  # seq 2: conflicts with A's open row
+        assert mc.schedule(1_000)
+        assert mc.stats.reads_served == 1
+        assert list(mc._bank_q_read) == [0, 1]
+        assert mc.schedule(1_100)  # both heads are issuable here
+        assert (mc.stats.acts, mc.stats.pres) == (2, 0)
+        assert mc._ta.open_row[:2] == [5, 1]
+
 
 class TestBaselineRefresh:
     def test_ref_issued_every_trefi(self):
