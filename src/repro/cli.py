@@ -14,8 +14,8 @@ Nine subcommands mirror the repository's main workflows:
 - ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``
   (``--profile`` adds the phase-attributed wall-time breakdown).
 - ``lint`` — AST-based invariant linter (timing enforcement coverage,
-  determinism, ``__slots__``, protocol exhaustiveness and timeouts,
-  stats export coverage); exit 0 clean / 1 findings / 2 usage error.
+  determinism, protocol exhaustiveness and timeouts); exit 0 clean /
+  1 findings / 2 usage error.
 
 Usage::
 
@@ -487,24 +487,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from repro.lint import CHECKERS, LintUsageError, lint_tree
+    from repro.lint import CHECKERS, LintUsageError, run_lint
 
     if args.list_rules:
         for name in CHECKERS:
             print(f"{name}: {CHECKERS[name].DESCRIPTION}")
         return 0
     rules = None
-    if args.rules:
+    if args.rules is not None:
         rules = [token.strip() for token in args.rules.split(",") if token.strip()]
-    baseline: object = "auto"
-    if args.baseline is not None:
-        baseline = Path(args.baseline) if args.baseline else None
     try:
-        result = lint_tree(
-            root=Path(args.root) if args.root else None,
-            rules=rules,
-            baseline=baseline,
-        )
+        result = run_lint(root=Path(args.root) if args.root else None, rules=rules)
     except LintUsageError as exc:
         print(f"repro lint: {exc}")
         return 2
@@ -516,8 +509,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         status = "clean" if result.clean else f"{len(result.findings)} finding(s)"
         print(
             f"repro lint: {status} — {result.files} files, "
-            f"{len(result.rules)} rules, {result.suppressed} suppressed, "
-            f"{result.baselined} baselined"
+            f"{len(result.rules)} rules"
         )
     return 0 if result.clean else 1
 
@@ -727,12 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tree to lint (default: the installed src/repro)")
     p.add_argument("--rules", default=None,
                    help="comma list of rules to run (default: all)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON path ('' disables; default: the "
-                        "committed src/repro/lint/baseline.json when "
-                        "linting the default root)")
     p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable report (version 1)")
+                   help="emit the machine-readable report (version 2)")
     p.add_argument("--list-rules", action="store_true", dest="list_rules",
                    help="print the rule catalog and exit")
     p.set_defaults(func=_cmd_lint)

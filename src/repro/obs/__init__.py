@@ -12,8 +12,8 @@ and the chaos suite stay bit-identical and the events/sec floor holds.
   across re-runs and across execution backends (timestamps are simulated
   cycles, never wall clock).
 - :mod:`repro.obs.metrics` — labeled counters/gauges/histograms plus the
-  explicit ``ControllerStats``/``ChipStats`` export maps that the
-  ``stats-coverage`` lint rule enforces completeness of.
+  explicit ``ControllerStats``/``ChipStats`` export maps, pinned to the
+  dataclasses by parity tests.
 - :mod:`repro.obs.fleet` — fleet telemetry: job lifecycle counters,
   worker heartbeat ages, and journal-derived progress, snapshotted
   atomically to the status file behind ``repro status``.

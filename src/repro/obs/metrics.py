@@ -7,10 +7,11 @@ by the two observability consumers:
   and :class:`~repro.chip.chip_model.ChipStats` field is exported through
   an explicit field -> metric map (:data:`CONTROLLER_METRICS`,
   :data:`CHIP_METRICS`).  The maps are deliberately spelled out rather
-  than derived from ``dataclasses.fields`` at runtime: the
-  ``stats-coverage`` lint rule cross-checks the dataclass definitions
-  against these maps, so adding a stats counter without deciding its
-  metric name (or silently dropping one) fails ``repro lint``.
+  than derived from ``dataclasses.fields`` at runtime: the parity tests
+  in ``tests/test_obs_metrics.py`` (``*_table_matches_dataclass_exactly``)
+  assert exact key equality with the dataclass fields, so adding a stats
+  counter without deciding its metric name (or leaving a stale key)
+  fails tier-1.
 - fleet telemetry: the orchestrator's job-lifecycle counters and worker
   gauges (see :mod:`repro.obs.fleet`).
 
@@ -185,10 +186,11 @@ class MetricsRegistry:
 # Simulation stats export
 # ----------------------------------------------------------------------
 # Field -> (metric name, help) for every counter the simulator reports.
-# KEEP COMPLETE: the `stats-coverage` lint rule compares these keys against
-# the dataclass fields of ControllerStats / ChipStats; a field missing here
-# (a silently dropped counter) or a stale key here (a renamed field) fails
-# `repro lint`, and test_obs_metrics asserts the same parity at runtime.
+# KEEP COMPLETE: test_obs_metrics's *_table_matches_dataclass_exactly tests
+# compare these keys against the dataclass fields of ControllerStats /
+# ChipStats; a field missing here (a silently dropped counter) or a stale
+# key here (a renamed field) fails them, and _record_fields raises on a
+# missing field at runtime.
 
 CONTROLLER_METRICS = {
     "reads_served": ("sim_reads_served_total", "Read column accesses served"),

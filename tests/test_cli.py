@@ -1,7 +1,6 @@
 """Command-line interface."""
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -52,7 +51,7 @@ class TestParser:
 
 
 class TestLintCommand:
-    """`repro lint`: exit codes 0/1/2, JSON schema, suppression, baseline."""
+    """`repro lint`: exit codes 0/1/2, JSON schema, rule selection."""
 
     FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -71,6 +70,29 @@ class TestLintCommand:
         assert main(["lint", "--rules", "no-such-rule"]) == 2
         assert "unknown rule" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rules", [",", " ", ""])
+    def test_empty_rule_selection_exits_two(self, capsys, rules):
+        assert main(["lint", "--rules", rules]) == 2
+        assert "no rules selected" in capsys.readouterr().out
+
+    def test_repeated_rule_reports_once(self, capsys):
+        root = str(self.FIXTURES / "protocol_bad")
+        code = main([
+            "lint", "--root", root, "--json",
+            "--rules", "protocol-dispatch,protocol-dispatch",
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rules"] == ["protocol-dispatch"]
+        assert len(payload["findings"]) == 1
+
+    def test_baseline_flag_is_rejected(self, capsys):
+        # The grandfathering baseline is gone; the flag is not accepted.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--baseline", "baseline.json"])
+        assert excinfo.value.code == 2
+        assert "--baseline" in capsys.readouterr().err
+
     def test_json_report_schema(self, capsys):
         root = str(self.FIXTURES / "protocol_bad")
         code = main([
@@ -78,11 +100,10 @@ class TestLintCommand:
         ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["clean"] is False
         assert set(payload) == {
-            "version", "root", "rules", "files", "findings",
-            "suppressed", "baselined", "clean",
+            "version", "root", "rules", "files", "findings", "clean",
         }
         (finding,) = payload["findings"]
         assert set(finding) == {"rule", "path", "line", "symbol", "message"}
@@ -93,59 +114,13 @@ class TestLintCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True and payload["findings"] == []
 
-    def test_suppression_honored(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        shutil.copytree(self.FIXTURES / "determinism_bad", root)
-        assert main([
-            "lint", "--root", str(root), "--rules", "determinism",
-        ]) == 1
-        findings = [
-            line for line in capsys.readouterr().out.splitlines()
-            if "[determinism]" in line
-        ]
-        path = root / "sim" / "clock.py"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for row in findings:
-            lineno = int(row.split(":")[1])
-            lines[lineno - 1] += "  # repro-lint: disable=determinism"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main([
-            "lint", "--root", str(root), "--rules", "determinism",
-        ]) == 0
-        assert f"{len(findings)} suppressed" in capsys.readouterr().out
-
-    def test_baseline_honored(self, tmp_path, capsys):
-        root = str(self.FIXTURES / "protocol_bad")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "rule": "protocol-dispatch",
-                "path": "orchestrator/backends/worker.py",
-                "symbol": "job",
-                "reason": "fixture: exercising the CLI baseline path",
-            }],
-        }))
-        assert main([
-            "lint", "--root", root, "--rules", "protocol-dispatch",
-            "--baseline", str(baseline),
-        ]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "entries": [{"rule": "slots", "path": "sim/cache.py"}],
-        }))
-        assert main(["lint", "--baseline", str(baseline)]) == 2
-        assert "justification" in capsys.readouterr().out
-
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in CHECKERS:
-            assert rule in out
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == list(CHECKERS) == [
+            "timing-coverage", "determinism",
+            "protocol-dispatch", "protocol-timeouts",
+        ]
 
 
 class TestCommands:

@@ -1,8 +1,8 @@
 """Metrics registry + stats export tables + kernel phase profiler.
 
 The load-bearing invariants: the field→metric tables cover the stats
-dataclasses exactly (the ``stats-coverage`` lint rule checks the same
-statically; here the runtime guard is exercised), registry snapshots are
+dataclasses exactly (the only check of that parity besides the runtime
+``KeyError`` on a missing field), registry snapshots are
 deterministic, and the profiler always restores what it patched so
 profiled and unprofiled runs can share a process.
 """
@@ -82,7 +82,7 @@ def test_registry_idempotent_and_kind_checked():
 
 
 # ----------------------------------------------------------------------
-# Stats export tables (the runtime side of the stats-coverage lint rule)
+# Stats export tables (exact parity with the stats dataclasses)
 # ----------------------------------------------------------------------
 def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}

@@ -1,5 +1,7 @@
 """Memory controller: DDR4 timing legality, FR-FCFS, refresh engines."""
 
+import importlib
+
 import pytest
 
 from repro.dram.geometry import Address
@@ -203,3 +205,31 @@ class TestHiraPrimitives:
         mc.issue_solo_refresh(0, 0, now=0)
         assert mc._ta.next_act[0] == mc.tras_c + mc.trp_c
         assert mc.stats.solo_refreshes == 1
+
+
+#: Classes allocated per request, per ROB entry, per bank or per job on
+#: the kernel hot path: a lost ``__slots__`` silently costs speed.
+HOT_PATH_CLASSES = [
+    ("repro.sim.request", "Request"),
+    ("repro.sim.core", "RobEntry"),
+    ("repro.sim.core", "CoreModel"),
+    ("repro.sim.controller", "TimingArrays"),
+    ("repro.sim.controller", "ControllerStats"),
+    ("repro.sim.audit", "CommandRecord"),
+    ("repro.core.engine", "_BankPeriodicState"),
+    ("repro.orchestrator.backends.server", "_Job"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name", HOT_PATH_CLASSES, ids=[name for _, name in HOT_PATH_CLASSES]
+)
+def test_hot_path_classes_have_no_instance_dict(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    # Every class in the MRO must declare slots, or instances get a __dict__.
+    unslotted = [
+        klass.__name__
+        for klass in cls.__mro__
+        if klass is not object and "__slots__" not in vars(klass)
+    ]
+    assert unslotted == []

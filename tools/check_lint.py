@@ -3,14 +3,13 @@
 A linter that never fires is indistinguishable from a correct tree, so
 this gate proves every rule still bites.  It runs two passes:
 
-1. **Clean pass** — the real ``src/repro`` tree must lint clean under the
-   committed baseline (the same check ``repro lint`` performs; running it
-   here keeps the guard self-contained).
+1. **Clean pass** — the real ``src/repro`` tree must lint clean (the
+   same check ``repro lint`` performs; running it here keeps the guard
+   self-contained).
 2. **Planted-mutation pass** — for each rule, copy ``src/repro`` to a
    temp tree, plant one realistic violation (an unenforced timing field,
-   a wall-clock read, a stray slot store, an undispatched protocol
-   message, an unbounded receive, a dropped metrics-table entry), and
-   require that rule to fire on the mutated tree.
+   a wall-clock read, an undispatched protocol message, an unbounded
+   receive), and require that rule to fire on the mutated tree.
 
 Usage::
 
@@ -33,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.lint import CHECKERS, lint_tree
+from repro.lint import CHECKERS, run_lint
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -67,20 +66,6 @@ def _mutate_determinism(tree: Path) -> None:
     )
 
 
-def _mutate_slots(tree: Path) -> None:
-    """Plant a slotted class that assigns an undeclared attribute."""
-    path = tree / "sim" / "controller.py"
-    text = path.read_text(encoding="utf-8")
-    path.write_text(
-        text
-        + "\n\nclass _LintMutSlots:\n"
-        + '    __slots__ = ("a",)\n\n'
-        + "    def poke(self) -> None:\n"
-        + "        self.b = 1\n",
-        encoding="utf-8",
-    )
-
-
 def _mutate_protocol(tree: Path) -> None:
     """Register a message type neither endpoint implements."""
     path = tree / "orchestrator" / "backends" / "protocol.py"
@@ -105,31 +90,16 @@ def _mutate_timeouts(tree: Path) -> None:
     )
 
 
-def _mutate_stats_coverage(tree: Path) -> None:
-    """Drop a ControllerStats counter from the metrics export table."""
-    path = tree / "obs" / "metrics.py"
-    text = path.read_text(encoding="utf-8")
-    anchor = '"row_hits": '
-    assert anchor in text, "CONTROLLER_METRICS row_hits entry not found"
-    lines = [
-        line for line in text.splitlines(keepends=True)
-        if anchor not in line
-    ]
-    path.write_text("".join(lines), encoding="utf-8")
-
-
 MUTATIONS = (
     ("timing-coverage", _mutate_timing),
     ("determinism", _mutate_determinism),
-    ("slots", _mutate_slots),
     ("protocol-dispatch", _mutate_protocol),
     ("protocol-timeouts", _mutate_timeouts),
-    ("stats-coverage", _mutate_stats_coverage),
 )
 
 
 def check_clean() -> int:
-    result = lint_tree()
+    result = run_lint()
     if result.clean:
         print(f"clean pass: ok ({result.files} files, "
               f"{len(result.rules)} rules)")
@@ -148,7 +118,7 @@ def check_mutations() -> int:
             tree = Path(tmp) / "repro"
             shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
             mutate(tree)
-            result = lint_tree(root=tree, baseline=None)
+            result = run_lint(root=tree)
             fired = sorted({f.rule for f in result.findings})
             if rule in fired:
                 print(f"mutation pass [{rule}]: ok "
