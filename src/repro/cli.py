@@ -707,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="also attribute wall time to kernel phases "
                         "(schedule, queue-scan, refresh-engine, "
-                        "bus-gating, trace-refill) via one instrumented run "
-                        "per workload; recorded under 'profile' in --out")
+                        "trace-refill) via one instrumented run per "
+                        "workload; recorded under 'profile' in --out")
     p.set_defaults(func=_cmd_perf)
 
     p = sub.add_parser(

@@ -6,8 +6,8 @@ the exact instruction stream of an uninstrumented one, so kernel goldens
 and the chaos suite stay bit-identical and the events/sec floor holds.
 
 - :mod:`repro.obs.tracer` — the deterministic cycle-stamped simulation
-  tracer: command issues, refresh-engine decisions, and stall-reason
-  attribution in a bounded ring buffer, exported as Chrome trace-event
+  tracer: command issues (read from the command auditor), refresh-engine
+  decisions, and stall reasons from the timing oracle in a bounded ring buffer, exported as Chrome trace-event
   JSON with exact aggregate summaries.  Armed traces are byte-identical
   across re-runs and across execution backends (timestamps are simulated
   cycles, never wall clock).
@@ -19,7 +19,7 @@ and the chaos suite stay bit-identical and the events/sec floor holds.
   atomically to the status file behind ``repro status``.
 - :mod:`repro.obs.profiler` — the kernel phase profiler behind
   ``repro perf --profile`` (schedule pass, queue scan, refresh engines,
-  trace refill, bus gating).
+  trace refill).
 """
 
 from repro.obs.fleet import FleetStatus, journal_progress, load_status, render_status

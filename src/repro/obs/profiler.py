@@ -8,7 +8,6 @@ phases the SoA-rewrite ROADMAP item needs a target list for:
 - ``queue-scan`` — the FR-FCFS queue scans inside the pass
 - ``refresh-engine`` — engine hooks (``urgent`` / ``on_act``) across
   whichever engines the workload instantiates
-- ``bus-gating`` — the ``data_bus_free_at`` turnaround/data-bus gate
 - ``trace-refill`` — synthetic trace generation (``TraceGenerator``)
 
 Phase times are *exclusive*: a nested timed call (e.g. ``queue-scan``
@@ -34,7 +33,6 @@ PHASES = (
     "schedule",
     "queue-scan",
     "refresh-engine",
-    "bus-gating",
     "trace-refill",
 )
 
@@ -96,7 +94,6 @@ class PhaseProfiler:
 
         self._patch(MemoryController, "schedule", "schedule")
         self._patch(MemoryController, "_schedule_queues", "queue-scan")
-        self._patch(MemoryController, "data_bus_free_at", "bus-gating")
         engines = (
             RefreshEngine,
             NoRefreshEngine,

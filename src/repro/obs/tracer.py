@@ -1,20 +1,20 @@
 """Deterministic cycle-stamped simulation tracer (Chrome trace export).
 
-A :class:`SimTracer` attaches to one :class:`MemoryController` (mirroring
-:class:`repro.sim.audit.CommandAuditor`: construction sets ``mc.tracer``)
-and records three event families, all stamped with the *simulated cycle*
-— never wall-clock time — so armed traces are bit-identical across
-re-runs and across execution backends:
+A :class:`SimTracer` attaches to one :class:`MemoryController` (setting
+``mc.tracer``) and records three event families, all stamped with the
+*simulated cycle* — never wall-clock time — so armed traces are
+bit-identical across re-runs and across execution backends:
 
-- **commands**: every issue primitive (ACT/PRE/RD/WR/REF/REFSB, HiRA
-  pairings, solo refreshes) via hooks with the auditor's signatures;
+- **commands**: one per issue primitive, read from the controller's
+  :class:`repro.sim.audit.CommandAuditor` (attached if none is armed);
+  ``SOLO_REF``/``HIRA_ACT``/``HIRA_PAIR`` are named from record tags;
 - **refresh decisions**: postpone, pull-forward, ride, pair, sb-promote,
-  reported by the refresh engines;
+  reported by the refresh engines through ``mc.tracer``;
 - **stalls**: when a visited cycle's schedule pass issues nothing while
-  demand is queued, the tracer attributes the stall to the binding gate
-  (command bus, data bus, tRTW/tWTR turnaround, tRCD/tFAW/tRRD, refresh
-  drain/busy windows, row keep-alive) by re-deriving the scheduler's
-  legality checks — read-only: arming a tracer never changes scheduling.
+  demand is queued, the timing oracle (fed the same records) says when
+  each bank head's next command may issue; the stall names the binding
+  rule's id, one of :data:`POLICY_REASONS`, or :data:`UNBOUND`.
+  Read-only: arming a tracer never changes scheduling.
 
 Raw events live in a bounded ring buffer (oldest dropped first); the
 aggregate counters (per-command counts, stall reasons, decision counts,
@@ -26,8 +26,9 @@ Perfetto): instant events with ``ts`` = cycle, ``tid`` = channel.  The
 canonical byte encoding (:func:`trace_json`) sorts keys and strips
 whitespace, so identical runs export identical bytes.
 
-The controller stays zero-cost when disarmed: every hook site is guarded
-by ``if self.tracer is not None`` exactly like the auditor hooks.
+The controller stays zero-cost when disarmed: its issue primitives test
+one hook field, ``self.auditor``, and the decision and stall sites test
+``self.tracer``.
 """
 
 from __future__ import annotations
@@ -35,22 +36,24 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 
-#: Stall-attribution vocabulary: the timing gate that blocked the pass.
-STALL_REASONS = (
-    "cmd-bus",      # command bus slot occupied (bus_next in the future)
-    "data-bus",     # data bus busy at the burst's start slot
-    "turnaround",   # data bus free, but tRTW/tWTR direction change gap
-    "trcd",         # row open, column command waiting on tRCD
-    "tfaw",         # four-activation window exhausted
-    "trrd",         # ACT-to-ACT spacing (tRRD_S / tRRD_L)
-    "bank-timing",  # bank's next_act in the future (tRP/tRC/refresh busy)
-    "pre-timing",   # conflicting row open, PRE waiting on tRAS/tRTP/tWR
-    "ref-drain",    # rank blocked: draining for an imminent REF
-    "refsb-drain",  # bank blocked: draining for an imminent REFsb
-    "ref-busy",     # rank unavailable (tRFC/tRFC_sb in flight)
-    "row-keepalive",  # conflicting open row kept open for queued hits
-    "other",        # no single gate identified (e.g. engine back-off)
+from repro.sim.audit import CommandAuditor
+from repro.sim.config import SystemConfig
+from repro.sim.oracle import oracle_for_config
+
+#: Stall reasons that come from the scheduler, not a timing rule: the
+#: command bus, the REF/REFsb drains and the open-row keep-alive.
+POLICY_REASONS = ("cmd-bus", "ref-drain", "refsb-drain", "row-keepalive")
+#: A stall nothing explains: the scheduler waited longer than the rules
+#: require.
+UNBOUND = "unbound"
+_TABLE = oracle_for_config(SystemConfig()).table
+#: The rule ids ``earliest`` can name (they do not depend on the timing
+#: values or the refresh mode).
+TIMING_REASONS = tuple(
+    rule.rule_id
+    for rule in (*_TABLE.pair_rules, *_TABLE.window_rules, *_TABLE.bus_rules)
 )
+STALL_REASONS = (*POLICY_REASONS, UNBOUND, *TIMING_REASONS)
 
 #: Decision vocabulary reported by the refresh engines.
 DECISION_KINDS = ("postpone", "pull-forward", "ride", "pair", "sb-promote")
@@ -77,71 +80,43 @@ class SimTracer:
         #: ACT commands per (rank, bank) — the bank-utilization summary.
         self.bank_acts: Counter = Counter()
         self.end_cycle = 0
+        #: The oracle's replay of the command stream, asked about stalls.
+        self.oracle = oracle_for_config(mc.config)
+        self.auditor = mc.auditor or CommandAuditor(mc)
+        for rec in self.auditor.records:
+            self.oracle.feed(rec)
+        self.auditor.subscribers.append(self._on_records)
 
     # ------------------------------------------------------------------
     def _emit(self, cycle: int, name: str, cat: str, args: dict) -> None:
         self._events.append((cycle, name, cat, args))
         self.events_total += 1
 
-    def _command(self, cycle: int, name: str, args: dict) -> None:
+    def _on_records(self, records: tuple) -> None:
+        """One issue primitive's records: feed the oracle and emit one
+        command event, named from the records' tags."""
+        first, last = records[0], records[-1]
+        args = {"rank": first.rank}
+        if first.bank is not None:
+            args["bank"] = first.bank
+        if last.tag == "hira2":
+            name = "HIRA_ACT"
+            args.update(refresh_row=first.row, target_row=last.row, eff=last.cycle)
+        elif last.tag == "close":
+            name = "HIRA_PAIR" if records[-2].tag == "hira2" else "SOLO_REF"
+            args["close"] = last.cycle
+        else:
+            name = first.kind
+            if name == "ACT":
+                args["row"] = first.row
+        for rec in records:
+            self.oracle.feed(rec)
+            if rec.kind == "ACT":
+                self.bank_acts[(rec.rank, rec.bank)] += 1
         self.command_counts[name] += 1
         mc = self.mc
         self.queue_depth_hist[len(mc.read_q) + len(mc.write_q)] += 1
-        self._emit(cycle, name, "cmd", args)
-
-    # ------------------------------------------------------------------
-    # Command hooks (auditor signatures; see sim/controller.py call sites)
-    # ------------------------------------------------------------------
-    def on_act(self, now: int, rank: int, bank: int, row: int) -> None:
-        self.bank_acts[(rank, bank)] += 1
-        self._command(now, "ACT", {"rank": rank, "bank": bank, "row": row})
-
-    def on_pre(self, now: int, rank: int, bank: int) -> None:
-        self._command(now, "PRE", {"rank": rank, "bank": bank})
-
-    def on_ref(self, now: int, rank: int) -> None:
-        self._command(now, "REF", {"rank": rank})
-
-    def on_refsb(self, now: int, rank: int, bank: int) -> None:
-        self._command(now, "REFSB", {"rank": rank, "bank": bank})
-
-    def on_col(self, now: int, rank: int, bank: int, is_write: bool) -> None:
-        name = "WR" if is_write else "RD"
-        self._command(now, name, {"rank": rank, "bank": bank})
-
-    def on_solo_refresh(self, now: int, rank: int, bank: int, close: int) -> None:
-        self.bank_acts[(rank, bank)] += 1
-        self._command(
-            now, "SOLO_REF", {"rank": rank, "bank": bank, "close": close}
-        )
-
-    def on_hira_op(
-        self,
-        now: int,
-        rank: int,
-        bank: int,
-        refresh_row: int | None,
-        target_row: int | None,
-        eff: int,
-        close: int | None = None,
-    ) -> None:
-        self.bank_acts[(rank, bank)] += 2
-        if close is None:
-            self._command(
-                now,
-                "HIRA_ACT",
-                {
-                    "rank": rank,
-                    "bank": bank,
-                    "refresh_row": refresh_row,
-                    "target_row": target_row,
-                    "eff": eff,
-                },
-            )
-        else:
-            self._command(
-                now, "HIRA_PAIR", {"rank": rank, "bank": bank, "close": close}
-            )
+        self._emit(first.cycle, name, "cmd", args)
 
     # ------------------------------------------------------------------
     # Refresh-engine decision hook
@@ -160,14 +135,11 @@ class SimTracer:
     def on_stall(self, now: int) -> None:
         """Called when a cycle's schedule pass issued nothing.
 
-        Re-derives the scheduler's legality checks for every bank head of
-        each demand queue (read-only) and records the binding gate with
-        the earliest release cycle.  Idle cycles (no demand queued) are
-        not stalls and record nothing.  With a tracer armed, ``schedule``
-        leaves its ``_progress_at`` memo unset, so the system loop visits
-        the controller on every cycle: ``stall_counts`` count stalled
-        cycles, not loop visits.  Results stay identical, because the
-        loop's outcome never depends on which cycles it visits.
+        Records the reason of the bank head that releases first (ties go
+        to the older head); idle cycles (no demand queued) record
+        nothing.  An armed tracer keeps ``schedule``'s ``_progress_at``
+        memo unset, so the loop visits every cycle and ``stall_counts``
+        count stalled cycles, not loop visits; results stay identical.
         """
         mc = self.mc
         if not mc.read_q and not mc.write_q:
@@ -182,85 +154,51 @@ class SimTracer:
         for queue in order:
             if not queue:
                 continue
-            found = self._classify_queue(queue, now)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
+            is_write = queue is mc.write_q
+            bank_q = mc._bank_q_write if is_write else mc._bank_q_read
+            hit = mc._hit_write if is_write else mc._hit_read
+            # Oldest head first, so ties go to queue order as in the scheduler.
+            for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq):
+                found = self._head_wait(dq[0], is_write, hit, now)
+                if found is not None and (best is None or found[0] < best[0]):
+                    best = found
         if best is None:
-            self._stall(now, "other", -1, -1, now + 1)
+            self._stall(now, UNBOUND, -1, -1, now + 1)
         else:
             until, reason, rank, bank = best
             self._stall(now, reason, rank, bank, until)
 
     def _stall(self, now: int, reason: str, rank: int, bank: int, until: int) -> None:
         self.stall_counts[reason] += 1
-        self._emit(
-            now,
-            "stall",
-            "stall",
-            {"reason": reason, "rank": rank, "bank": bank, "until": until},
-        )
+        args = {"reason": reason, "rank": rank, "bank": bank, "until": until}
+        self._emit(now, "stall", "stall", args)
 
-    def _classify_queue(self, queue, now: int):
-        """Binding gate over the queue's bank heads (the ones the
-        scheduler's FCFS pass reads): (until, reason, rank, bank) of the
-        earliest-releasing blocked head, or None."""
-        mc = self.mc
-        is_write_q = queue is mc.write_q
-        burst_offset = mc.tcwl_c if is_write_q else mc.tcl_c
-        data_free = mc.data_bus_free_at(is_write_q)
-        bus_blocked = now + burst_offset < data_free
-        best = None
-        bank_q = mc._bank_q_write if is_write_q else mc._bank_q_read
-        # Oldest head first, so ties go to queue order as in the scheduler.
-        for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq):
-            addr = dq[0].addr
-            rank, bank_id, row = addr.rank, addr.bank, addr.row
-            found = self._classify_candidate(
-                queue, rank, bank_id, row, now, bus_blocked, data_free, burst_offset
-            )
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
-        return best
-
-    def _classify_candidate(
-        self, queue, rank, bank_id, row, now, bus_blocked, data_free, burst_offset
-    ):
+    def _head_wait(self, head, is_write: bool, hit: set, now: int):
+        """(until, reason, rank, bank) for a bank head that cannot issue
+        at ``now``, or None.  The head's next command follows from the
+        bank's open row: RD/WR to it, ACT to a closed bank, else PRE."""
         mc = self.mc
         ta = mc._ta
-        g = rank * mc.banks_per_rank + bank_id
+        rank, g = head.rank, head.gbank
+        bank = g - rank * mc.banks_per_rank
         if rank in mc.blocked_ranks:
             ready = ta.ref_ready[rank]
-            until = ready if ready > now else now + 1
-            return (until, "ref-drain", rank, bank_id)
-        if (rank, bank_id) in mc.blocked_banks:
+            return (ready if ready > now else now + 1, "ref-drain", rank, bank)
+        if (rank, bank) in mc.blocked_banks:
             until = max(now + 1, ta.next_act[g], ta.next_refsb[rank])
-            return (until, "refsb-drain", rank, bank_id)
-        if now < ta.busy_until[rank]:
-            return (ta.busy_until[rank], "ref-busy", rank, bank_id)
+            return (until, "refsb-drain", rank, bank)
         open_row = ta.open_row[g]
-        if open_row == row:
-            if bus_blocked:
-                reason = (
-                    "data-bus" if now + burst_offset < mc.data_bus_next else "turnaround"
-                )
-                return (data_free - burst_offset, reason, rank, bank_id)
-            if now < ta.next_rdwr[g]:
-                return (ta.next_rdwr[g], "trcd", rank, bank_id)
-            return None  # issuable row hit: some other gate stalled the pass
-        if open_row < 0:
-            if now < ta.next_act[g]:
-                return (ta.next_act[g], "bank-timing", rank, bank_id)
-            if not mc.faw_ok(rank, now):
-                return (mc.faw_next(rank), "tfaw", rank, bank_id)
-            if not mc.trrd_ok(rank, bank_id, now):
-                until = max(ta.next_act_any[rank], mc._group_gate_at(rank, bank_id))
-                return (until, "trrd", rank, bank_id)
-            return None  # issuable ACT
-        # Conflicting open row.
-        if now < ta.next_pre[g]:
-            return (ta.next_pre[g], "pre-timing", rank, bank_id)
-        if mc._row_hit_waiting(queue, rank, bank_id, open_row):
-            return (now + 1, "row-keepalive", rank, bank_id)
+        if open_row == head.row:
+            kind = "WR" if is_write else "RD"
+        elif open_row < 0:
+            kind = "ACT"
+        else:
+            kind = "PRE"
+        until, rule = self.oracle.earliest(kind, rank, bank)
+        if until > now:
+            return (until, rule, rank, bank)
+        if kind == "PRE" and g in hit:
+            return (now + 1, "row-keepalive", rank, bank)
         return None
 
     # ------------------------------------------------------------------
@@ -328,7 +266,8 @@ def trace_json(payload: dict) -> str:
 
 
 def attach_tracers(system, capacity: int = 65536) -> list[SimTracer]:
-    """Arm one :class:`SimTracer` per controller (cf. ``attach_auditors``)."""
+    """Arm one :class:`SimTracer` per controller; each subscribes to the
+    controller's auditor (cf. ``attach_auditors``)."""
     return [SimTracer(mc, capacity=capacity) for mc in system.controllers]
 
 
@@ -337,8 +276,9 @@ def validate_chrome_trace(payload: dict) -> list[str]:
 
     Checks the Chrome trace-event object-format contract (traceEvents
     list of instant events with integer ``ts``) plus this tracer's own
-    guarantees: known categories, stall reasons from the fixed
-    vocabulary, ``until`` strictly after the stall cycle, and
+    guarantees: known categories, stall reasons from
+    :data:`STALL_REASONS` (a policy reason, ``unbound`` or a timing rule
+    id), ``until`` strictly after the stall cycle, and
     non-decreasing timestamps (events are recorded in cycle order).
     """
     problems: list[str] = []

@@ -32,6 +32,8 @@ class CommandRecord:
     ``"hira2"`` for the engineered second ACT of a HiRA operation,
     ``"hira-pre"`` for its internal PRE, ``"refresh"`` for refresh ACTs,
     and ``"close"`` for the deferred PRE closing a refresh operation.
+    ``hira2`` and ``close`` records carry a later cycle than the command
+    that issued them (see ``repro.sim.oracle.AHEAD_TAGS``).
     ``RD``/``WR`` column accesses feed the tRTP/tWR and data-bus rules.
     """
 
@@ -44,36 +46,51 @@ class CommandRecord:
 
 
 class CommandAuditor:
-    """Records one controller's command stream for the timing oracle."""
+    """Records one controller's command stream: its one command log.
+
+    A second auditor on the same controller raises ``ValueError``.  Each
+    of :attr:`subscribers` is called with the records of every issue
+    primitive, as it issues (the sim tracer subscribes).
+    """
 
     def __init__(self, mc):
+        if mc.auditor is not None:
+            raise ValueError(f"channel {mc.channel_id} already has an auditor")
         self.mc = mc
         mc.auditor = self
         self.records: list[CommandRecord] = []
+        self.subscribers: list = []
+
+    def _log(self, *records: CommandRecord) -> None:
+        self.records += records
+        for notify in self.subscribers:
+            notify(records)
 
     # ------------------------------------------------------------------
     # Hooks called by the controller's issue primitives
     # ------------------------------------------------------------------
     def on_act(self, now: int, rank: int, bank: int, row: int) -> None:
-        self.records.append(CommandRecord(now, "ACT", rank, bank, row))
+        self._log(CommandRecord(now, "ACT", rank, bank, row))
 
     def on_pre(self, now: int, rank: int, bank: int) -> None:
-        self.records.append(CommandRecord(now, "PRE", rank, bank))
+        self._log(CommandRecord(now, "PRE", rank, bank))
 
     def on_ref(self, now: int, rank: int) -> None:
-        self.records.append(CommandRecord(now, "REF", rank))
+        self._log(CommandRecord(now, "REF", rank))
 
     def on_refsb(self, now: int, rank: int, bank: int) -> None:
-        self.records.append(CommandRecord(now, "REFSB", rank, bank))
+        self._log(CommandRecord(now, "REFSB", rank, bank))
 
     def on_col(self, now: int, rank: int, bank: int, is_write: bool) -> None:
         # Both directions are recorded: WR feeds the tWR check, RD feeds
         # tRTP, and both feed the channel data-bus occupancy check.
-        self.records.append(CommandRecord(now, "WR" if is_write else "RD", rank, bank))
+        self._log(CommandRecord(now, "WR" if is_write else "RD", rank, bank))
 
     def on_solo_refresh(self, now: int, rank: int, bank: int, close: int) -> None:
-        self.records.append(CommandRecord(now, "ACT", rank, bank, tag="refresh"))
-        self.records.append(CommandRecord(close, "PRE", rank, bank, tag="close"))
+        self._log(
+            CommandRecord(now, "ACT", rank, bank, tag="refresh"),
+            CommandRecord(close, "PRE", rank, bank, tag="close"),
+        )
 
     def on_hira_op(
         self,
@@ -86,11 +103,14 @@ class CommandAuditor:
         close: int | None = None,
     ) -> None:
         """One ACT-PRE-ACT HiRA sequence (refresh-access or refresh-refresh)."""
-        self.records.append(CommandRecord(now, "ACT", rank, bank, refresh_row, "refresh"))
-        self.records.append(CommandRecord(now, "PRE", rank, bank, tag="hira-pre"))
-        self.records.append(CommandRecord(eff, "ACT", rank, bank, target_row, "hira2"))
+        records = [
+            CommandRecord(now, "ACT", rank, bank, refresh_row, "refresh"),
+            CommandRecord(now, "PRE", rank, bank, tag="hira-pre"),
+            CommandRecord(eff, "ACT", rank, bank, target_row, "hira2"),
+        ]
         if close is not None:
-            self.records.append(CommandRecord(close, "PRE", rank, bank, tag="close"))
+            records.append(CommandRecord(close, "PRE", rank, bank, tag="close"))
+        self._log(*records)
 
     # ------------------------------------------------------------------
     # Interchange
@@ -172,5 +192,6 @@ def records_from_log(payload: dict) -> list[CommandRecord]:
 
 
 def attach_auditors(system) -> list[CommandAuditor]:
-    """One auditor per memory controller of a built ``System``."""
-    return [CommandAuditor(mc) for mc in system.controllers]
+    """One auditor per memory controller of a built ``System``: the one
+    already attached (say, by a tracer) where there is one."""
+    return [mc.auditor or CommandAuditor(mc) for mc in system.controllers]

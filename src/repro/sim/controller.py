@@ -483,12 +483,13 @@ class MemoryController:
         self._progress_at = 0
         self.stats = ControllerStats()
         self.completions: list[tuple[int, Request]] = []
-        #: Optional :class:`repro.sim.audit.CommandAuditor` observing the
-        #: logical command stream (attach via ``CommandAuditor(mc)``).
+        #: Optional :class:`repro.sim.audit.CommandAuditor`: the one hook
+        #: the issue primitives test, and the channel's only command log
+        #: (attach via ``CommandAuditor(mc)``).
         self.auditor = None
-        #: Optional :class:`repro.obs.tracer.SimTracer` recording the
-        #: deterministic cycle-stamped event stream (attach via
-        #: ``SimTracer(mc)``); pure observation, like the auditor.
+        #: Optional :class:`repro.obs.tracer.SimTracer` for the events that
+        #: are not commands: engine decisions, stalls and run end (it reads
+        #: commands from the auditor).  Pure observation, like the auditor.
         self.tracer = None
         self.engine = engine
         engine.attach(self)
@@ -506,11 +507,6 @@ class MemoryController:
         self._epoch += 1
         self._progress_at = 0
 
-    def _group_gate_at(self, rank: int, bank_id: int) -> int:
-        return self._ta.group_gate[
-            rank * self.bankgroups_per_rank + bank_id // self.banks_per_bankgroup
-        ]
-
     def first_open_bank(self, rank: int) -> int | None:
         b_open = self._ta.open_row
         base = rank * self.banks_per_rank
@@ -518,10 +514,6 @@ class MemoryController:
             if b_open[base + bank_id] >= 0:
                 return bank_id
         return None
-
-    def faw_ok(self, rank: int, now: int) -> bool:
-        faw = self._ta.faw[rank]
-        return len(faw) < 4 or now - faw[0] >= self.tfaw_c
 
     def recent_acts(self, rank: int, now: int) -> int:
         """Activations to the rank inside the current tFAW window."""
@@ -544,20 +536,6 @@ class MemoryController:
         """
         return self.recent_acts(rank, now) <= 2
 
-    def faw_next(self, rank: int) -> int:
-        faw = self._ta.faw[rank]
-        return faw[0] + self.tfaw_c if len(faw) >= 4 else 0
-
-    def trrd_ok(self, rank: int, bank_id: int, now: int) -> bool:
-        """Whether an ACT to the bank respects tRRD_S (any bank) and
-        tRRD_L (same bank group)."""
-        ta = self._ta
-        if now < ta.next_act_any[rank]:
-            return False
-        return now >= ta.group_gate[
-            rank * self.bankgroups_per_rank + bank_id // self.banks_per_bankgroup
-        ]
-
     def act_allowed_at(self, rank: int, bank_id: int) -> int:
         """Earliest cycle the bank's next ACT satisfies every rank gate.
 
@@ -574,9 +552,9 @@ class MemoryController:
         fold into it must be added to every inline copy.  (tRTP feeds
         ``next_pre`` and the DDR5 REFsb busy window feeds ``next_act``
         directly at issue time, so both are already visible everywhere;
-        the tRTW/tWTR turnaround is a *column* gate, carried by
-        ``data_bus_free_at`` in the issue path and the queue wake
-        candidates.)
+        the tRTW/tWTR turnaround is a *column* gate, folded into the FR
+        pass's data-bus gate in ``_schedule_queues``.)  Stall attribution
+        keeps no copy: the tracer asks the timing oracle's ``earliest``.
         """
         ta = self._ta
         gate = ta.next_act[rank * self.banks_per_rank + bank_id]
@@ -619,20 +597,6 @@ class MemoryController:
         """
         return self.recent_acts(rank, now) / 4.0
 
-    def data_bus_free_at(self, is_write: bool) -> int:
-        """Earliest cycle a burst in the given direction may start.
-
-        The channel data bus frees at ``data_bus_next``; a burst in the
-        opposite direction to the previous one additionally waits out the
-        bus turnaround (tRTW after a read, tWTR after a write).  With
-        ``trtw = twtr = 0`` this is exactly ``data_bus_next``.
-        """
-        free = self.data_bus_next
-        last_write = self._data_bus_last_write
-        if last_write is not None and last_write != is_write:
-            free += self.twtr_c if last_write else self.trtw_c
-        return free
-
     def demand_waiting(self, rank: int, bank_id: int) -> bool:
         """Whether any queued demand request targets the bank.
 
@@ -661,8 +625,6 @@ class MemoryController:
         self.stats.pres += 1
         if self.auditor is not None:
             self.auditor.on_pre(now, rank, bank_id)
-        if self.tracer is not None:
-            self.tracer.on_pre(now, rank, bank_id)
 
     def issue_act(self, rank: int, bank_id: int, row: int, now: int) -> None:
         ta = self._ta
@@ -682,8 +644,6 @@ class MemoryController:
         self.stats.row_misses += 1
         if self.auditor is not None:
             self.auditor.on_act(now, rank, bank_id, row)
-        if self.tracer is not None:
-            self.tracer.on_act(now, rank, bank_id, row)
 
     def issue_hira_act(self, rank: int, bank_id: int, refresh_row: int, target_row: int, now: int) -> None:
         """ACT(refresh_row), PRE, ACT(target_row): refresh-access HiRA.
@@ -714,8 +674,6 @@ class MemoryController:
         self.stats.hira_access_parallelized += 1
         if self.auditor is not None:
             self.auditor.on_hira_op(now, rank, bank_id, refresh_row, target_row, eff)
-        if self.tracer is not None:
-            self.tracer.on_hira_op(now, rank, bank_id, refresh_row, target_row, eff)
 
     def issue_hira_refresh_pair(self, rank: int, bank_id: int, now: int) -> None:
         """Refresh two rows with one HiRA operation (refresh-refresh).
@@ -745,10 +703,6 @@ class MemoryController:
             self.auditor.on_hira_op(
                 now, rank, bank_id, None, None, now + self.hira_gap_c, close=close
             )
-        if self.tracer is not None:
-            self.tracer.on_hira_op(
-                now, rank, bank_id, None, None, now + self.hira_gap_c, close=close
-            )
 
     def issue_solo_refresh(self, rank: int, bank_id: int, now: int) -> None:
         """Refresh one row with a nominal ACT + PRE pair."""
@@ -771,8 +725,6 @@ class MemoryController:
         self.stats.solo_refreshes += 1
         if self.auditor is not None:
             self.auditor.on_solo_refresh(now, rank, bank_id, close)
-        if self.tracer is not None:
-            self.tracer.on_solo_refresh(now, rank, bank_id, close)
 
     def issue_ref(self, rank_id: int, now: int) -> None:
         """Rank-level REF: the whole rank is unavailable for tRFC."""
@@ -798,8 +750,6 @@ class MemoryController:
         self.stats.refs += 1
         if self.auditor is not None:
             self.auditor.on_ref(now, rank_id)
-        if self.tracer is not None:
-            self.tracer.on_ref(now, rank_id)
 
     def issue_refsb(self, rank_id: int, bank_id: int, now: int) -> None:
         """DDR5-style same-bank refresh: one bank unavailable for tRFC_sb.
@@ -825,8 +775,6 @@ class MemoryController:
         self.stats.refs_sb += 1
         if self.auditor is not None:
             self.auditor.on_refsb(now, rank_id, bank_id)
-        if self.tracer is not None:
-            self.tracer.on_refsb(now, rank_id, bank_id)
 
     # ------------------------------------------------------------------
     # Request intake
@@ -1017,7 +965,8 @@ class MemoryController:
             # its oldest hit, so the min-seq head over ready banks is the
             # queue-order pick.
             if hit:
-                # data_bus_free_at, inlined (hot scan).
+                # Earliest burst start: the bus frees at data_bus_next,
+                # plus tRTW/tWTR after a burst in the other direction.
                 free = data_bus_next
                 if last_write is not None and last_write != is_write_q:
                     free += self.twtr_c if last_write else self.trtw_c
@@ -1071,8 +1020,8 @@ class MemoryController:
                 orow = b_open[g]
                 if orow < 0:
                     # act_allowed_at, inlined (hot scan), plus the
-                    # rank-busy gate; <= now replicates
-                    # next_act/faw_ok/trrd_ok/busy.
+                    # rank-busy gate: tRC/tRP/refresh busy, tFAW,
+                    # tRRD_S/tRRD_L and tRFC in one fold.
                     gate = b_act[g]
                     c = act_floor[rank]
                     if c > gate:
@@ -1115,14 +1064,6 @@ class MemoryController:
                 self.engine.on_demand_act(best, now)
                 return _ISSUED
         return wake
-
-    def _row_hit_waiting(self, queue: list[Request], rank: int, bank_id: int, row: int) -> bool:
-        """Whether a queued request still targets the open row (keep it open).
-
-        O(1): per-(bank, row) hit deques are maintained at
-        enqueue/dequeue for each queue."""
-        row_q = self._row_q_read if queue is self.read_q else self._row_q_write
-        return (rank * self.banks_per_rank + bank_id, row) in row_q
 
     def _issue_column_access(self, queue: list[Request], req: Request, now: int) -> None:
         queue.remove(req)  # identity comparison: Request has eq=False
@@ -1182,5 +1123,3 @@ class MemoryController:
         self.stats.row_hits += 1
         if self.auditor is not None:
             self.auditor.on_col(now, rank, bank_id, req.is_write)
-        if self.tracer is not None:
-            self.tracer.on_col(now, rank, bank_id, req.is_write)

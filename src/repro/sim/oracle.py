@@ -27,6 +27,11 @@ tREFI = 3.904 µs, tCCD = 8 tCK, tZQCS = 90 ns.  This module generates
 the analogous DDR4/DDR5 table from ``TimingParams`` instead of
 hard-coding any standard's numbers.
 
+Replay is incremental (:meth:`TimingOracle.feed`), and the same state
+answers :meth:`TimingOracle.earliest` — when a command may next issue
+and which rule binds — so one rule implementation both judges a stream
+and explains the simulation tracer's stalls.
+
 Rule classes
 ============
 
@@ -60,8 +65,11 @@ configurations later (see ROADMAP "standards matrix").
 
 from __future__ import annotations
 
+import bisect
+import copy
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 #: Maximum REF-to-REF gap DDR4 allows (8 postponed commands ⇒ 9 × tREFI).
 REF_DEBIT_LIMIT = 9
@@ -73,6 +81,13 @@ SAME_CHANNEL_BUS = "same-channel-bus"
 DATA_BUS_DIRECTION = "data-bus-direction"
 
 _FAR_PAST = -1 << 60
+_FAR_FUTURE = 1 << 60
+_CYCLE = attrgetter("cycle")
+_START = itemgetter(0)
+
+#: Tags of records stamped later than their issue: HiRA's second ACT
+#: (issue + t1 + t2) and the deferred PRE closing a refresh operation.
+AHEAD_TAGS = ("hira2", "close")
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,165 +455,199 @@ def build_rule_table(
 
 
 class TimingOracle:
-    """Replays a command log against a :class:`RuleTable`.
+    """One replay of a command log against a :class:`RuleTable`.
 
     Records are duck-typed: anything with ``cycle``, ``kind``, ``rank``,
     ``bank``, ``row`` and ``tag`` attributes works (the auditor's
-    :class:`repro.sim.audit.CommandRecord` does).
+    :class:`repro.sim.audit.CommandRecord` does).  :meth:`feed` judges
+    a record against the pair, state and window rules, then applies it;
+    :meth:`finish` adds the end-of-stream bus and cadence checks;
+    :meth:`earliest` asks the same state when a command may next issue.
     """
 
     def __init__(self, table: RuleTable):
         self.table = table
-        self._by_curr: dict[str, list[PairRule]] = {}
+        self._by_curr: dict[str, list[tuple[PairRule, str]]] = {}
         for rule in table.pair_rules:
-            self._by_curr.setdefault(rule.curr, []).append(rule)
+            self._by_curr.setdefault(rule.curr, []).append((rule, rule.rule_id))
         self._bus: dict[tuple[str, str], BusRule] = {
             (rule.prev, rule.curr): rule for rule in table.bus_rules
         }
+        self.violations: list[Violation] = []
+        # Most recent record of each kind per (scope, key).
+        self._last: dict[tuple, object] = {}
+        self._open: dict[tuple[int, int], bool] = {}
+        self._faw: dict[int, deque] = {}
+        #: (burst start, record), kept in start order.
+        self._bursts: list[tuple[int, object]] = []
+        self._cadence_first: dict[tuple[str, object], int] = {}
+        self._cadence_last: dict[tuple[str, object], int] = {}
+        #: Held records (:data:`AHEAD_TAGS`), in (cycle, arrival) order.
+        self._ahead: list = []
+        #: This state with every held record applied (see :meth:`earliest`).
+        self._settled: TimingOracle | None = None
+        self._end: int | None = None
 
     # ------------------------------------------------------------------
-    def _scope_key(self, rec, scope: str):
+    def _scope_key(self, rank: int, bank: int | None, scope: str):
         if scope == SAME_RANK:
-            return rec.rank
-        if rec.bank is None:
+            return rank
+        if bank is None:
             return None
         if scope == SAME_BANK:
-            return (rec.rank, rec.bank)
-        return (rec.rank, rec.bank // self.table.banks_per_bankgroup)
+            return (rank, bank)
+        return (rank, bank // self.table.banks_per_bankgroup)
 
-    def check(self, records) -> list[Violation]:
-        """Every rule violation in the stream, in replay order."""
+    def feed(self, rec) -> None:
+        """Judge and apply one record (records come in issue order).  One
+        tagged in :data:`AHEAD_TAGS` is held until a record at or past its
+        cycle arrives, which is where a cycle-sorted replay applies it."""
+        self._settled = None
+        if rec.tag in AHEAD_TAGS:
+            bisect.insort(self._ahead, rec, key=_CYCLE)
+        else:
+            self._catch_up(rec.cycle)
+            self._apply(rec)
+
+    def _catch_up(self, cycle: int) -> None:
+        ahead = self._ahead
+        while ahead and ahead[0].cycle <= cycle:
+            self._apply(ahead.pop(0))
+
+    def _apply(self, rec) -> None:
         table = self.table
-        violations: list[Violation] = []
-        # Most recent record of each kind per (scope, key).
-        last: dict[tuple, object] = {}
-        open_banks: dict[tuple[int, int], bool] = {}
-        faw: dict[int, deque] = {}
-        bursts: list[tuple[int, object]] = []
-        cadence_first: dict[tuple[str, object], int] = {}
-        cadence_last: dict[tuple[str, object], int] = {}
-        recs = sorted(records, key=lambda r: r.cycle)
+        violations = self.violations
+        last = self._last
+        open_banks = self._open
+        kind = rec.kind
+        # -- pair rules ------------------------------------------------
+        for rule, rule_id in self._by_curr.get(kind, ()):
+            if rec.tag in rule.exempt_tags:
+                continue
+            key = self._scope_key(rec.rank, rec.bank, rule.scope)
+            if key is None:
+                continue
+            prev = last.get((rule.prev, rule.scope, key))
+            if prev is not None and rec.cycle - prev.cycle < rule.min_delay:
+                violations.append(Violation(
+                    rule_id, rec.cycle,
+                    f"{rule_id} violation: {kind} @{rec.cycle} only "
+                    f"{rec.cycle - prev.cycle} < {rule.min_delay} cycles "
+                    f"after {rule.prev} @{prev.cycle} "
+                    f"(rank {rec.rank}, bank {rec.bank})",
+                    prev, rec,
+                ))
+        # -- state + window rules --------------------------------------
+        if kind == "ACT":
+            bank_key = (rec.rank, rec.bank)
+            if rec.tag == "hira2":
+                prev_act = last.get(("ACT", SAME_BANK, bank_key))
+                gap = (
+                    rec.cycle - prev_act.cycle
+                    if prev_act is not None else None
+                )
+                if gap != table.hira_gap:
+                    violations.append(Violation(
+                        f"hira-gap(ACT)@{SAME_BANK}", rec.cycle,
+                        f"hira-gap violation: engineered second ACT gap "
+                        f"{gap} != t1+t2 ({table.hira_gap}) on bank "
+                        f"{bank_key}",
+                        prev_act, rec,
+                    ))
+            if open_banks.get(bank_key, False):
+                violations.append(Violation(
+                    f"open-bank(ACT)@{SAME_BANK}", rec.cycle,
+                    f"ACT @{rec.cycle} to already-open bank {bank_key}",
+                    last.get(("ACT", SAME_BANK, bank_key)), rec,
+                ))
+            open_banks[bank_key] = True
+            window = self._faw.setdefault(rec.rank, deque())
+            rule = table.window_rules[0]
+            if (
+                len(window) >= rule.max_count
+                and rec.cycle - window[0] < rule.window
+            ):
+                violations.append(Violation(
+                    rule.rule_id, rec.cycle,
+                    f"{rule.rule_id} violation: {rule.max_count + 1} ACTs "
+                    f"within {rec.cycle - window[0]} < {rule.window} "
+                    f"cycles on rank {rec.rank}",
+                    None, rec,
+                ))
+            window.append(rec.cycle)
+            if len(window) > rule.max_count:
+                window.popleft()
+        elif kind == "PRE":
+            open_banks[(rec.rank, rec.bank)] = False
+        elif kind in ("RD", "WR"):
+            bank_key = (rec.rank, rec.bank)
+            if not open_banks.get(bank_key, False):
+                violations.append(Violation(
+                    f"closed-bank({kind})@{SAME_BANK}", rec.cycle,
+                    f"{kind} @{rec.cycle} to bank {bank_key} with no "
+                    f"open row",
+                    None, rec,
+                ))
+            start = rec.cycle + self._burst_offset(kind)
+            bisect.insort(self._bursts, (start, rec), key=_START)
+        elif kind == "REFSB":
+            bank_key = (rec.rank, rec.bank)
+            if open_banks.get(bank_key, False):
+                violations.append(Violation(
+                    f"refsb-open-bank(REFSB)@{SAME_BANK}", rec.cycle,
+                    f"REFSB @{rec.cycle} to open bank {bank_key}",
+                    last.get(("ACT", SAME_BANK, bank_key)), rec,
+                ))
+        elif kind == "REF":
+            still_open = [
+                key for key, is_open in open_banks.items()
+                if key[0] == rec.rank and is_open
+            ]
+            if still_open:
+                violations.append(Violation(
+                    f"ref-open-bank(REF)@{SAME_RANK}", rec.cycle,
+                    f"REF @{rec.cycle} to rank {rec.rank} with open "
+                    f"banks {still_open}",
+                    None, rec,
+                ))
+            for key in open_banks:
+                if key[0] == rec.rank:
+                    open_banks[key] = False
+        # -- cadence max-gap rules -------------------------------------
+        for rule in table.cadence_rules:
+            if rule.kind != kind:
+                continue
+            key = self._scope_key(rec.rank, rec.bank, rule.scope)
+            ck = (rule.rule_id, key)
+            prev_cycle = self._cadence_last.get(ck)
+            if prev_cycle is not None and rec.cycle - prev_cycle > rule.max_gap:
+                violations.append(Violation(
+                    rule.rule_id, rec.cycle,
+                    f"{rule.rule_id} violation: {rec.cycle - prev_cycle} "
+                    f"cycles since the previous {kind} "
+                    f"(limit {rule.max_gap}) at {rule.scope} key {key}",
+                    None, rec,
+                ))
+            self._cadence_first.setdefault(ck, rec.cycle)
+            self._cadence_last[ck] = rec.cycle
+        # -- bookkeeping -----------------------------------------------
+        for scope in (SAME_BANK, SAME_BANK_GROUP, SAME_RANK):
+            key = self._scope_key(rec.rank, rec.bank, scope)
+            if key is not None:
+                last[(kind, scope, key)] = rec
+        self._end = rec.cycle
 
-        for rec in recs:
-            kind = rec.kind
-            # -- pair rules --------------------------------------------
-            for rule in self._by_curr.get(kind, ()):
-                if rec.tag in rule.exempt_tags:
-                    continue
-                key = self._scope_key(rec, rule.scope)
-                if key is None:
-                    continue
-                prev = last.get((rule.prev, rule.scope, key))
-                if prev is not None and rec.cycle - prev.cycle < rule.min_delay:
-                    violations.append(Violation(
-                        rule.rule_id, rec.cycle,
-                        f"{rule.rule_id} violation: {kind} @{rec.cycle} only "
-                        f"{rec.cycle - prev.cycle} < {rule.min_delay} cycles "
-                        f"after {rule.prev} @{prev.cycle} "
-                        f"(rank {rec.rank}, bank {rec.bank})",
-                        prev, rec,
-                    ))
-            # -- state + window rules ----------------------------------
-            if kind == "ACT":
-                bank_key = (rec.rank, rec.bank)
-                if rec.tag == "hira2":
-                    prev_act = last.get(("ACT", SAME_BANK, bank_key))
-                    gap = (
-                        rec.cycle - prev_act.cycle
-                        if prev_act is not None else None
-                    )
-                    if gap != table.hira_gap:
-                        violations.append(Violation(
-                            f"hira-gap(ACT)@{SAME_BANK}", rec.cycle,
-                            f"hira-gap violation: engineered second ACT gap "
-                            f"{gap} != t1+t2 ({table.hira_gap}) on bank "
-                            f"{bank_key}",
-                            prev_act, rec,
-                        ))
-                if open_banks.get(bank_key, False):
-                    violations.append(Violation(
-                        f"open-bank(ACT)@{SAME_BANK}", rec.cycle,
-                        f"ACT @{rec.cycle} to already-open bank {bank_key}",
-                        last.get(("ACT", SAME_BANK, bank_key)), rec,
-                    ))
-                open_banks[bank_key] = True
-                window = faw.setdefault(rec.rank, deque())
-                rule = table.window_rules[0]
-                if (
-                    len(window) >= rule.max_count
-                    and rec.cycle - window[0] < rule.window
-                ):
-                    violations.append(Violation(
-                        rule.rule_id, rec.cycle,
-                        f"{rule.rule_id} violation: {rule.max_count + 1} ACTs "
-                        f"within {rec.cycle - window[0]} < {rule.window} "
-                        f"cycles on rank {rec.rank}",
-                        None, rec,
-                    ))
-                window.append(rec.cycle)
-                if len(window) > rule.max_count:
-                    window.popleft()
-            elif kind == "PRE":
-                open_banks[(rec.rank, rec.bank)] = False
-            elif kind in ("RD", "WR"):
-                bank_key = (rec.rank, rec.bank)
-                if not open_banks.get(bank_key, False):
-                    violations.append(Violation(
-                        f"closed-bank({kind})@{SAME_BANK}", rec.cycle,
-                        f"{kind} @{rec.cycle} to bank {bank_key} with no "
-                        f"open row",
-                        None, rec,
-                    ))
-                offset = table.tcwl if kind == "WR" else table.tcl
-                bursts.append((rec.cycle + offset, rec))
-            elif kind == "REFSB":
-                bank_key = (rec.rank, rec.bank)
-                if open_banks.get(bank_key, False):
-                    violations.append(Violation(
-                        f"refsb-open-bank(REFSB)@{SAME_BANK}", rec.cycle,
-                        f"REFSB @{rec.cycle} to open bank {bank_key}",
-                        last.get(("ACT", SAME_BANK, bank_key)), rec,
-                    ))
-            elif kind == "REF":
-                still_open = [
-                    key for key, is_open in open_banks.items()
-                    if key[0] == rec.rank and is_open
-                ]
-                if still_open:
-                    violations.append(Violation(
-                        f"ref-open-bank(REF)@{SAME_RANK}", rec.cycle,
-                        f"REF @{rec.cycle} to rank {rec.rank} with open "
-                        f"banks {still_open}",
-                        None, rec,
-                    ))
-                for key in open_banks:
-                    if key[0] == rec.rank:
-                        open_banks[key] = False
-            # -- cadence max-gap rules ---------------------------------
-            for rule in table.cadence_rules:
-                if rule.kind != kind:
-                    continue
-                key = self._scope_key(rec, rule.scope)
-                ck = (rule.rule_id, key)
-                prev_cycle = cadence_last.get(ck)
-                if prev_cycle is not None and rec.cycle - prev_cycle > rule.max_gap:
-                    violations.append(Violation(
-                        rule.rule_id, rec.cycle,
-                        f"{rule.rule_id} violation: {rec.cycle - prev_cycle} "
-                        f"cycles since the previous {kind} "
-                        f"(limit {rule.max_gap}) at {rule.scope} key {key}",
-                        None, rec,
-                    ))
-                cadence_first.setdefault(ck, rec.cycle)
-                cadence_last[ck] = rec.cycle
-            # -- bookkeeping -------------------------------------------
-            for scope in (SAME_BANK, SAME_BANK_GROUP, SAME_RANK):
-                key = self._scope_key(rec, scope)
-                if key is not None:
-                    last[(kind, scope, key)] = rec
+    def _burst_offset(self, kind: str) -> int:
+        return self.table.tcwl if kind == "WR" else self.table.tcl
 
-        # -- data-bus occupancy + turnaround, in burst-start order ------
-        bursts.sort(key=lambda item: item[0])
+    def finish(self) -> list[Violation]:
+        """Apply every held record; return all violations so far plus the
+        end-of-stream checks (bus pairs in burst-start order, cadence
+        endpoints)."""
+        self._catch_up(_FAR_FUTURE)
+        table = self.table
+        violations = list(self.violations)
+        bursts = self._bursts
         for (start0, rec0), (start1, rec1) in zip(bursts, bursts[1:]):
             rule = self._bus.get((rec0.kind, rec1.kind))
             if rule is not None and start1 - start0 < rule.min_delay:
@@ -611,49 +660,98 @@ class TimingOracle:
                     f"({rec1.rank},{rec1.bank}))",
                     rec0, rec1,
                 ))
-
-        # -- cadence endpoints (starvation at the stream bounds) --------
-        if recs:
-            end = recs[-1].cycle
-            for rule in table.cadence_rules:
-                if not rule.check_endpoints:
-                    continue
-                if rule.scope == SAME_RANK:
-                    keys = list(range(table.n_ranks))
-                else:
-                    keys = [
-                        (rank, bank)
-                        for rank in range(table.n_ranks)
-                        for bank in range(table.banks_per_rank)
-                    ]
-                for key in keys:
-                    ck = (rule.rule_id, key)
-                    first = cadence_first.get(ck)
-                    if first is None:
-                        if end > rule.max_gap:
-                            violations.append(Violation(
-                                rule.rule_id, end,
-                                f"{rule.rule_id} violation: no {rule.kind} "
-                                f"issued in {end} cycles at {rule.scope} "
-                                f"key {key} (limit {rule.max_gap})",
-                            ))
-                        continue
-                    if first > rule.max_gap:
-                        violations.append(Violation(
-                            rule.rule_id, first,
-                            f"{rule.rule_id} violation: first {rule.kind} "
-                            f"only at {first} at {rule.scope} key {key} "
-                            f"(limit {rule.max_gap})",
-                        ))
-                    gap = end - cadence_last[ck]
-                    if gap > rule.max_gap:
+        end = self._end
+        if end is None:
+            return violations
+        for rule in table.cadence_rules:
+            if not rule.check_endpoints:
+                continue
+            if rule.scope == SAME_RANK:
+                keys = list(range(table.n_ranks))
+            else:
+                keys = [
+                    (rank, bank)
+                    for rank in range(table.n_ranks)
+                    for bank in range(table.banks_per_rank)
+                ]
+            for key in keys:
+                ck = (rule.rule_id, key)
+                first = self._cadence_first.get(ck)
+                if first is None:
+                    if end > rule.max_gap:
                         violations.append(Violation(
                             rule.rule_id, end,
-                            f"{rule.rule_id} violation: no {rule.kind} in "
-                            f"the last {gap} cycles at {rule.scope} key "
-                            f"{key} (limit {rule.max_gap})",
+                            f"{rule.rule_id} violation: no {rule.kind} "
+                            f"issued in {end} cycles at {rule.scope} "
+                            f"key {key} (limit {rule.max_gap})",
                         ))
+                    continue
+                if first > rule.max_gap:
+                    violations.append(Violation(
+                        rule.rule_id, first,
+                        f"{rule.rule_id} violation: first {rule.kind} "
+                        f"only at {first} at {rule.scope} key {key} "
+                        f"(limit {rule.max_gap})",
+                    ))
+                gap = end - self._cadence_last[ck]
+                if gap > rule.max_gap:
+                    violations.append(Violation(
+                        rule.rule_id, end,
+                        f"{rule.rule_id} violation: no {rule.kind} in "
+                        f"the last {gap} cycles at {rule.scope} key "
+                        f"{key} (limit {rule.max_gap})",
+                    ))
         return violations
+
+    def fork(self) -> "TimingOracle":
+        """An independent copy of this replay state, for trial feeds."""
+        twin = copy.copy(self)
+        for name in (
+            "violations", "_last", "_open", "_bursts", "_cadence_first",
+            "_cadence_last", "_ahead",
+        ):
+            setattr(twin, name, copy.copy(getattr(self, name)))
+        twin._faw = {rank: deque(window) for rank, window in self._faw.items()}
+        return twin
+
+    # ------------------------------------------------------------------
+    def earliest(self, kind: str, rank: int, bank: int) -> tuple[int, str | None]:
+        """The earliest cycle a ``kind`` command to ``(rank, bank)`` adds no
+        pair, window or data-bus violation, and the binding rule's id
+        (ties go to the earlier rule; ``(_FAR_PAST, None)`` if none
+        binds).  Held records count: only their cycle has not come."""
+        if self._ahead and self._settled is None:
+            self._settled = self.fork()
+            self._settled._catch_up(_FAR_FUTURE)
+        state = self._settled if self._ahead else self
+        bounds = []
+        for rule, rule_id in self._by_curr.get(kind, ()):
+            key = self._scope_key(rank, bank, rule.scope)
+            prev = state._last.get((rule.prev, rule.scope, key))
+            if prev is not None:
+                bounds.append((prev.cycle + rule.min_delay, rule_id))
+        if kind == "ACT":
+            rule = self.table.window_rules[0]
+            window = state._faw.get(rank, ())
+            if len(window) >= rule.max_count:
+                bounds.append((window[0] + rule.window, rule.rule_id))
+        elif kind in ("RD", "WR") and state._bursts:
+            start, prev = state._bursts[-1]
+            rule = self._bus.get((prev.kind, kind))
+            if rule is not None:
+                start += rule.min_delay - self._burst_offset(kind)
+                bounds.append((start, rule.rule_id))
+        return max(bounds, key=itemgetter(0), default=(_FAR_PAST, None))
+
+    # ------------------------------------------------------------------
+    def check(self, records) -> list[Violation]:
+        """Every rule violation in the stream, in replay order: the
+        records replayed in ``(cycle, arrival)`` order through a fresh
+        state (this instance's own state is untouched)."""
+        replay = TimingOracle(self.table)
+        for rec in sorted(records, key=_CYCLE):
+            replay.feed(rec)
+        return replay.finish()
 
     def check_messages(self, records) -> list[str]:
         """The violations as strings (one per violation)."""

@@ -38,6 +38,7 @@ checked live by
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import heapq
@@ -319,13 +320,42 @@ def test_every_entry_has_a_pinned_zero_turnaround_twin():
         assert stripped == GOLDENS[name]["config"]
 
 
+def _turnaround_stalls(tracer) -> tuple[int, int]:
+    """(direction-rule stalls, those waiting past the data bus alone).
+
+    A stall charged to a direction-change rule (``tBL+tRTW`` or
+    ``tBL+tWTR``) waits on the previous burst.  Its turnaround is how
+    far its release lies past that burst's tBL occupancy; the rule still
+    exists with ``trtw = 0``, so only this wait says whether the
+    turnaround gate bound.
+    """
+    mc = tracer.mc
+    bursts = [
+        (r.cycle, r.cycle + (mc.tcwl_c if r.kind == "WR" else mc.tcl_c))
+        for r in tracer.auditor.records
+        if r.kind in ("RD", "WR")
+    ]
+    issued = [cycle for cycle, __ in bursts]
+    direction = late = 0
+    for cycle, __, cat, args in tracer._events:
+        if cat != "stall" or not args["reason"].endswith("@data-bus-direction"):
+            continue
+        direction += 1
+        curr = args["reason"].split("->")[1].split(")")[0]
+        prev_start = bursts[bisect.bisect_left(issued, cycle) - 1][1]
+        start = args["until"] + (mc.tcwl_c if curr == "WR" else mc.tcl_c)
+        late += start - prev_start > mc.tbl_c
+    return direction, late
+
+
 def test_zeroturn_traced_runs_record_no_turnaround_stall():
     """With ``trtw = twtr = 0`` the turnaround gate never binds.
 
-    Every pinned ``-zeroturn`` config runs traced (short budget): no
-    stall may be attributed to a tRTW/tWTR direction change.  Its live
-    sibling, with turnaround on, must record some, or the check would be
-    vacuous.
+    Every pinned ``-zeroturn`` config runs traced (short budget).  Its
+    direction-rule stalls (the rules still exist, with delay tBL) must
+    all release exactly when the previous burst's tBL ends: none waits
+    out a turnaround.  Its live sibling, with turnaround on, must record
+    some that do, or the check would be vacuous.
     """
     turnaround = {}
     for name, entry in sorted(GOLDENS.items()):
@@ -335,13 +365,15 @@ def test_zeroturn_traced_runs_record_no_turnaround_stall():
             system = build_system({**GOLDENS[twin], "instr_budget": 2000})
             tracers = attach_tracers(system)
             system.run()
-            turnaround[twin] = sum(t.stall_counts["turnaround"] for t in tracers)
+            counts = [_turnaround_stalls(t) for t in tracers]
+            turnaround[twin] = tuple(map(sum, zip(*counts)))
     assert turnaround, "no pinned -zeroturn entries"
-    for name, stalls in turnaround.items():
+    for name, (direction, late) in turnaround.items():
         if name.endswith("-zeroturn"):
-            assert stalls == 0, f"{name}: {stalls} turnaround stalls"
+            assert direction > 0, f"{name}: no direction-rule stall to judge"
+            assert late == 0, f"{name}: {late} turnaround stalls"
         else:
-            assert stalls > 0, f"{name}: turnaround never stalled"
+            assert late > 0, f"{name}: turnaround never stalled"
 
 
 # ----------------------------------------------------------------------

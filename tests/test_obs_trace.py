@@ -25,6 +25,7 @@ from repro.obs.tracer import (
 )
 from repro.orchestrator import result_to_dict
 from repro.orchestrator.execute import TRACE_DIR_ENV
+from repro.sim.audit import CommandAuditor, attach_auditors
 from repro.sim.config import SystemConfig
 from repro.sim.controller import MemoryController, NoRefreshEngine
 from repro.sim.request import Request
@@ -102,6 +103,64 @@ def test_command_counts_match_controller_stats():
         assert n["RD"] == stats.reads_served
         assert n["WR"] == stats.writes_served
         assert n["REF"] == stats.refs
+        # The compound names come from the auditor records' tags.
+        assert (
+            n["PRE"] + n["HIRA_ACT"] + 2 * n["HIRA_PAIR"] + n["SOLO_REF"]
+            == stats.pres
+        )
+        assert n["SOLO_REF"] == stats.solo_refreshes
+        assert n["HIRA_ACT"] == stats.hira_access_parallelized
+        assert n["HIRA_PAIR"] == stats.hira_refresh_parallelized
+        assert n["HIRA_PAIR"] and n["SOLO_REF"]
+
+
+def test_compound_commands_are_named_from_record_tags():
+    mc = MemoryController(0, SystemConfig(refresh_mode="none"), NoRefreshEngine())
+    tracer = SimTracer(mc)
+    gap = mc.hira_gap_c
+    mc.issue_hira_act(0, 0, 7, 9, 0)
+    mc.issue_hira_refresh_pair(0, 4, 100)
+    mc.issue_solo_refresh(0, 8, 200)
+    mc.issue_act(0, 12, 3, 300)
+    assert [(cycle, name, args) for cycle, name, __, args in tracer._events] == [
+        (0, "HIRA_ACT", {"rank": 0, "bank": 0, "refresh_row": 7,
+                         "target_row": 9, "eff": gap}),
+        (100, "HIRA_PAIR", {"rank": 0, "bank": 4, "close": 100 + gap + mc.tras_c}),
+        (200, "SOLO_REF", {"rank": 0, "bank": 8, "close": 200 + mc.tras_c}),
+        (300, "ACT", {"rank": 0, "bank": 12, "row": 3}),
+    ]
+    assert tracer.bank_acts == {(0, 0): 2, (0, 4): 2, (0, 8): 1, (0, 12): 1}
+
+
+@pytest.mark.parametrize("tracer_first", [True, False], ids=["tracer-first", "auditor-first"])
+def test_tracer_and_auditor_share_one_command_log(tracer_first):
+    config = SystemConfig(refresh_mode="hira", tref_slack_acts=2)
+    system = System(config, mix_for(0, cores=config.cores), seed=5, instr_budget=BUDGET)
+    if tracer_first:
+        tracers = attach_tracers(system)
+        auditors = attach_auditors(system)
+    else:
+        auditors = attach_auditors(system)
+        tracers = attach_tracers(system)
+    result = system.run()
+    for mc, tracer, auditor, stats in zip(
+        system.controllers, tracers, auditors, result.controller_stats
+    ):
+        assert mc.auditor is auditor is tracer.auditor
+        assert auditor.subscribers == [tracer._on_records]
+        assert sum(r.kind == "ACT" for r in auditor.records) == stats.acts
+        assert sum(tracer.bank_acts.values()) == stats.acts
+        assert auditor.violations() == []
+
+
+def test_second_auditor_on_a_controller_is_rejected():
+    mc = MemoryController(0, SystemConfig(refresh_mode="none"), NoRefreshEngine())
+    first = CommandAuditor(mc)
+    with pytest.raises(ValueError, match="already has an auditor"):
+        CommandAuditor(mc)
+    assert mc.auditor is first
+    tracer = SimTracer(mc)
+    assert tracer.auditor is first
 
 
 def test_stalls_and_decisions_use_known_vocabulary():
@@ -135,17 +194,22 @@ def test_ring_buffer_bounds_events_but_not_counters():
 
 
 def test_stall_attribution_reads_every_bank_head():
-    """The binding gate is found among all bank heads, not a queue prefix.
+    """The binding rule is found among all bank heads, not a queue prefix.
 
-    Eight reads wait on a bank that opens late; a ninth, behind them in
-    the queue, waits on a bank that opens earlier.  The stall must name
-    the ninth read's bank and its earlier release cycle.
+    Eight reads wait on a bank precharged late; a ninth, behind them in
+    the queue, waits on a bank precharged earlier.  Both wait out tRP
+    after real PRE commands.  The stall must name the ninth read's bank
+    and its earlier release cycle.
     """
     mc = MemoryController(0, SystemConfig(refresh_mode="none"), NoRefreshEngine())
     tracer = SimTracer(mc)
-    mc._ta.next_act[0] = 500
-    mc._ta.next_act[1] = 300
-    mc.mark_dirty()
+    act1 = mc.trrd_l_c  # banks 0 and 1 share a bank group
+    pre1 = act1 + mc.trc_c
+    pre0 = pre1 + 4
+    mc.issue_act(0, 0, 100, 0)
+    mc.issue_act(0, 1, 100, act1)
+    mc.issue_pre(0, 1, pre1)
+    mc.issue_pre(0, 0, pre0)
     for i, bank in enumerate([0] * 8 + [1]):
         mc.enqueue(
             Request(
@@ -153,11 +217,12 @@ def test_stall_attribution_reads_every_bank_head():
                 line=i, is_write=False, core_id=0, arrival_cycle=0,
             )
         )
-    assert not mc.schedule(100)
-    assert tracer.stall_counts == {"bank-timing": 1}
+    assert not mc.schedule(pre0 + 1)
+    assert tracer.stall_counts == {"tRP(PRE->ACT)@same-bank": 1}
     __, name, __, args = tracer._events[-1]
     assert name == "stall"
-    assert (args["bank"], args["until"]) == (1, 300)
+    assert (args["bank"], args["until"]) == (1, pre1 + mc.trp_c)
+    assert pre1 + mc.trp_c < pre0 + mc.trp_c
 
 
 def test_summary_reports_histograms():

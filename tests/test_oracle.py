@@ -9,13 +9,21 @@ oracle's messages for the same records.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.audit import CommandAuditor, attach_auditors, records_from_log
+from repro.sim.audit import (
+    CommandAuditor,
+    CommandRecord,
+    attach_auditors,
+    records_from_log,
+)
 from repro.sim.config import SystemConfig
 from repro.sim.oracle import (
+    AHEAD_TAGS,
     RuleTable,
     TimingOracle,
     build_rule_table,
@@ -425,3 +433,103 @@ class TestLogInterchange:
             n_ranks=config.ranks_per_channel,
         )
         assert via_cycles == via_params
+
+
+# ----------------------------------------------------------------------
+# The incremental replay: feed / earliest / check
+# ----------------------------------------------------------------------
+_STREAM_CONFIGS = {
+    "baseline": dict(refresh_mode="baseline"),
+    "elastic-sb": dict(refresh_mode="elastic", refresh_granularity="same_bank"),
+    "hira": dict(refresh_mode="hira", tref_slack_acts=2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _legal_stream(name: str, seed: int):
+    """A controller-issued (hence legal) command stream, in issue order."""
+    config = SystemConfig(**_STREAM_CONFIGS[name], cores=2)
+    mix = [
+        TraceProfile(f"e{seed}-{i}", mpki=30.0, row_locality=0.4,
+                     read_fraction=0.6, working_set_rows=1024)
+        for i in range(2)
+    ]
+    system = System(config, mix, seed=seed, instr_budget=20_000)
+    auditors = attach_auditors(system)
+    assert system.run().finished
+    return config, tuple(auditors[0].records)
+
+
+class TestIncrementalReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_STREAM_CONFIGS)),
+        seed=st.integers(min_value=0, max_value=2),
+        cut=st.floats(min_value=0.0, max_value=1.0),
+        kind=st.sampled_from(["ACT", "PRE", "RD", "WR"]),
+        bank=st.integers(min_value=0, max_value=15),
+    )
+    def test_earliest_is_tight(self, name, seed, cut, kind, bank):
+        """At the returned cycle the command breaks no pair, window or bus
+        rule; one cycle earlier it breaks the rule ``earliest`` named."""
+        config, records = _legal_stream(name, seed)
+        # Cut between issue primitives, so held (ahead-stamped) records
+        # of the last operations are still pending.
+        boundaries = [
+            i for i, r in enumerate(records) if r.tag not in AHEAD_TAGS
+        ] + [len(records)]
+        prefix = records[: boundaries[int(cut * (len(boundaries) - 1))]]
+        replay = oracle_for_config(config)
+        for rec in prefix:
+            replay.feed(rec)
+        timing_ids = {
+            r.rule_id for r in (*replay.table.pair_rules,
+                                *replay.table.window_rules,
+                                *replay.table.bus_rules)
+        }
+
+        def broken(at: int) -> set[str]:
+            trial = replay.fork()
+            probe = CommandRecord(at, kind, 0, bank)
+            trial.feed(probe)
+            return {
+                v.rule for v in trial.finish()
+                if v.curr is probe and v.rule in timing_ids
+            }
+
+        cycle, rule = replay.earliest(kind, 0, bank)
+        if rule is None:
+            assert broken(0) == set()
+            return
+        assert broken(cycle) == set()
+        assert rule in broken(cycle - 1)
+
+    def test_earliest_counts_held_records(self):
+        mc, auditor, oracle = _setup(mode="hira")
+        eff = 1000 + mc.hira_gap_c
+        close = eff + mc.tras_c
+        auditor.on_hira_op(1000, 0, 0, 7, 9, eff, close=close)
+        for rec in auditor.records:
+            oracle.feed(rec)
+        # Neither the second ACT nor the closing PRE has been applied ...
+        assert oracle.earliest("ACT", 0, 0) == (close + mc.trp_c, "tRP(PRE->ACT)@same-bank")
+        # ... yet both count: the rank's next ACT waits tRRD_S after eff.
+        assert oracle.earliest("ACT", 0, 8) == (eff + mc.trrd_s_c, "tRRD_S(ACT->ACT)@same-rank")
+        assert oracle.finish() == []
+
+    def test_check_replays_through_a_fresh_state(self):
+        mc, auditor, oracle = _setup()
+        auditor.on_act(1000, 0, 0, 5)
+        auditor.on_act(1000 + mc.trrd_s_c - 1, 0, 4, 6)
+        auditor.on_col(1000 + mc.trcd_c, 0, 0, is_write=False)
+        first = oracle.check(auditor.records)
+        assert first and oracle.check(auditor.records) == first
+        # The instance's own (live) replay state is untouched by check().
+        assert oracle.earliest("ACT", 0, 0) == (-1 << 60, None)
+
+    def test_live_feed_matches_check(self):
+        config, records = _legal_stream("hira", 0)
+        replay = oracle_for_config(config)
+        for rec in records:
+            replay.feed(rec)
+        assert replay.finish() == replay.check(records) == []

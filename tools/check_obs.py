@@ -4,20 +4,19 @@ Four passes, mirroring ``check_lint.py``'s clean + planted-mutation
 pattern so the gate cannot rot into a vacuous green check:
 
 1. **Traced pass** — armed runs across refresh modes must export valid
-   Chrome trace-event JSON whose command events all cross-check against
-   the independent :class:`~repro.sim.audit.CommandAuditor` log, whose
-   aggregate counters reproduce the ``ControllerStats`` identities, and
-   whose stall attributions are consistent with the audit log: no
-   command was issued on a cycle attributed as stalled, every ``tfaw``
-   stall has four ACTs inside the rank's tFAW window, and every
-   ``ref-busy`` stall sits inside a REF's tRFC busy window.
+   Chrome trace-event JSON whose aggregate counters reproduce the
+   ``ControllerStats`` identities (the compound command names come from
+   the auditor records' tags), and whose rule-named stalls are tight
+   under the oracle's judging path: replaying the commands issued
+   before the stall, the stalled command at ``until`` breaks no pair,
+   window or bus rule, and at ``until - 1`` breaks the named one.
 2. **Disarmed A/B** — the same seeded run with and without tracers must
    produce bit-identical results (the tracer is pure observation).
 3. **Determinism** — two independent armed runs must export
    byte-identical trace files.
-4. **Vacuousness guard** — a planted mutation (the controller's ACT
-   trace hook deleted from a copied tree) must make the traced pass
-   fail; if it doesn't, the cross-checks aren't checking anything.
+4. **Vacuousness guard** — a planted mis-attribution (the oracle's
+   ``earliest`` naming the loosest rule instead of the binding one, in
+   a copied tree) must make the traced pass fail.
 
 Usage::
 
@@ -55,11 +54,13 @@ CONFIGS = (
 
 INSTR_BUDGET = 6_000
 SEED = 7
+#: Rule-named stalls judged per channel (evenly spaced; each costs two
+#: trial replays).
+STALLS_JUDGED = 500
 
 
-def _run_system(overrides: dict, *, trace: bool, audit: bool):
+def _run_system(overrides: dict, *, trace: bool):
     from repro.obs.tracer import attach_tracers
-    from repro.sim.audit import attach_auditors
     from repro.sim.config import SystemConfig
     from repro.sim.system import System
     from repro.workloads.mixes import mix_for
@@ -70,54 +71,7 @@ def _run_system(overrides: dict, *, trace: bool, audit: bool):
         instr_budget=INSTR_BUDGET,
     )
     tracers = attach_tracers(system) if trace else []
-    auditors = attach_auditors(system) if audit else []
-    result = system.run()
-    return system, tracers, auditors, result
-
-
-def _audit_index(auditor):
-    """(cycle, kind, rank) and (cycle, kind, rank, bank) lookup sets."""
-    by_rank = set()
-    by_bank = set()
-    cycles = set()
-    for rec in auditor.records:
-        by_rank.add((rec.cycle, rec.kind, rec.rank))
-        if rec.bank is not None:
-            by_bank.add((rec.cycle, rec.kind, rec.rank, rec.bank))
-        cycles.add(rec.cycle)
-    return by_rank, by_bank, cycles
-
-
-def _check_commands_against_audit(label, tracer, auditor) -> list[str]:
-    """Every ring-buffer command event must match an audit record."""
-    problems = []
-    by_rank, by_bank, _ = _audit_index(auditor)
-    for cycle, name, cat, args in tracer._events:
-        if cat != "cmd":
-            continue
-        rank = args.get("rank", -1)
-        bank = args.get("bank", -1)
-        if name in ("ACT", "PRE", "RD", "WR", "REFSB"):
-            if (cycle, name, rank, bank) not in by_bank:
-                problems.append(
-                    f"{label}: trace {name}@{cycle} r{rank}b{bank} "
-                    "has no audit record"
-                )
-        elif name == "REF":
-            if (cycle, "REF", rank) not in by_rank:
-                problems.append(
-                    f"{label}: trace REF@{cycle} r{rank} has no audit record"
-                )
-        elif name in ("SOLO_REF", "HIRA_ACT", "HIRA_PAIR"):
-            # The auditor decomposes these into ACT(+PRE) records.
-            if (cycle, "ACT", rank, bank) not in by_bank:
-                problems.append(
-                    f"{label}: trace {name}@{cycle} r{rank}b{bank} "
-                    "has no audit ACT record"
-                )
-        else:
-            problems.append(f"{label}: unknown command event {name!r}")
-    return problems
+    return tracers, system.run()
 
 
 def _check_identities(label, tracer, stats) -> list[str]:
@@ -128,11 +82,18 @@ def _check_identities(label, tracer, stats) -> list[str]:
         ("acts",
          n["ACT"] + 2 * n["HIRA_ACT"] + 2 * n["HIRA_PAIR"] + n["SOLO_REF"],
          stats.acts),
+        ("pres",
+         n["PRE"] + n["HIRA_ACT"] + 2 * n["HIRA_PAIR"] + n["SOLO_REF"],
+         stats.pres),
         ("refs", n["REF"], stats.refs),
         ("refs_sb", n["REFSB"], stats.refs_sb),
         ("reads_served", n["RD"], stats.reads_served),
         ("writes_served", n["WR"], stats.writes_served),
         ("solo_refreshes", n["SOLO_REF"], stats.solo_refreshes),
+        ("hira_access_parallelized", n["HIRA_ACT"],
+         stats.hira_access_parallelized),
+        ("hira_refresh_parallelized", n["HIRA_PAIR"],
+         stats.hira_refresh_parallelized),
     )
     for name, traced, actual in checks:
         if traced != actual:
@@ -143,55 +104,55 @@ def _check_identities(label, tracer, stats) -> list[str]:
     return problems
 
 
-def _check_stalls_against_audit(label, tracer, auditor, mc) -> list[str]:
-    """Stall attributions must be consistent with the audit log."""
-    problems = []
-    records = auditor.records
-    cmd_cycles = {
-        (cycle, name) for cycle, name, cat, __ in tracer._events if cat == "cmd"
-    }
-    cmd_only_cycles = {cycle for cycle, __ in cmd_cycles}
-    acts_by_rank: dict[int, list[int]] = {}
-    refs_by_rank: dict[int, list[int]] = {}
-    for rec in records:
-        if rec.kind == "ACT":
-            acts_by_rank.setdefault(rec.rank, []).append(rec.cycle)
-        elif rec.kind in ("REF", "REFSB"):
-            refs_by_rank.setdefault(rec.rank, []).append(rec.cycle)
-    for cycle, name, cat, args in tracer._events:
-        if cat != "stall":
-            continue
-        if cycle in cmd_only_cycles:
+def _check_stall_bounds(label, tracer) -> tuple[list[str], int]:
+    """Rule-named stalls must be tight under the oracle's judging path.
+
+    A fresh replay is fed the auditor's records up to each stall (every
+    primitive issued before it, held records included); a forked trial
+    then feeds the stalled command.  Judges up to :data:`STALLS_JUDGED`
+    stalls, evenly spaced; returns the problems and the number judged.
+    """
+    from repro.obs.tracer import TIMING_REASONS
+    from repro.sim.audit import CommandRecord
+    from repro.sim.oracle import AHEAD_TAGS, oracle_for_config
+
+    rules = set(TIMING_REASONS)
+    records = tracer.auditor.records
+    replay = oracle_for_config(tracer.mc.config)
+    stalls = [
+        (cycle, args) for cycle, __, cat, args in tracer._events
+        if cat == "stall" and args["reason"] in rules
+    ]
+    problems: list[str] = []
+    fed = judged = 0
+    for cycle, args in stalls[:: max(1, len(stalls) // STALLS_JUDGED)]:
+        while fed < len(records) and (
+            records[fed].tag in AHEAD_TAGS or records[fed].cycle < cycle
+        ):
+            replay.feed(records[fed])
+            fed += 1
+        reason, until = args["reason"], args["until"]
+        kind = reason.split("(")[1].split(")")[0].split("->")[-1]
+
+        def broken(at: int) -> set[str]:
+            trial = replay.fork()
+            probe = CommandRecord(at, kind, args["rank"], args["bank"])
+            trial.feed(probe)
+            return {
+                v.rule for v in trial.finish()
+                if v.curr is probe and v.rule in rules
+            }
+
+        judged += 1
+        late, early = broken(until), broken(until - 1)
+        if late or reason not in early:
             problems.append(
-                f"{label}: stall@{cycle} but a command issued that cycle"
+                f"{label}: stall@{cycle} names {reason} until {until} "
+                f"(r{args['rank']}b{args['bank']}), but the oracle judges "
+                f"{kind}@{until} breaking {sorted(late)} and "
+                f"{kind}@{until - 1} breaking {sorted(early)}"
             )
-        if args["until"] <= cycle:
-            problems.append(f"{label}: stall@{cycle} until={args['until']}")
-        reason = args["reason"]
-        rank = args["rank"]
-        if reason == "tfaw":
-            # A HiRA op records its second ACT at ``now + hira_gap_c``,
-            # so at stall time the FAW window can legitimately hold
-            # timestamps slightly in the future.
-            window = [
-                t for t in acts_by_rank.get(rank, ())
-                if cycle - mc.tfaw_c < t <= cycle + mc.hira_gap_c
-            ]
-            if len(window) < 4:
-                problems.append(
-                    f"{label}: tfaw stall@{cycle} r{rank} but only "
-                    f"{len(window)} ACTs in the tFAW window"
-                )
-        elif reason == "ref-busy":
-            covered = any(
-                t <= cycle < t + mc.trfc_c for t in refs_by_rank.get(rank, ())
-            )
-            if not covered:
-                problems.append(
-                    f"{label}: ref-busy stall@{cycle} r{rank} outside any "
-                    "REF's tRFC window"
-                )
-    return problems
+    return problems, judged
 
 
 def check_traced() -> int:
@@ -199,27 +160,24 @@ def check_traced() -> int:
 
     failures = 0
     for label, overrides in CONFIGS:
-        system, tracers, auditors, result = _run_system(
-            overrides, trace=True, audit=True
-        )
+        tracers, result = _run_system(overrides, trace=True)
         problems: list[str] = []
-        stall_total = 0
-        for tracer, auditor, mc, stats in zip(
-            tracers, auditors, system.controllers, result.controller_stats
-        ):
+        stall_total = judged = 0
+        for tracer, stats in zip(tracers, result.controller_stats):
             payload = tracer.export()
             problems += [
                 f"{label}: schema: {p}" for p in validate_chrome_trace(payload)
             ]
             json.loads(trace_json(payload))  # canonical form round-trips
-            problems += _check_commands_against_audit(label, tracer, auditor)
             problems += _check_identities(label, tracer, stats)
-            problems += _check_stalls_against_audit(label, tracer, auditor, mc)
+            bound_problems, n = _check_stall_bounds(label, tracer)
+            problems += bound_problems
+            judged += n
             stall_total += sum(tracer.stall_counts.values())
             if tracer.events_total == 0:
                 problems.append(f"{label}: tracer recorded no events")
-        if stall_total == 0:
-            problems.append(f"{label}: no stalls attributed (vacuous run?)")
+        if stall_total == 0 or judged == 0:
+            problems.append(f"{label}: no rule-named stalls (vacuous run?)")
         if problems:
             failures += 1
             print(f"traced pass [{label}]: FAIL")
@@ -228,7 +186,7 @@ def check_traced() -> int:
         else:
             events = sum(t.events_total for t in tracers)
             print(f"traced pass [{label}]: ok ({events} events, "
-                  f"{stall_total} stalls attributed)")
+                  f"{stall_total} stalls attributed, {judged} judged tight)")
     return failures
 
 
@@ -237,8 +195,8 @@ def check_disarmed_ab() -> int:
 
     failures = 0
     for label, overrides in CONFIGS:
-        __, __, __, armed = _run_system(overrides, trace=True, audit=False)
-        __, __, __, plain = _run_system(overrides, trace=False, audit=False)
+        __, armed = _run_system(overrides, trace=True)
+        __, plain = _run_system(overrides, trace=False)
         a = json.dumps(result_to_dict(armed), sort_keys=True)
         b = json.dumps(result_to_dict(plain), sort_keys=True)
         if a == b:
@@ -256,7 +214,7 @@ def check_determinism() -> int:
     for label, overrides in CONFIGS:
         exports = []
         for __ in range(2):
-            __, tracers, __, __ = _run_system(overrides, trace=True, audit=False)
+            tracers, __ = _run_system(overrides, trace=True)
             exports.append([trace_json(t.export()) for t in tracers])
         if exports[0] == exports[1]:
             print(f"determinism [{label}]: ok (byte-identical re-run)")
@@ -268,31 +226,33 @@ def check_determinism() -> int:
 
 
 def check_mutation() -> int:
-    """Delete the controller's ACT trace hook; the traced pass must fail."""
-    hook = (
-        "        if self.tracer is not None:\n"
-        "            self.tracer.on_act(now, rank, bank_id, row)\n"
-    )
+    """Plant a mis-attribution: ``earliest`` names the loosest rule
+    instead of the binding one.  The traced pass must fail."""
+    binding = "return max(bounds, key=itemgetter(0)"
     with tempfile.TemporaryDirectory(prefix="obsmut-") as tmp:
         tree = Path(tmp) / "repro"
         shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
-        path = tree / "sim" / "controller.py"
+        path = tree / "sim" / "oracle.py"
         text = path.read_text(encoding="utf-8")
-        if hook not in text:
-            print("mutation pass: FAIL — ACT trace hook not found to remove")
+        if binding not in text:
+            print("mutation pass: FAIL — earliest's binding-rule pick not "
+                  "found to plant")
             return 1
-        path.write_text(text.replace(hook, "", 1), encoding="utf-8")
+        path.write_text(
+            text.replace(binding, "return min(bounds, key=itemgetter(0)", 1),
+            encoding="utf-8",
+        )
         env = dict(os.environ, PYTHONPATH=tmp)
         proc = subprocess.run(
             [sys.executable, __file__, "--traced-only"],
             env=env, capture_output=True, text=True,
         )
-    if proc.returncode != 0:
-        print("mutation pass: ok (dropped ACT hook detected)")
+    if proc.returncode != 0 and "but the oracle judges" in proc.stdout:
+        print("mutation pass: ok (planted mis-attribution detected)")
         return 0
     print("mutation pass: FAIL — traced pass did not notice the planted "
           "mutation:")
-    print(proc.stdout)
+    print(proc.stdout + proc.stderr)
     return 1
 
 
