@@ -8,13 +8,18 @@ a wall clock, an unseeded RNG, process-dependent identity (``id()``,
 ``hash()`` under ``PYTHONHASHSEED``), or iterates a ``set`` whose order
 feeds scheduling decisions.
 
-Scope (:data:`SCOPE_DIRS` + :data:`SCOPE_FILES`): the simulator proper
-plus the orchestrator modules whose *output* must be deterministic.
+Scope (:data:`SCOPE_DIRS` + :data:`SCOPE_FILES`): the simulator proper,
+the orchestrator modules whose *output* must be deterministic, and the
+socket backend's dispatch policy (``orchestrator/backends/dispatch.py``),
+which must stay sans-I/O so the chaos suite can replay it in virtual
+time: its clock arrives as an argument and its RNG is passed in.
 Deliberately out of scope, because wall-clock use there is legitimate
-telemetry/timeouts and never feeds results: ``perf.py``,
+telemetry or I/O and never feeds results: ``perf.py``,
 ``orchestrator/runner.py`` (elapsed-seconds telemetry; grid assembly is
-index-keyed), ``orchestrator/backends/server.py`` and ``worker.py``
-(heartbeat/timeout plumbing).
+index-keyed), and the I/O layers around the dispatcher,
+``orchestrator/backends/server.py`` (it reads ``time.monotonic()`` and
+waits on the inbox until the dispatcher's next deadline) and
+``worker.py`` (heartbeats and reconnect backoff).
 
 The set-iteration sub-rule allows :data:`INT_KEYED_SETS`: sets keyed by
 ints/int-tuples iterate in a reproducible order on CPython because
@@ -42,6 +47,7 @@ SCOPE_FILES = (
     "orchestrator/sweep.py",
     "orchestrator/execute.py",
     "orchestrator/backends/protocol.py",
+    "orchestrator/backends/dispatch.py",
     # The sim tracer's exports must be byte-identical across runs and
     # backends; wall-clock telemetry lives in obs/fleet.py, out of scope.
     "obs/tracer.py",

@@ -11,10 +11,12 @@ its enclosing function, one of these holds:
    bound (the socket wakes with ``socket.timeout``);
 2. the call sits inside a ``try`` whose handlers catch ``socket.timeout``
    / ``TimeoutError`` (the function is written for a bound that an
-   earlier layer armed — e.g. the server arms ``heartbeat_timeout`` at
-   registration and ``_await_result`` handles the expiry);
+   earlier layer armed — e.g. ``run_session`` in the worker arms
+   ``welcome_timeout`` and treats its expiry as a phantom server);
 3. a ``blocking-ok:`` comment earlier in the function documents why an
-   unbounded wait is safe (e.g. TCP keepalive bounds a vanished peer).
+   unbounded wait is safe (e.g. TCP keepalive bounds a vanished peer, or
+   the server's dispatcher closes a connection gone silent past
+   ``heartbeat_timeout``, which wakes its reader).
 
 New protocol messages therefore cannot reintroduce an unbounded wait
 without either bounding it or writing down the justification where the

@@ -1,9 +1,9 @@
 """Observability: deterministic sim tracing, fleet metrics, phase profiling.
 
-Three surfaces, all strictly zero-cost when disarmed (the same
-discipline as :mod:`repro.orchestrator.faults`): a disarmed run executes
-the exact instruction stream of an uninstrumented one, so kernel goldens
-and the chaos suite stay bit-identical and the events/sec floor holds.
+Three surfaces, all strictly zero-cost when disarmed: a disarmed run
+executes the exact instruction stream of an uninstrumented one, so
+kernel goldens and the chaos suite stay bit-identical and the
+events/sec floor holds.
 
 - :mod:`repro.obs.tracer` — the deterministic cycle-stamped simulation
   tracer: command issues (read from the command auditor), refresh-engine

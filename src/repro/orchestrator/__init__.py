@@ -20,10 +20,11 @@ package turns that shape into infrastructure:
   store directory compute each point exactly once across sweeps.
 - :mod:`repro.orchestrator.pool` — :func:`parallel_map`, the generic
   order-preserving helper the chip-characterization experiments use.
-- :mod:`repro.orchestrator.faults` — deterministic fault injection for
-  the socket transport (seeded :class:`FaultPlan`) plus the shared
-  :class:`Backoff` schedule; the chaos suite (``tests/test_chaos.py``)
-  replays every distributed failure mode reproducibly.
+- :mod:`repro.orchestrator.backends.dispatch` — the socket backend's
+  dispatch policy as a pure state machine (retries, speculation,
+  quarantine, deadlines) plus the shared :class:`Backoff` schedule; the
+  chaos suite (``tests/test_chaos.py``) drives it in virtual time and
+  replays every fault schedule from its seed.
 - :mod:`repro.orchestrator.journal` — the append-only per-sweep journal
   behind ``repro sweep --resume`` (the store remains the authority; the
   journal reports progress and detects fingerprint drift).
@@ -42,8 +43,8 @@ from repro.orchestrator.backends import (
     WorkerPoolError,
     make_backend,
 )
+from repro.orchestrator.backends.dispatch import Backoff
 from repro.orchestrator.cache import ResultCache, result_from_dict, result_to_dict
-from repro.orchestrator.faults import Backoff, FaultEvent, FaultPlan, injected
 from repro.orchestrator.hashing import config_hash
 from repro.orchestrator.journal import JournalState, SweepJournal, journal_path_for
 from repro.orchestrator.pool import parallel_map
@@ -67,8 +68,6 @@ from repro.orchestrator.sweep import (
 __all__ = [
     "Backoff",
     "ExecutionBackend",
-    "FaultEvent",
-    "FaultPlan",
     "JournalState",
     "LocalPoolBackend",
     "NoWorkersRegistered",
@@ -87,7 +86,6 @@ __all__ = [
     "axis",
     "config_hash",
     "execute_point",
-    "injected",
     "journal_path_for",
     "make_backend",
     "mix_workloads",

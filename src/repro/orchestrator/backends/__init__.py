@@ -6,6 +6,8 @@
 - :mod:`~repro.orchestrator.backends.server` — :class:`SocketBackend` /
   :class:`JobServer`: a TCP job server dealing points to ``repro worker``
   daemons with registration, heartbeats, and retry-on-worker-death.
+- :mod:`~repro.orchestrator.backends.dispatch` — the job server's
+  dispatch policy as a pure state machine (no clock, thread or socket).
 - :mod:`~repro.orchestrator.backends.worker` — the worker daemon loop.
 - :mod:`~repro.orchestrator.backends.protocol` — the length-prefixed
   JSON job protocol and bit-exact ``SweepPoint`` serialization.

@@ -1,31 +1,28 @@
 """The TCP job server and the socket execution backend.
 
-:class:`JobServer` owns a listening socket and a thread per connected
-worker.  Workers register with a ``hello`` (carrying their source
-fingerprint — a mismatched worker is *rejected*, because results from a
-different simulator tree would break bit-identical assembly), then jobs
-are dealt from a shared queue.  A worker that dies mid-job — connection
-reset, clean EOF, or :attr:`heartbeat_timeout` seconds of silence — has
-its job re-queued for the remaining workers with seeded exponential
-backoff between attempts; a job that exhausts ``max_retries``
-re-dispatches, or a worker that reports a simulation *exception*, fails
-the whole sweep (the exception is deterministic — more retries cannot
-help).
+:class:`JobServer` is a thin I/O layer around the pure dispatch policy
+in :mod:`repro.orchestrator.backends.dispatch`.  It owns a listening
+socket and one reader thread per connection.  A reader admits its
+worker with a ``hello`` (carrying the worker's source fingerprint — a
+mismatched worker is *rejected*, because results from a different
+simulator tree would break bit-identical assembly), then only receives
+frames and posts them to one inbox.  Every policy decision runs on the
+:meth:`JobServer.stream` thread, which feeds each frame (or, when none
+arrives before the dispatcher's next deadline, a tick) to a
+:class:`~repro.orchestrator.backends.dispatch.Dispatcher` built for that
+stream, and carries out its actions: send a job, shut down or close a
+connection, yield a result, or raise.
 
-Hardening layers on top of that baseline:
+The policy itself — seeded retry backoff for jobs lost with their
+worker (EOF, reset, unreadable frame, or ``heartbeat_timeout`` seconds
+of silence), the ``max_retries`` budget, the fatal simulation error,
+straggler speculation (``job_deadline``), per-label quarantine, and the
+registration deadline — is documented on the dispatcher.  On top of it:
 
 - **Streaming results** — :meth:`JobServer.stream` yields each ``(index,
   result)`` the moment it lands, so the runner can persist completed
   points *before* the sweep finishes (crash-safety) and ``serve`` is just
   ``list(stream(...))``.
-- **Straggler re-dispatch** — with ``job_deadline`` set, a job still
-  in flight past the deadline is speculatively re-queued; whichever
-  result lands first wins and :meth:`_record` drops the duplicate (the
-  content-hash keyed store dedups on disk the same way).
-- **Worker quarantine** — a circuit breaker per worker label:
-  ``quarantine_threshold`` failures inside ``quarantine_window`` seconds
-  stop that worker from being dealt jobs until ``quarantine_cooldown``
-  passes (a flapping host can't chew through every job's retry budget).
 - **Graceful degradation** — :class:`SocketBackend` (non-``strict``)
   catches the zero-workers-registered failure and falls back to
   :class:`~repro.orchestrator.backends.base.LocalPoolBackend` with a
@@ -34,14 +31,12 @@ Hardening layers on top of that baseline:
 Determinism: the server only transports results.  Placement back into
 grid order happens in the runner keyed by each job's grid index, so the
 socket backend is bit-identical to serial execution no matter how many
-workers race, die, stall, or duplicate work.  The fault-injection layer
-(:mod:`repro.orchestrator.faults`) wraps accepted connections when a
-plan is armed — and is a no-op (one ``None`` check per connection)
-otherwise.
+workers race, die, stall, or duplicate work.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue
 import random
@@ -52,11 +47,28 @@ import threading
 import time
 from typing import Iterable, Iterator
 
-import repro.orchestrator.faults as faults
 from repro.orchestrator.backends.base import (
     ExecutionBackend,
     Jobs,
     LocalPoolBackend,
+)
+from repro.orchestrator.backends.dispatch import (
+    Assign,
+    Backoff,
+    Close,
+    Deliver,
+    Disconnect,
+    Dispatcher,
+    Error,
+    Fail,
+    Heartbeat,
+    Quarantine,
+    Register,
+    Requeue,
+    Result,
+    Shutdown,
+    Speculate,
+    Tick,
 )
 from repro.orchestrator.backends.protocol import (
     PROTOCOL_VERSION,
@@ -88,7 +100,7 @@ def _bind_listener(host: str, port: int, bind_timeout: float) -> socket.socket:
     sweep.
     """
     deadline = time.monotonic() + bind_timeout
-    backoff = faults.Backoff(base=0.05, cap=1.0, seed=port)
+    backoff = Backoff(0.05, 1.0, rng=random.Random(port), sleep=time.sleep)
     while True:
         try:
             return socket.create_server((host, port))
@@ -101,17 +113,30 @@ def _bind_listener(host: str, port: int, bind_timeout: float) -> socket.socket:
             backoff.sleep()
 
 
-class _Job:
-    __slots__ = ("index", "payload", "attempts", "not_before", "speculated")
+def frame_event(worker: int, message: dict | None):
+    """The dispatcher event one inbound frame stands for (``None``: the
+    connection ended).  An unknown frame type changes nothing."""
+    if message is None:
+        return Disconnect(worker)
+    kind = message.get("type")
+    if kind == "hello":
+        return Register(worker, str(message.get("worker", "?")))
+    if kind == "heartbeat":
+        return Heartbeat(worker)
+    if kind == "result":
+        return Result(worker, message.get("id"), message.get("result"))
+    if kind == "error":
+        return Error(worker, message.get("id"), str(message.get("error")))
+    return Tick()
 
-    def __init__(self, index: int, payload: dict):
-        self.index = index
-        self.payload = payload
-        self.attempts = 0
-        #: Earliest monotonic time this job may be dealt (retry backoff).
-        self.not_before = 0.0
-        #: True once a speculative copy has been re-queued (stragglers).
-        self.speculated = False
+
+def _hang_up(conn: socket.socket) -> None:
+    """End a connection from the stream thread; the reader thread that
+    owns the socket wakes on it, posts the disconnect and closes it."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already gone
 
 
 class JobServer:
@@ -149,20 +174,15 @@ class JobServer:
         self._sock = _bind_listener(host, port, bind_timeout)
         self.host, self.port = self._sock.getsockname()[:2]
         self._log(f"job server listening on {self.host}:{self.port}")
-        self._lock = threading.Lock()
-        self._jobs: queue.Queue[_Job] = queue.Queue()
-        self._ready: queue.Queue[tuple[int, SimResult]] = queue.Queue()
-        self._results: dict[int, SimResult] = {}
-        self._outstanding = 0
-        self._done = threading.Event()
-        self._fatal: str | None = None
-        self._closing = False
+        #: Every reader's frames in arrival order: ``(worker id, socket,
+        #: message)``, with ``None`` for a connection that ended.
+        self._inbox: queue.Queue = queue.Queue()
+        #: Registered connections of the running stream: id -> (socket, label).
+        self._live: dict[int, tuple[socket.socket, str]] = {}
+        #: Every open connection, for :meth:`close` (set add/discard and
+        #: the snapshot in close() are single atomic operations).
         self._conns: set = set()
         self.workers_seen = 0
-        #: Currently registered (welcomed, not yet departed) workers.
-        self._live_workers = 0
-        #: Jobs currently on a worker: id(job) -> (job, started, label).
-        self._inflight: dict[int, tuple[_Job, float, str]] = {}
         #: Telemetry: speculative re-dispatches, quarantine trips, retries.
         self.speculated = 0
         self.quarantined_total = 0
@@ -171,8 +191,6 @@ class JobServer:
         #: when set, job lifecycle and worker events are mirrored to it.
         #: Telemetry must never break the sweep, so every call is guarded.
         self.status = None
-        self._failures: dict[str, list[float]] = {}
-        self._quarantine_until: dict[str, float] = {}
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
         self._acceptor.start()
 
@@ -196,7 +214,7 @@ class JobServer:
         }
 
     # ------------------------------------------------------------------
-    # Serving
+    # Serving (the stream thread: every policy decision happens here)
     # ------------------------------------------------------------------
     def serve(self, jobs: Jobs) -> list[tuple[int, SimResult]]:
         """Execute every job on the registered workers; any-order results."""
@@ -213,319 +231,171 @@ class JobServer:
         jobs = list(jobs)
         if not jobs:
             return
-        with self._lock:
-            self._results.clear()
-            self._inflight.clear()
-            self._outstanding = len(jobs)
-            self._fatal = None
-            self._done.clear()
-            self._ready = queue.Queue()
-        ready = self._ready
-        while True:  # drain stale jobs left by an aborted previous run
-            try:
-                self._jobs.get_nowait()
-            except queue.Empty:
-                break
-        for index, point in jobs:
-            self._jobs.put(_Job(index, point_to_dict(point)))
-        delivered = 0
-        # The deadline re-arms while any worker is registered: it guards
-        # both "nobody ever showed up" and "every worker died mid-sweep"
-        # (without it, a re-queued job with no surviving worker would
-        # leave the stream waiting forever).
-        deadline = time.monotonic() + self.registration_timeout
-        while delivered < len(jobs):
-            if self._fatal is not None:
-                raise WorkerPoolError(self._fatal)
-            try:
-                index, result = ready.get(timeout=0.2)
-            except queue.Empty:
-                with self._lock:
-                    live = self._live_workers
-                if live > 0:
-                    deadline = time.monotonic() + self.registration_timeout
-                elif time.monotonic() > deadline:
-                    if self.workers_seen == 0:
-                        self._fatal = (
-                            f"no worker registered with {self.host}:"
-                            f"{self.port} within "
-                            f"{self.registration_timeout:.0f}s (start one "
-                            f"with `repro worker --host {self.host} "
-                            f"--port {self.port}`)"
-                        )
-                        raise NoWorkersRegistered(self._fatal)
-                    self._fatal = (
-                        f"all {self.workers_seen} registered workers left "
-                        f"{self.host}:{self.port} and none returned within "
-                        f"{self.registration_timeout:.0f}s; jobs remain "
-                        "unfinished"
+        dispatcher = Dispatcher(
+            [(index, point_to_dict(point)) for index, point in jobs],
+            time.monotonic(),
+            rng=self._retry_rng,
+            registration_timeout=self.registration_timeout,
+            heartbeat_timeout=self.heartbeat_timeout,
+            max_retries=self.max_retries,
+            job_deadline=self.job_deadline,
+            retry_backoff=self.retry_backoff,
+            quarantine_threshold=self.quarantine_threshold,
+            quarantine_window=self.quarantine_window,
+            quarantine_cooldown=self.quarantine_cooldown,
+        )
+        try:
+            while not dispatcher.finished:
+                now = time.monotonic()
+                wake = dispatcher.next_wake(now)
+                try:
+                    item = self._inbox.get(
+                        timeout=None if wake is None else max(0.0, wake - now)
                     )
-                    raise WorkerPoolError(self._fatal)
-                self._check_stragglers()
-                continue
-            delivered += 1
-            yield index, result
+                except queue.Empty:
+                    event = Tick()
+                else:
+                    event = self._event(*item)
+                for action in dispatcher.handle(time.monotonic(), event):
+                    if isinstance(action, Deliver):
+                        yield action.index, result_from_dict(action.result)
+                    else:
+                        self._act(action)
+        finally:
+            # An abandoned stream releases the workers it still holds.
+            for wid in list(self._live):
+                self._act(Shutdown(wid))
 
-    def _check_stragglers(self) -> None:
-        """Speculatively re-queue in-flight jobs past the deadline.
+    def _event(self, wid: int, conn: socket.socket, message: dict | None):
+        """Translate one inbox item, keeping the live-connection map and
+        the fleet status in step."""
+        event = frame_event(wid, message)
+        if isinstance(event, Register):
+            self._live[wid] = (conn, event.label)
+            self.workers_seen += 1
+            self._status_event("worker_seen", event.label)
+        elif isinstance(event, Heartbeat) and wid in self._live:
+            self._status_event("worker_heartbeat", self._live[wid][1])
+        elif isinstance(event, Disconnect):
+            self._live.pop(wid, None)
+        return event
 
-        The slow worker keeps running; whichever copy finishes first is
-        recorded and the loser is dropped as a duplicate, so speculation
-        can only shorten the sweep, never change its results.
-        """
-        if self.job_deadline is None:
-            return
-        now = time.monotonic()
-        with self._lock:
-            overdue = [
-                job for job, started, __ in self._inflight.values()
-                if not job.speculated
-                and now - started > self.job_deadline
-                and job.index not in self._results
-            ]
-            for job in overdue:
-                job.speculated = True
-                self.speculated += 1
-        for job in overdue:
-            self._status_event("job_speculated", str(job.index))
-            clone = _Job(job.index, job.payload)
-            clone.attempts = job.attempts
-            clone.speculated = True  # one speculative copy per job
-            self._jobs.put(clone)
+    def _act(self, action) -> None:
+        """Carry out one dispatcher action (every kind but Deliver)."""
+        if isinstance(action, Assign):
+            conn, label = self._live[action.worker]
+            try:
+                send_msg(conn, {
+                    "type": "job", "id": action.index, "point": action.payload,
+                })
+            except OSError:
+                _hang_up(conn)  # the reader posts the disconnect: requeue
+            else:
+                self._status_event("job_dispatched", str(action.index), label)
+        elif isinstance(action, (Shutdown, Close)):
+            conn, __ = self._live.pop(action.worker)
+            if isinstance(action, Shutdown):
+                try:
+                    send_msg(conn, {"type": "shutdown"})
+                except OSError:
+                    pass  # the worker is gone already
+            _hang_up(conn)
+        elif isinstance(action, Requeue):
+            self.retried += 1
+            self._status_event("job_retried", str(action.index), action.attempts)
+        elif isinstance(action, Speculate):
+            self.speculated += 1
+            self._status_event("job_speculated", str(action.index))
             self._log(
-                f"job {job.index} exceeded the {self.job_deadline:.1f}s "
+                f"job {action.index} exceeded the {self.job_deadline:.1f}s "
                 "deadline; speculatively re-dispatched"
             )
-
-    # ------------------------------------------------------------------
-    # Quarantine (circuit breaker per worker label)
-    # ------------------------------------------------------------------
-    def _note_failure(self, label: str) -> None:
-        now = time.monotonic()
-        tripped = False
-        with self._lock:
-            window = self._failures.setdefault(label, [])
-            window.append(now)
-            cutoff = now - self.quarantine_window
-            while window and window[0] < cutoff:
-                window.pop(0)
-            if (
-                len(window) >= self.quarantine_threshold
-                and self._quarantine_until.get(label, 0.0) <= now
-            ):
-                self._quarantine_until[label] = now + self.quarantine_cooldown
-                self.quarantined_total += 1
-                tripped = True
-                window.clear()
-                self._log(
-                    f"worker {label!r} quarantined for "
-                    f"{self.quarantine_cooldown:.0f}s after "
-                    f"{self.quarantine_threshold} failures in "
-                    f"{self.quarantine_window:.0f}s"
+        elif isinstance(action, Quarantine):
+            self.quarantined_total += 1
+            self._status_event("worker_quarantined", action.label)
+            self._log(
+                f"worker {action.label!r} quarantined for "
+                f"{self.quarantine_cooldown:.0f}s after "
+                f"{self.quarantine_threshold} failures in "
+                f"{self.quarantine_window:.0f}s"
+            )
+        elif isinstance(action, Fail):
+            if action.no_workers:
+                raise NoWorkersRegistered(
+                    f"{action.reason} on {self.host}:{self.port} (start one "
+                    f"with `repro worker --host {self.host} --port "
+                    f"{self.port}`)"
                 )
-        if tripped:
-            self._status_event("worker_quarantined", label)
-
-    def _is_quarantined(self, label: str) -> bool:
-        with self._lock:
-            until = self._quarantine_until.get(label)
-            if until is None:
-                return False
-            if time.monotonic() >= until:
-                del self._quarantine_until[label]
-                self._log(f"worker {label!r} re-admitted after cooldown")
-                return False
-            return True
+            raise WorkerPoolError(action.reason)
 
     # ------------------------------------------------------------------
-    # Worker handling (one thread per connection)
+    # Connections (one reader thread each: handshake, then frames only)
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        while not self._closing:
+        for wid in itertools.count():
             try:
                 conn, __addr = self._sock.accept()
             except OSError:  # listening socket closed
                 return
-            conn = faults.wrap(conn, "server")
+            self._conns.add(conn)
             threading.Thread(
-                target=self._serve_worker, args=(conn,), daemon=True
+                target=self._read, args=(wid, conn), daemon=True
             ).start()
 
-    def _serve_worker(self, conn) -> None:
-        label = "?"
-        registered = False
-        with self._lock:
-            self._conns.add(conn)
+    def _read(self, wid: int, conn: socket.socket) -> None:
+        admitted = False
         try:
             conn.settimeout(self.heartbeat_timeout)
-            hello = recv_msg(conn)
-            if not hello or hello.get("type") != "hello":
-                return
-            label = hello.get("worker", "?")
-            if hello.get("protocol") != PROTOCOL_VERSION:
-                send_msg(conn, {
-                    "type": "reject",
-                    "reason": f"protocol {hello.get('protocol')} != {PROTOCOL_VERSION}",
-                })
-                return
-            if hello.get("fingerprint") != self.fingerprint:
-                # A worker running different simulator source would return
-                # results that are not bit-identical to serial execution.
-                send_msg(conn, {
-                    "type": "reject",
-                    "reason": (
-                        f"source fingerprint {hello.get('fingerprint')} does not "
-                        f"match the server's {self.fingerprint}; update the "
-                        "worker's checkout"
-                    ),
-                })
-                return
-            send_msg(conn, {"type": "welcome", "server": f"pid{os.getpid()}"})
-            with self._lock:
-                self.workers_seen += 1
-                self._live_workers += 1
-            registered = True
-            self._status_event("worker_seen", label)
-            self._deal_jobs(conn, label)
-        except (OSError, ValueError):
-            pass  # connection-level failure: any in-flight job was re-queued
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
-                if registered:
-                    self._live_workers -= 1
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _deal_jobs(self, conn, label: str) -> None:
-        while not self._closing and self._fatal is None:
-            if self._is_quarantined(label):
-                if self._done.is_set():
-                    break
-                time.sleep(0.05)
-                continue
-            try:
-                job = self._jobs.get(timeout=0.1)
-            except queue.Empty:
-                if self._done.is_set():
-                    break
-                continue
-            now = time.monotonic()
-            if job.not_before > now:
-                # Retry backoff not yet elapsed: put it back and let time
-                # pass (another worker may pick it up once eligible).
-                self._jobs.put(job)
-                time.sleep(min(0.05, job.not_before - now))
-                continue
-            with self._lock:
-                if job.index in self._results:
-                    continue  # stale speculative/duplicated copy: drop it
-                self._inflight[id(job)] = (job, now, label)
-            try:
-                send_msg(conn, {"type": "job", "id": job.index, "point": job.payload})
-                self._status_event("job_dispatched", str(job.index), label)
-                finished = self._await_result(conn, job, label)
-            except (OSError, ValueError):
-                self._requeue(job, label, "connection lost")
-                return
-            finally:
-                with self._lock:
-                    self._inflight.pop(id(job), None)
-            if not finished:
-                return  # worker died; job already re-queued
-        try:
-            send_msg(conn, {"type": "shutdown"})
-        except OSError:
-            pass
-
-    def _await_result(self, conn, job: _Job, label: str) -> bool:
-        """True when the job completed on this worker; False re-queues."""
-        while True:
-            try:
+            message = recv_msg(conn)
+            admitted = self._admit(conn, message)
+            # blocking-ok: once admitted, silence is the dispatcher's
+            # heartbeat expiry, whose Close shuts this socket down and so
+            # ends the wait (close() does the same between streams).
+            conn.settimeout(None)
+            while admitted and message is not None:
+                self._inbox.put((wid, conn, message))
                 message = recv_msg(conn)
-            except socket.timeout:
-                self._requeue(job, label, "heartbeat timeout")
-                return False
-            except (OSError, ValueError):
-                self._requeue(job, label, "connection lost")
-                return False
-            if message is None:
-                self._requeue(job, label, "EOF")
-                return False
-            kind = message.get("type")
-            if kind == "heartbeat":
-                self._status_event("worker_heartbeat", label)
-                continue
-            if kind == "result" and message.get("id") == job.index:
-                self._record(job.index, result_from_dict(message["result"]))
-                return True
-            if kind == "error":
-                # The simulation itself raised: deterministic, fatal.
-                self._fail(
-                    f"point {job.index} raised on the worker:\n{message.get('error')}"
-                )
-                return True
-            # Anything else (stale result id after a re-queue race) is
-            # ignored; the protocol is strictly request/response per worker.
+        except (OSError, ValueError):
+            pass  # a dead or garbled connection ends like an EOF
+        finally:
+            if admitted:
+                self._inbox.put((wid, conn, None))
+            self._conns.discard(conn)
+            conn.close()
 
-    def _record(self, index: int, result: SimResult) -> None:
-        with self._lock:
-            if index in self._results:
-                return  # duplicate completion after a speculative re-queue
-            self._results[index] = result
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._done.set()
-        self._ready.put((index, result))
-
-    def _requeue(self, job: _Job, label: str, why: str) -> None:
-        with self._lock:
-            if job.index in self._results:
-                return  # completed elsewhere in the meantime
-        self._note_failure(label)
-        job.attempts += 1
-        with self._lock:
-            self.retried += 1
-        self._status_event("job_retried", str(job.index), job.attempts)
-        if job.attempts > self.max_retries:
-            self._fail(
-                f"point {job.index} failed {job.attempts} times "
-                f"(last: {why} on {label})"
+    def _admit(self, conn: socket.socket, hello: dict | None) -> bool:
+        """Answer a registration: welcome, or reject a mismatched worker."""
+        if not hello or hello.get("type") != "hello":
+            return False
+        if hello.get("protocol") != PROTOCOL_VERSION:
+            reason = f"protocol {hello.get('protocol')} != {PROTOCOL_VERSION}"
+        elif hello.get("fingerprint") != self.fingerprint:
+            # A worker running different simulator source would return
+            # results that are not bit-identical to serial execution.
+            reason = (
+                f"source fingerprint {hello.get('fingerprint')} does not "
+                f"match the server's {self.fingerprint}; update the "
+                "worker's checkout"
             )
-            return
-        base, cap = self.retry_backoff
-        with self._lock:
-            jitter = 0.5 + self._retry_rng.random()
-        job.not_before = time.monotonic() + min(
-            cap, base * 2.0 ** (job.attempts - 1)
-        ) * jitter
-        self._jobs.put(job)
-
-    def _fail(self, reason: str) -> None:
-        self._fatal = reason
-        self._done.set()
+        else:
+            send_msg(conn, {"type": "welcome", "server": f"pid{os.getpid()}"})
+            return True
+        send_msg(conn, {"type": "reject", "reason": reason})
+        return False
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._closing = True
-        self._done.set()
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the acceptor
         except OSError:
             pass
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
+        self._sock.close()
+        for conn in list(self._conns):
             try:
                 send_msg(conn, {"type": "shutdown"})
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _hang_up(conn)
 
 
 class SocketBackend(ExecutionBackend):

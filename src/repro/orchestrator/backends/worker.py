@@ -17,12 +17,13 @@ server sessions (handy in tests and CI).
 from __future__ import annotations
 
 import os
+import random
 import socket
 import threading
 import time
 import traceback
 
-import repro.orchestrator.faults as faults
+from repro.orchestrator.backends.dispatch import Backoff
 from repro.orchestrator.backends.protocol import (
     PROTOCOL_VERSION,
     point_from_dict,
@@ -183,11 +184,12 @@ def serve(
     emit = log or (lambda *a: None)
     total = 0
     sessions = 0
-    backoff = faults.Backoff(base=0.25, cap=5.0, seed=backoff_seed)
+    backoff = Backoff(0.25, 5.0, rng=random.Random(backoff_seed),
+                      sleep=time.sleep)
     deadline = time.monotonic() + connect_timeout
     while True:
         try:
-            sock = faults.connect((host, port), timeout=10.0, role="worker")
+            sock = socket.create_connection((host, port), timeout=10.0)
         except OSError:
             if time.monotonic() > deadline:
                 emit(f"no job server at {host}:{port} for {connect_timeout:.0f}s; exiting")

@@ -128,6 +128,24 @@ def test_determinism_ignores_files_out_of_scope(tmp_path):
     assert not run_lint(root, ["determinism"]).clean
 
 
+def test_determinism_keeps_the_dispatcher_sans_io(tmp_path):
+    import repro.orchestrator.backends.dispatch as dispatch
+
+    target = tmp_path / "tree" / "orchestrator" / "backends" / "dispatch.py"
+    target.parent.mkdir(parents=True)
+    shutil.copy(dispatch.__file__, target)
+    assert run_lint(tmp_path / "tree", ["determinism"]).clean
+    _edit(
+        target,
+        "        if self.finished:\n            return out\n",
+        "        if self.finished:\n            return out\n"
+        "        now = time.monotonic()\n",
+    )
+    (finding,) = run_lint(tmp_path / "tree", ["determinism"]).findings
+    assert finding.path == "orchestrator/backends/dispatch.py"
+    assert finding.symbol == "time.monotonic"
+
+
 def test_protocol_timeouts_blocking_ok_justifies_a_wait(tmp_path):
     root = _copy_fixture("protocol_timeouts_bad", tmp_path)
     _edit(

@@ -217,7 +217,7 @@ HOT_PATH_CLASSES = [
     ("repro.sim.controller", "ControllerStats"),
     ("repro.sim.audit", "CommandRecord"),
     ("repro.core.engine", "_BankPeriodicState"),
-    ("repro.orchestrator.backends.server", "_Job"),
+    ("repro.orchestrator.backends.dispatch", "_Job"),
 ]
 
 
