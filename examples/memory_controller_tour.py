@@ -14,7 +14,7 @@ from repro.core.pr_fifo import PreventiveRequest, PrFifo
 from repro.core.refresh_table import RefreshTable, RefreshTableEntry
 from repro.core.refptr_table import RefPtrTable
 from repro.core.hira_op import RefreshKind
-from repro.dram.geometry import Address, Geometry
+from repro.dram.geometry import Geometry
 from repro.hwcost.report import (
     component_estimates,
     overall_area_mm2,
@@ -62,8 +62,8 @@ def tour_decisions() -> None:
 
     # Case 1: a demand ACT arrives — ride the refresh on it.
     demand = Request(
-        addr=Address(bank=0, row=1234, col=0), line=0, is_write=False,
-        core_id=0, arrival_cycle=horizon,
+        line=0, is_write=False, core_id=0, arrival_cycle=horizon,
+        rank=0, bank=0, row=1234,
     )
     refresh_row = engine.on_act(demand, horizon)
     sa_demand = engine.spt.subarray_of_row(1234)

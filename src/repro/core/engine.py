@@ -200,7 +200,7 @@ class HiraRefreshEngine(RefreshEngine):
     # PreventiveRC (§5.1.2)
     # ------------------------------------------------------------------
     def on_demand_act(self, req: Request, now: int) -> None:
-        self._para_enqueue(req.addr.rank, req.addr.bank, req.addr.row, now)
+        self._para_enqueue(req.rank, req.bank, req.row, now)
 
     def _para_enqueue(self, rank: int, bank: int, activated_row: int, now: int) -> None:
         """PARA draw for an observed activation; victims join the PR-FIFO.
@@ -222,8 +222,8 @@ class HiraRefreshEngine(RefreshEngine):
         if self.disable_access_parallelization:
             return None
         self._advance_generation(now)
-        rank, bank = req.addr.rank, req.addr.bank
-        sa_demand = self.spt.subarray_of_row(req.addr.row)
+        rank, bank = req.rank, req.bank
+        sa_demand = self.spt.subarray_of_row(req.row)
         periodic = self._periodic[(rank, bank)]
         preventive_head = self.pr[rank].head(bank)
         if self._same_bank:

@@ -8,7 +8,9 @@ phases the SoA-rewrite ROADMAP item needs a target list for:
 - ``queue-scan`` — the FR-FCFS queue scans inside the pass
 - ``refresh-engine`` — engine hooks (``urgent`` / ``on_act``) across
   whichever engines the workload instantiates
-- ``trace-refill`` — synthetic trace generation (``TraceGenerator``)
+- ``trace-refill`` — synthetic trace generation (``TraceGenerator``),
+  including the batch's address decode: requests arrive decoded, so the
+  event loop pays no per-request ``AddressMapper.decode``
 
 Phase times are *exclusive*: a nested timed call (e.g. ``queue-scan``
 inside ``schedule``) is subtracted from its parent, so the shares sum to

@@ -210,8 +210,8 @@ class Dispatcher:
     A job lost with its worker (disconnect or heartbeat silence) is
     re-queued after a seeded backoff until it fails ``max_retries + 1``
     times.  A job in flight ``job_deadline`` past its assignment gets one
-    speculative copy; the first result delivers, later copies are
-    dropped.  ``quarantine_threshold`` losses on one worker label inside
+    speculative copy, queued ahead of every job not yet dealt; the first
+    result delivers, later copies are dropped.  ``quarantine_threshold`` losses on one worker label inside
     ``quarantine_window`` stop that label being dealt jobs for
     ``quarantine_cooldown``.  With no worker registered for
     ``registration_timeout`` (counted from the start, or from the last
@@ -365,9 +365,10 @@ class Dispatcher:
                     and now >= worker.started + self.job_deadline
                 ):
                     job.speculated = True
-                    self._pending.append(
-                        _Job(job.index, job.payload, job.attempts, True)
-                    )
+                    # At the head: the copy exists to beat a straggler,
+                    # so it must not wait behind jobs not yet dealt.
+                    copy = _Job(job.index, job.payload, job.attempts, True)
+                    self._pending.insert(0, copy)
                     out.append(Speculate(job.index))
         for wid, worker in self._workers.items():
             if worker.job is not None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dram.geometry import Address, Geometry
 
 
@@ -20,6 +22,10 @@ class AddressMapper:
 
     Field order from the least-significant side:
     ``[mop-block column | channel | rank | bankgroup | bank | column-high | row]``.
+
+    :meth:`decode_batch` is the form the simulator runs: the trace refill
+    decodes each batch of accesses at once, so a request is born with its
+    coordinates.  :meth:`decode` is the scalar reference it must equal.
     """
 
     geometry: Geometry
@@ -28,8 +34,6 @@ class AddressMapper:
     def __post_init__(self) -> None:
         if self.mop_lines < 1 or self.geometry.columns_per_row % self.mop_lines:
             raise ValueError("mop_lines must divide columns_per_row")
-        # No per-line decode memo: a workload's demand stream almost never
-        # decodes the same line twice, so a memo only pins every Address.
 
     @property
     def lines_per_row(self) -> int:
@@ -50,6 +54,27 @@ class AddressMapper:
         bank = bankgroup * geom.banks_per_bankgroup + bank_in_group
         col = col_high * self.mop_lines + col_low
         return Address(channel=channel, rank=rank, bank=bank, row=row, col=col)
+
+    def decode_batch(
+        self, lines: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`decode` over an int64 array: (channel, rank, bank, row).
+
+        The same divisions in the same order, element-wise; the column is
+        left out (the simulator never reads it).
+        """
+        if lines.size and lines.min() < 0:
+            raise ValueError("line address must be non-negative")
+        geom = self.geometry
+        remaining = lines // self.mop_lines
+        remaining, channel = np.divmod(remaining, geom.channels)
+        remaining, rank = np.divmod(remaining, geom.ranks_per_channel)
+        remaining, bankgroup = np.divmod(remaining, geom.bankgroups_per_rank)
+        remaining, bank_in_group = np.divmod(remaining, geom.banks_per_bankgroup)
+        remaining //= geom.columns_per_row // self.mop_lines
+        row = remaining % geom.rows_per_bank
+        bank = bankgroup * geom.banks_per_bankgroup + bank_in_group
+        return channel, rank, bank, row
 
     def encode(self, addr: Address) -> int:
         """Inverse of :meth:`decode` (bijective within one row wrap)."""

@@ -155,10 +155,10 @@ class RefreshEngine:
 
     def on_demand_act(self, req: Request, now: int) -> None:
         """Called after a demand ACT is issued (PARA's observation point)."""
-        victim = self.para_observe_act(req.addr.rank, req.addr.bank, req.addr.row, now)
+        victim = self.para_observe_act(req.rank, req.bank, req.row, now)
         if victim is not None:
             # Without HiRA the preventive refresh is due immediately.
-            self._queue_preventive(req.addr.rank, req.addr.bank, victim, now)
+            self._queue_preventive(req.rank, req.bank, victim, now)
 
     def _queue_preventive(self, rank: int, bank_id: int, row: int, deadline: int) -> None:
         """Overflow queue for preventive refreshes, keeping each deadline."""
@@ -789,13 +789,12 @@ class MemoryController:
             self.stats.queue_full_rejections += 1
             return False
         queue.append(req)
-        addr = req.addr
-        rank = addr.rank
-        g = rank * self.banks_per_rank + addr.bank
+        rank = req.rank
+        bank = req.bank
+        row = req.row
+        g = rank * self.banks_per_rank + bank
         req.gbank = g
-        req.rank = rank
-        req.row = addr.row
-        req.ggroup = rank * self.bankgroups_per_rank + addr.bank // self.banks_per_bankgroup
+        req.ggroup = rank * self.bankgroups_per_rank + bank // self.banks_per_bankgroup
         req.seq = self._seq
         self._seq += 1
         if is_write:
@@ -811,13 +810,13 @@ class MemoryController:
             bank_q[g] = deque((req,))
         else:
             dq.append(req)
-        key = (g, addr.row)
+        key = (g, row)
         dq = row_q.get(key)
         if dq is None:
             row_q[key] = deque((req,))
         else:
             dq.append(req)
-        if self._ta.open_row[g] == addr.row:
+        if self._ta.open_row[g] == row:
             hit.add(g)
         self._epoch += 1
         self._progress_at = 0
@@ -868,6 +867,15 @@ class MemoryController:
         the contract on every cycle the memo would skip.  An armed tracer
         keeps ``_progress_at`` unset (it records a stall per call), so
         traced runs visit every cycle.
+
+        Bound rule: the demand pass receives the wake folded so far (the
+        deferred closes and ``urgent``) as ``bound``, and may skip any
+        candidate whose own bank timer, a lower bound of its gate, is
+        both past ``now`` and at or past the bound: such a candidate can
+        neither issue nor lower the final minimum.  Its wake is therefore
+        exact only as ``min(bound, ·)``, which is how it is folded here.
+        ``test_dense_loop_catches_planted_bound`` shows the dense loop
+        catches a bound below the folded one.
         """
         if now < self.bus_next:
             if self.tracer is not None:
@@ -896,7 +904,7 @@ class MemoryController:
         if w < wake:
             wake = w
         queue_a, queue_b = self._active_queues()
-        w = self._schedule_queues(queue_a, queue_b, now)
+        w = self._schedule_queues(queue_a, queue_b, now, wake)
         if w == _ISSUED:
             return True
         if w < wake:
@@ -911,14 +919,23 @@ class MemoryController:
             self._progress_at = wake
         return False
 
-    def _schedule_queues(self, queue_a: list[Request], queue_b: list[Request], now: int) -> int:
+    def _schedule_queues(
+        self, queue_a: list[Request], queue_b: list[Request], now: int, bound: int
+    ) -> int:
         """Try to issue from the two demand queues, in priority order.
 
-        Returns ``_ISSUED`` on success; otherwise the wake over both
-        queues: the earliest cycle any of their banks' gates opens, folded
-        by the same checks that decide issue, and valid while the
-        enclosing ``schedule`` call stays mutation-free (see its memo
-        contract).  Neither pass walks a queue list: FR visits the
+        Returns ``_ISSUED`` on success; otherwise a wake ``w`` over both
+        queues such that ``min(bound, w)`` is exactly the earliest cycle
+        any of their banks' gates opens, or ``bound`` if that is sooner.
+        Gates are folded by the same checks that decide issue, and the
+        value is valid while the enclosing ``schedule`` call stays
+        mutation-free (see its memo contract).  ``bound`` is the wake
+        ``schedule`` has folded so far; each fold lowers it, and a
+        candidate whose own bank timer is past ``now`` and at or past it
+        is skipped before its head is read (the bound rule in
+        ``schedule``), as is FR's hit loop when the data-bus gate alone
+        is.  Skipping changes neither the issue choice nor
+        ``min(bound, w)``.  Neither pass walks a queue list: FR visits the
         hit-bank set, FCFS the per-bank head index.  Bit-identical to
         queue-order scans: queue order equals ascending ``seq``, so
         "first matching queue entry" and "minimum head ``seq`` over
@@ -971,6 +988,9 @@ class MemoryController:
                 if last_write is not None and last_write != is_write_q:
                     free += self.twtr_c if last_write else self.trtw_c
                 dbus_gate = free - burst_offset
+            # The bound rule: each hit bank's gate is at least the data-bus
+            # gate, so scan them only if it can issue or lower the wake.
+            if hit and (dbus_gate <= now or dbus_gate < bound):
                 best = None
                 best_seq = _FAR_FUTURE
                 for g in hit:
@@ -989,6 +1009,8 @@ class MemoryController:
                     if gate > now:
                         if gate < wake:
                             wake = gate
+                            if gate < bound:
+                                bound = gate
                         continue
                     req = row_q[(g, b_open[g])][0]
                     if req.seq < best_seq:
@@ -1008,45 +1030,46 @@ class MemoryController:
             # emptied and refilled sits ahead of older heads.)
             best = None
             best_seq = _FAR_FUTURE
-            for dq in bank_q.values():
+            for g, dq in bank_q.items():
+                if g in hit:
+                    # The FR pass owns the bank (and folds its wake): the
+                    # head targets the open row, or is kept alive behind
+                    # a queued hit to it.
+                    continue
+                # Not a hit bank, so an open bank's head is a conflict:
+                # its own timer is tRC/tRP (closed) or tRAS/tRTP/tWR
+                # (open), a lower bound of the full gate (the bound rule).
+                orow = b_open[g]
+                gate = b_act[g] if orow < 0 else b_pre[g]
+                if gate > now and gate >= bound:
+                    continue
                 head = dq[0]
-                g = head.gbank
                 rank = head.rank
                 if rank in blocked:
                     continue
                 if bblocked and (rank, g - rank * banks_per_rank) in bblocked:
                     continue
-                busy = r_busy[rank]
-                orow = b_open[g]
                 if orow < 0:
                     # act_allowed_at, inlined (hot scan), plus the
                     # rank-busy gate: tRC/tRP/refresh busy, tFAW,
                     # tRRD_S/tRRD_L and tRFC in one fold.
-                    gate = b_act[g]
                     c = act_floor[rank]
                     if c > gate:
                         gate = c
                     c = group_gate[head.ggroup]
                     if c > gate:
                         gate = c
-                elif orow != head.row:
-                    if g in hit:
-                        # Keep-alive: a queued hit still targets the open
-                        # row; its wake is covered by the FR pass above.
-                        continue
-                    gate = b_pre[g]
-                else:
-                    # The head targets the open row — the FR pass owns it
-                    # (and folds its wake through the hit set).
-                    continue
-                if busy > gate:
-                    gate = busy
+                c = r_busy[rank]
+                if c > gate:
+                    gate = c
                 if gate <= now:
                     if head.seq < best_seq:
                         best_seq = head.seq
                         best = head
                 elif gate < wake:
                     wake = gate
+                    if gate < bound:
+                        bound = gate
             if best is not None:
                 g = best.gbank
                 rank = best.rank

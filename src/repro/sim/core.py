@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.sim.trace import TraceGenerator
+from repro.sim.trace import Access, TraceGenerator
 
 
 @dataclass(slots=True)
@@ -26,10 +26,11 @@ class RobEntry:
 class CoreModel:
     """One simulated core.
 
-    The system loop polls :meth:`ready_cycle`, peeks the pending access via
-    :meth:`peek_pending`, and consumes it with :meth:`take_request` once the
-    target controller accepted it.  The controller completes reads through
-    :meth:`on_read_complete` with the :class:`RobEntry` handed out at issue.
+    The system loop polls :meth:`ready_cycle`, peeks the pending (already
+    decoded) access via :meth:`peek_pending`, and consumes it with
+    :meth:`take_request` once the target controller accepted it.  The
+    controller completes reads through :meth:`on_read_complete` with the
+    :class:`RobEntry` handed out at issue.
 
     ``ready_cycle`` is a pure function of core state (clamped to ``now``):
     it only changes when :meth:`take_request` or :meth:`on_read_complete`
@@ -84,7 +85,7 @@ class CoreModel:
         self._issue_clock = 0.0  # fractional MC cycles of frontend progress
         self._instr_issued = 0
         self._outstanding: deque[RobEntry] = deque()
-        self._pending: tuple[int, int, bool] | None = None
+        self._pending: Access | None = None
         self.reads_issued = 0
         self.writes_issued = 0
         self.finish_cycle: int | None = None
@@ -114,7 +115,8 @@ class CoreModel:
             self._maybe_finish(now)
             return None
         self._drain_completed()
-        gap, __, is_write = self._pending
+        pending = self._pending
+        gap = pending[0]
         frontend = self._issue_clock + gap / self.instr_per_cycle
         earliest = math.ceil(frontend)
         if self._outstanding:
@@ -122,28 +124,29 @@ class CoreModel:
             window_block = (
                 self._instr_issued + gap - oldest.instr_index >= self.instr_window
             )
-            mshr_block = not is_write and len(self._outstanding) >= self.mshr
+            mshr_block = not pending[2] and len(self._outstanding) >= self.mshr
             if window_block or mshr_block:
                 if oldest.complete_cycle is None:
                     return None
                 earliest = max(earliest, oldest.complete_cycle)
         return max(earliest, now)
 
-    def peek_pending(self) -> tuple[int, bool]:
-        """(line, is_write) of the pending access, without consuming it."""
+    def peek_pending(self) -> Access:
+        """The pending access, without consuming it."""
         if self._pending is None:
             raise RuntimeError("no pending access")
-        __, line, is_write = self._pending
-        return line, is_write
+        return self._pending
 
     def take_request(self, now: int) -> RobEntry | None:
         """Consume the pending access at cycle ``now``.
 
         Returns the ROB entry to complete later for reads, None for writes.
         """
-        if self._pending is None:
+        pending = self._pending
+        if pending is None:
             raise RuntimeError("no pending access to take")
-        gap, __, is_write = self._pending
+        gap = pending[0]
+        is_write = pending[2]
         self._pending = None
         self._instr_issued += gap + 1
         self._issue_clock = max(self._issue_clock + gap / self.instr_per_cycle, float(now))

@@ -4,46 +4,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dram.geometry import Address
-
 
 @dataclass(slots=True, eq=False)
 class Request:
     """One cache-line-sized memory request.
 
-    ``addr`` is the decoded DRAM coordinate; ``line`` the flat cache-line
-    address it came from.  ``complete_cycle`` is filled by the controller
-    when the data burst finishes (reads) or the write is accepted.
-    ``rob`` carries the issuing core's ROB entry for reads (slotted — a
-    request is a hot object, allocated once per LLC miss).
+    A request is born decoded: ``rank``/``bank``/``row`` are its DRAM
+    coordinates inside the channel it is routed to (``bank`` is the
+    rank-local bank id), decoded in bulk by the trace refill; ``line`` is
+    the flat cache-line address they came from.  ``complete_cycle`` is
+    filled by the controller when the data burst finishes (reads) or the
+    write is accepted.  ``rob`` carries the issuing core's ROB entry for
+    reads (slotted — a request is a hot object, allocated once per LLC
+    miss).
 
-    ``seq``/``gbank``/``rank``/``row``/``ggroup`` are the controller's
-    scheduler index fields, assigned at enqueue: the monotonic arrival
-    stamp (queue order == ascending ``seq``) plus the request's decoded
-    coordinates flattened into the controller's array indexes (global
-    bank id, rank, row, global bank-group id) so the hot scans never
-    chase ``addr`` attributes.  ``eq=False`` keeps identity comparison
-    (and hashing): two distinct requests are never interchangeable, and
-    ``list.remove`` must drop the exact object.
+    ``seq``/``gbank``/``ggroup`` are the controller's scheduler index
+    fields, assigned at enqueue: the monotonic arrival stamp (queue order
+    == ascending ``seq``) plus the coordinates flattened into the
+    controller's array indexes (global bank id, global bank-group id).
+    ``eq=False`` keeps identity comparison (and hashing): two distinct
+    requests are never interchangeable, and ``list.remove`` must drop the
+    exact object.
     """
 
-    addr: Address
     line: int
     is_write: bool
     core_id: int
     arrival_cycle: int
+    rank: int
+    bank: int
+    row: int
     complete_cycle: int | None = None
     rob: object = None
     seq: int = 0
     gbank: int = 0
-    rank: int = 0
-    row: int = 0
     ggroup: int = 0
-
-    @property
-    def bank_key(self) -> tuple[int, int, int]:
-        return self.addr.bank_key()
-
-    @property
-    def completed(self) -> bool:
-        return self.complete_cycle is not None

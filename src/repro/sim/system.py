@@ -126,9 +126,7 @@ class System:
         self.cores = [
             CoreModel(
                 core_id=i,
-                trace=TraceGenerator(
-                    profile, self.mapper.lines_per_row, seed=seed * 1_000 + i
-                ),
+                trace=TraceGenerator(profile, self.mapper, seed=seed * 1_000 + i),
                 instr_budget=instr_budget,
                 instr_per_mc_cycle=config.instr_per_mc_cycle,
                 instr_window=config.instr_window,
@@ -163,7 +161,6 @@ class System:
         mcs = self.controllers
         heappush = heapq.heappush
         heappop = heapq.heappop
-        decode = self.mapper.decode
         completion_heap: list[tuple[int, int, int]] = []  # (cycle, seq, core)
         entry_by_seq: dict[int, object] = {}
         seq = 0
@@ -210,16 +207,13 @@ class System:
                         if ready > cycle or retry > cycle:
                             core_wake[cid] = ready if ready > retry else retry
                             break
-                        line, is_write = core.peek_pending()
-                        addr = decode(line)
-                        req = Request(
-                            addr=addr,
-                            line=line,
-                            is_write=is_write,
-                            core_id=cid,
-                            arrival_cycle=cycle,
+                        # The access arrives decoded (trace refill): route
+                        # it by the channel it carries.
+                        __, line, is_write, channel, rank, bank, row = (
+                            core.peek_pending()
                         )
-                        if not mcs[addr.channel].enqueue(req):
+                        req = Request(line, is_write, cid, cycle, rank, bank, row)
+                        if not mcs[channel].enqueue(req):
                             retry_at[cid] = cycle + 4
                             core_wake[cid] = cycle + 4
                             break

@@ -4,11 +4,11 @@ The paper drives Ramulator with SPEC CPU2006 traces; we have no SPEC
 binaries offline, so traces are synthesized from per-benchmark profiles
 (misses-per-kilo-instruction, row-buffer locality, read fraction, working
 set).  Traces are *LLC-miss streams* — the standard Ramulator methodology —
-expressed as (instruction gap, flat line address, is_write) triples, and
-are mapped onto DRAM coordinates by the system's
-:class:`~repro.sim.addressing.AddressMapper`, so the same trace exercises
-more parallelism on wider channel/rank configurations exactly as real
-addresses would.
+of (instruction gap, flat line address, is_write) accesses.  Each refill
+maps its whole batch of lines onto DRAM coordinates at once with the
+system's :class:`~repro.sim.addressing.AddressMapper`, so every access
+arrives decoded, and the same trace exercises more parallelism on wider
+channel/rank configurations exactly as real addresses would.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.sim.addressing import AddressMapper
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,13 @@ class TraceProfile:
         return 1000.0 / self.mpki
 
 
+#: One access: (instruction gap, line, is_write, channel, rank, bank, row),
+#: the last four decoded from ``line`` by the generator's mapper.
+Access = tuple[int, int, bool, int, int, int, int]
+
+
 class TraceGenerator:
-    """Lazily generates one core's (gap, line, is_write) stream.
+    """Lazily generates one core's stream of decoded :data:`Access` tuples.
 
     The address model keeps a current row region per stream; with
     probability ``row_locality`` the next access strides within the region
@@ -65,16 +72,17 @@ class TraceGenerator:
     the profile's mean, giving bursty, realistic arrival patterns.
     """
 
-    def __init__(self, profile: TraceProfile, lines_per_row: int, seed: int):
+    def __init__(self, profile: TraceProfile, mapper: AddressMapper, seed: int):
         self.profile = profile
-        self.lines_per_row = lines_per_row
+        self.mapper = mapper
+        self.lines_per_row = lines_per_row = mapper.lines_per_row
         self.rng = np.random.default_rng(seed)
         # Spread each core's working set across the row space via a seeded
         # base offset so multiprogrammed cores do not collide on rows.
         self._region_base = int(self.rng.integers(0, 1 << 20)) * profile.working_set_rows
         self._region = self._pick_region()
         self._col = int(self.rng.integers(0, lines_per_row))
-        self._batch: list[tuple[int, int, bool]] = []
+        self._batch: list[Access] = []
         self._batch_pos = 0
 
     def _pick_region(self) -> int:
@@ -87,6 +95,7 @@ class TraceGenerator:
         steps, a column striding from the last jump — resolves in closed
         form per element: everything between two region jumps is the jump
         anchor's (region, column) plus ``stride`` per local step since.
+        The batch's lines are then decoded in one vectorised call.
         """
         p = self.profile
         gaps = self.rng.geometric(min(1.0, 1.0 / max(p.mean_gap, 1.0)), size=n)
@@ -114,11 +123,15 @@ class TraceGenerator:
 
         self._region = int(regions[-1])
         self._col = int(col_seq[-1])
-        self._batch = list(zip(gaps.tolist(), lines.tolist(), (~is_read).tolist()))
+        channel, rank, bank, row = self.mapper.decode_batch(lines)
+        self._batch = list(zip(
+            gaps.tolist(), lines.tolist(), (~is_read).tolist(),
+            channel.tolist(), rank.tolist(), bank.tolist(), row.tolist(),
+        ))
         self._batch_pos = 0
 
-    def next_access(self) -> tuple[int, int, bool]:
-        """The next (instruction gap, line address, is_write) triple."""
+    def next_access(self) -> Access:
+        """The next decoded access (see :data:`Access`)."""
         if self._batch_pos >= len(self._batch):
             self._refill()
         item = self._batch[self._batch_pos]

@@ -542,7 +542,8 @@ class TestSimulatedFaults:
     def test_straggler_is_speculated_while_results_keep_arriving(self):
         # The first worker is alive (it heartbeats) but never finishes
         # its job; the second returns a result every 0.1 s.  The deadline
-        # must fire on time, not wait for a lull in the result stream.
+        # must fire on time, not wait for a lull in the result stream,
+        # and the copy must be dealt next, not behind the backlog.
         jobs = [(i, {"n": i}) for i in range(40)]
         policy = dict(POLICY, job_deadline=1.0, heartbeat_timeout=600.0)
         sim = Sim(CHAOS_SEED, 2, jobs=jobs, policy=policy,
@@ -558,6 +559,9 @@ class TestSimulatedFaults:
                   if isinstance(a, Deliver) and a.index != first[1].index]
         assert spec and spec[0] == pytest.approx(first[0] + 1.0)
         assert spec[0] < others[-1] - 1.0  # long before the stream ends
+        copy = [t for t, a in sim.log
+                if isinstance(a, Deliver) and a.index == first[1].index]
+        assert copy and copy[0] - spec[0] <= 0.2
 
     def test_same_seed_replays_the_same_action_log(self, serial_sim):
         seeds = (CHAOS_SEED, CHAOS_SEED, CHAOS_SEED + 1)

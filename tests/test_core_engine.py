@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.engine import HiraRefreshEngine
-from repro.dram.geometry import Address
 from repro.sim.config import SystemConfig
 from repro.sim.controller import MemoryController
 from repro.sim.request import Request
@@ -17,13 +16,10 @@ def make_hira_mc(**engine_kwargs):
     return mc, engine
 
 
-def req(row=0, bank=0, col=0):
+def req(row=0, bank=0):
     return Request(
-        addr=Address(bank=bank, row=row, col=col),
-        line=0,
-        is_write=False,
-        core_id=0,
-        arrival_cycle=0,
+        line=0, is_write=False, core_id=0, arrival_cycle=0,
+        rank=0, bank=bank, row=row,
     )
 
 

@@ -52,7 +52,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import HiraRefreshEngine
-from repro.dram.geometry import Address
 from repro.dram.timing import timing_for_capacity
 from repro.obs.tracer import attach_tracers
 from repro.orchestrator import result_to_dict
@@ -598,6 +597,43 @@ def test_memo_contract_catches_planted_mutation(plant, everywhere):
         assert any(_contract_fires(plant, DENSE_GRID[n]) for n in names)
 
 
+# ----------------------------------------------------------------------
+# The bound rule: the demand scans may skip only what the wake ``schedule``
+# has folded so far rules out.
+# ----------------------------------------------------------------------
+@contextmanager
+def planted_bound(shift):
+    """Hand ``_schedule_queues`` ``shift(bound, now)`` instead of the wake
+    ``schedule`` folded, while ``schedule`` still folds its reply against
+    the true one."""
+    original = MemoryController._schedule_queues
+
+    def _schedule_queues(self, queue_a, queue_b, now, bound):
+        return original(self, queue_a, queue_b, now, shift(bound, now))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryController, "_schedule_queues", _schedule_queues)
+        yield
+
+
+def test_dense_loop_catches_planted_bound():
+    """A bound below the real one lets the scans skip a head that opens
+    before the wake ``schedule`` records, so the memo comes out late.
+
+    One cycle low, only a head whose own timer falls exactly on that
+    cycle is skipped wrongly, so not every config shows it;
+    ``min(bound, now)`` skips every head not yet open and must show on
+    all of them.
+    """
+    names = sorted(DENSE_GRID)
+    one_low = functools.partial(planted_bound, lambda bound, now: bound - 1)
+    caught = [n for n in names if _contract_fires(one_low, DENSE_GRID[n])]
+    assert len(caught) >= len(names) // 2, f"bound - 1 caught only on {caught}"
+    at_now = functools.partial(planted_bound, min)
+    missed = [n for n in names if not _contract_fires(at_now, DENSE_GRID[n])]
+    assert not missed, f"min(bound, now) went unnoticed on {missed}"
+
+
 def _mc(engine: RefreshEngine, **overrides) -> MemoryController:
     mc = MemoryController(0, SystemConfig(**overrides), engine)
     engine.para = None
@@ -606,8 +642,8 @@ def _mc(engine: RefreshEngine, **overrides) -> MemoryController:
 
 def _read(rank: int, bank: int, row: int) -> Request:
     return Request(
-        addr=Address(channel=0, rank=rank, bank=bank, row=row, col=0),
         line=0, is_write=False, core_id=0, arrival_cycle=0,
+        rank=rank, bank=bank, row=row,
     )
 
 

@@ -14,7 +14,6 @@ import os
 
 import pytest
 
-from repro.dram.geometry import Address
 from repro.obs.tracer import (
     DECISION_KINDS,
     STALL_REASONS,
@@ -213,8 +212,8 @@ def test_stall_attribution_reads_every_bank_head():
     for i, bank in enumerate([0] * 8 + [1]):
         mc.enqueue(
             Request(
-                addr=Address(channel=0, rank=0, bank=bank, row=i, col=0),
                 line=i, is_write=False, core_id=0, arrival_cycle=0,
+                rank=0, bank=bank, row=i,
             )
         )
     assert not mc.schedule(pre0 + 1)

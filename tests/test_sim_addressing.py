@@ -1,10 +1,14 @@
-"""MOP address mapping: bijectivity and interleaving structure."""
+"""MOP address mapping: bijectivity, interleaving structure, and the
+batch decode's equality with the scalar one."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dram.geometry import Geometry
 from repro.sim.addressing import AddressMapper
+from repro.sim.config import SystemConfig
+from repro.workloads.spec import SPEC_PROFILES
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +78,41 @@ def test_encode_decode_roundtrip(line):
     )
     line %= total_lines
     assert mapper.encode(mapper.decode(line)) == line
+
+
+#: Past the largest line a trace can emit: a region base reaches
+#: ``(1 << 20) * working_set_rows`` rows of ``lines_per_row`` lines.
+MAX_TRACE_LINE = (
+    (1 << 20)
+    * max(p.working_set_rows for p in SPEC_PROFILES)
+    * Geometry().columns_per_row
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channels=st.sampled_from((1, 2, 4)),
+    ranks=st.sampled_from((1, 2)),
+    capacity=st.sampled_from((8.0, 128.0)),
+    lines=st.lists(
+        st.integers(min_value=0, max_value=MAX_TRACE_LINE), min_size=1, max_size=64
+    ),
+)
+def test_batch_decode_equals_scalar_decode(channels, ranks, capacity, lines):
+    """The vectorised decode the trace refill runs equals the scalar
+    reference element by element, on the simulator's own geometries."""
+    geom = SystemConfig(
+        channels=channels, ranks_per_channel=ranks, capacity_gbit=capacity
+    ).geometry
+    mapper = AddressMapper(geom)
+    columns = mapper.decode_batch(np.array(lines, dtype=np.int64))
+    for i, line in enumerate(lines):
+        addr = mapper.decode(line)
+        decoded = tuple(int(column[i]) for column in columns)
+        assert decoded == (addr.channel, addr.rank, addr.bank, addr.row)
+
+
+def test_batch_decode_rejects_negative():
+    mapper = AddressMapper(Geometry())
+    with pytest.raises(ValueError):
+        mapper.decode_batch(np.array([0, -1], dtype=np.int64))

@@ -4,7 +4,6 @@ import importlib
 
 import pytest
 
-from repro.dram.geometry import Address
 from repro.sim.config import SystemConfig
 from repro.sim.controller import (
     BaselineRefreshEngine,
@@ -22,13 +21,15 @@ def make_mc(mode="none", **overrides):
     return mc
 
 
-def req(row=0, bank=0, col=0, is_write=False, cycle=0, core=0):
+def req(row=0, bank=0, is_write=False, cycle=0, core=0):
     return Request(
-        addr=Address(channel=0, rank=0, bank=bank, row=row, col=col),
         line=0,
         is_write=is_write,
         core_id=core,
         arrival_cycle=cycle,
+        rank=0,
+        bank=bank,
+        row=row,
     )
 
 
@@ -91,11 +92,11 @@ class TestTimingLegality:
 class TestFrFcfs:
     def test_row_hit_prioritized_over_older_miss(self):
         mc = make_mc()
-        mc.enqueue(req(row=1, bank=0, col=0))
+        mc.enqueue(req(row=1, bank=0))
         run_until(mc, 40)  # opens row 1 and serves it
         # Now: older request to a different row vs younger row hit.
-        mc.enqueue(req(row=9, bank=0, col=1, cycle=50))
-        mc.enqueue(req(row=1, bank=0, col=2, cycle=51))
+        mc.enqueue(req(row=9, bank=0, cycle=50))
+        mc.enqueue(req(row=1, bank=0, cycle=51))
         events = run_until(mc, 400)
         reads = [c for c, b, a in events if a[2] > b[2]]
         # The row hit (row 1) is served before row 9's activation completes.
@@ -105,20 +106,20 @@ class TestFrFcfs:
 
     def test_open_row_policy_keeps_row_open(self):
         mc = make_mc()
-        mc.enqueue(req(row=3, col=0))
+        mc.enqueue(req(row=3))
         run_until(mc, 60)
         assert mc._ta.open_row[0] == 3
 
     def test_write_drain_hysteresis(self):
         mc = make_mc()
         for i in range(50):
-            mc.enqueue(req(row=i % 3, col=i, is_write=True))
+            mc.enqueue(req(row=i % 3, is_write=True))
         run_until(mc, 3_000)
         assert mc.stats.writes_served > 0
 
     def test_queue_capacity(self):
         mc = make_mc()
-        accepted = sum(mc.enqueue(req(row=i, col=i)) for i in range(80))
+        accepted = sum(mc.enqueue(req(row=i)) for i in range(80))
         assert accepted == mc.config.read_queue_depth
         assert mc.stats.queue_full_rejections == 80 - accepted
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dram.geometry import Geometry
+from repro.sim.addressing import AddressMapper
 from repro.sim.core import CoreModel
 from repro.sim.trace import TraceGenerator, TraceProfile
 
@@ -10,7 +12,7 @@ def make_core(mpki=20.0, budget=1_000, window=128, mshr=16, ipc=10.66):
     profile = TraceProfile("t", mpki=mpki, row_locality=0.5)
     return CoreModel(
         core_id=0,
-        trace=TraceGenerator(profile, 128, seed=1),
+        trace=TraceGenerator(profile, AddressMapper(Geometry()), seed=1),
         instr_budget=budget,
         instr_per_mc_cycle=ipc,
         instr_window=window,
@@ -41,7 +43,7 @@ class TestIssueFlow:
             ready = core.ready_cycle(now)
             assert ready is not None
             now = max(now, ready)
-            __, is_write = core.peek_pending()
+            is_write = core.peek_pending()[2]
             entry = core.take_request(now)
             if is_write:
                 assert entry is None
@@ -62,7 +64,7 @@ class TestIssueFlow:
             if ready is None:
                 break  # blocked with unknown completion
             now = max(now, ready)
-            __, is_write = core.peek_pending()
+            is_write = core.peek_pending()[2]
             entry = core.take_request(now)
             if entry is not None:
                 entries.append(entry)

@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.dram.geometry import Geometry
+from repro.sim.addressing import AddressMapper
 from repro.sim.trace import TraceGenerator, TraceProfile
+
+#: 128 lines per row (the default geometry).
+MAPPER = AddressMapper(Geometry())
 
 
 def collect(gen, n=4_000):
-    return [gen.next_access() for __ in range(n)]
+    """The (gap, line, is_write) part of the next ``n`` accesses."""
+    return [gen.next_access()[:3] for __ in range(n)]
 
 
 class TestProfileValidation:
@@ -29,37 +35,37 @@ class TestProfileValidation:
 class TestGenerator:
     def test_deterministic_for_seed(self):
         p = TraceProfile("x", mpki=15.0, row_locality=0.6)
-        a = collect(TraceGenerator(p, 128, seed=5), 500)
-        b = collect(TraceGenerator(p, 128, seed=5), 500)
+        a = collect(TraceGenerator(p, MAPPER, seed=5), 500)
+        b = collect(TraceGenerator(p, MAPPER, seed=5), 500)
         assert a == b
 
     def test_seeds_differ(self):
         p = TraceProfile("x", mpki=15.0, row_locality=0.6)
-        a = collect(TraceGenerator(p, 128, seed=5), 500)
-        b = collect(TraceGenerator(p, 128, seed=6), 500)
+        a = collect(TraceGenerator(p, MAPPER, seed=5), 500)
+        b = collect(TraceGenerator(p, MAPPER, seed=6), 500)
         assert a != b
 
     def test_mean_gap_matches_mpki(self):
         p = TraceProfile("x", mpki=25.0, row_locality=0.5)
-        accesses = collect(TraceGenerator(p, 128, seed=1))
+        accesses = collect(TraceGenerator(p, MAPPER, seed=1))
         mean_gap = sum(gap for gap, __, __ in accesses) / len(accesses)
         assert mean_gap == pytest.approx(p.mean_gap, rel=0.1)
 
     def test_row_locality_measured(self):
         p = TraceProfile("x", mpki=20.0, row_locality=0.8)
-        accesses = collect(TraceGenerator(p, 128, seed=2))
+        accesses = collect(TraceGenerator(p, MAPPER, seed=2))
         rows = [line // 128 for __, line, __ in accesses]
         same = sum(1 for a, b in zip(rows, rows[1:]) if a == b)
         assert same / len(rows) == pytest.approx(0.8, abs=0.05)
 
     def test_write_fraction(self):
         p = TraceProfile("x", mpki=20.0, row_locality=0.5, read_fraction=0.7)
-        accesses = collect(TraceGenerator(p, 128, seed=3))
+        accesses = collect(TraceGenerator(p, MAPPER, seed=3))
         writes = sum(1 for __, __, w in accesses if w)
         assert writes / len(accesses) == pytest.approx(0.3, abs=0.04)
 
     def test_working_set_respected(self):
         p = TraceProfile("x", mpki=20.0, row_locality=0.0, working_set_rows=32)
-        accesses = collect(TraceGenerator(p, 128, seed=4))
+        accesses = collect(TraceGenerator(p, MAPPER, seed=4))
         regions = {line // 128 for __, line, __ in accesses}
         assert len(regions) <= 32

@@ -661,7 +661,6 @@ class TestPairingPolicy:
     """The ACT-bandwidth-aware Concurrent Refresh Finder (Fig. 8 Case 2)."""
 
     def _saturated_system(self):
-        from repro.dram.geometry import Address
         from repro.sim.request import Request
 
         config = SystemConfig(refresh_mode="hira", tref_slack_acts=2)
@@ -678,8 +677,8 @@ class TestPairingPolicy:
         state.pending.append(now - engine.slack_c)  # deadline == now: due
         engine._active.add((0, 0))
         demand = Request(
-            addr=Address(channel=0, rank=0, bank=0, row=5, col=0),
             line=0, is_write=False, core_id=0, arrival_cycle=now,
+            rank=0, bank=0, row=5,
         )
         return system, mc, engine, state, demand, now
 

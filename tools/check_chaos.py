@@ -14,9 +14,10 @@ which never fires proves nothing:
    test selection to FAIL against the mutated tree.  ``no-requeue``
    turns a lost job into a failed sweep; the simulated cases and the
    real-socket ``test_worker_death_requeues_job`` must both catch it.
-   The other mutations each switch off one policy (speculation,
-   quarantine, the registration deadline's re-arm, liveness from the
-   last frame) that its own simulated case guards.  If a selection
+   The other mutations each switch off one policy (speculation, the
+   speculative copy's place at the head of the queue, quarantine, the
+   registration deadline's re-arm, liveness from the last frame) that
+   its own simulated case guards.  If a selection
    still passes, it is vacuous.
 
 Usage::
@@ -76,6 +77,12 @@ MUTATIONS = (
         "            self._idle_since = now\n",
         "            pass\n",
         ([SUITE, "-k", "late_registration"],),
+    ),
+    (
+        "speculate-at-tail", "def _advance",
+        "self._pending.insert(0, copy)",
+        "self._pending.append(copy)",
+        ([SUITE, "-k", "speculated"],),
     ),
     (
         "liveness-from-assignment", "def _advance",
