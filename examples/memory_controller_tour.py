@@ -62,7 +62,7 @@ def tour_decisions() -> None:
 
     # Case 1: a demand ACT arrives — ride the refresh on it.
     demand = Request(
-        line=0, is_write=False, core_id=0, arrival_cycle=horizon,
+        is_write=False, core_id=0, arrival_cycle=horizon,
         rank=0, bank=0, row=1234,
     )
     refresh_row = engine.on_act(demand, horizon)

@@ -7,9 +7,10 @@ Nine subcommands mirror the repository's main workflows:
 - ``audit`` — run one configuration with command auditors attached and
   re-verify the recorded stream against the rule-table timing oracle.
 - ``sweep`` — an orchestrated parameter-grid sweep (parallel + cached,
-  with pluggable execution backends and incremental regeneration).
+  with pluggable execution backends; a re-run computes only the points
+  missing from the result store).
 - ``worker`` — a sweep-execution worker daemon for ``--backend socket``.
-- ``status`` — render the live fleet status file and journal progress.
+- ``status`` — render the live fleet status file and per-sweep store progress.
 - ``security`` — print PARA's (revisited) configuration for a threshold.
 - ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``
   (``--profile`` adds the phase-attributed wall-time breakdown).
@@ -25,7 +26,7 @@ Usage::
     python -m repro.cli sweep --modes baseline,hira --capacities 8,32 \
         --mixes 2 --workers 4 --cache-dir .sweep-cache
     python -m repro.cli worker --port 7781 &
-    python -m repro.cli sweep --backend socket --port 7781 --incremental
+    python -m repro.cli sweep --backend socket --port 7781
     python -m repro.cli sweep --status-file .sweep-status.json
     python -m repro.cli status --status-file .sweep-status.json
     python -m repro.cli security --nrh 128 --slack 4
@@ -200,15 +201,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.orchestrator import (
         ResultCache,
         Sweep,
-        SweepJournal,
         Variant,
         axis,
-        journal_path_for,
         mix_workloads,
         plan_sweep,
         run_sweep,
     )
-    from repro.orchestrator.hashing import source_fingerprint
     from repro.sim.config import SystemConfig
 
     variants = []
@@ -245,27 +243,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_cycles=args.max_cycles,
     )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.incremental and cache is None:
-        print("--incremental needs a result store; drop --no-cache")
-        return 2
-    if args.resume and cache is None:
-        print("--resume needs a result store; drop --no-cache")
-        return 2
-
-    journal = None
-    if cache is not None:
-        journal = journal_path_for(cache.root, args.name)
-    if args.resume:
-        state = SweepJournal.load(journal)
-        if state.runs == 0:
-            print(f"resume: no journal at {journal}; starting fresh")
-        else:
-            print(f"resume: {state.describe()}")
-            if state.fingerprint and state.fingerprint != source_fingerprint():
-                print(
-                    "resume: simulator source changed since the journaled "
-                    "run; journaled points will be recomputed, not replayed"
-                )
 
     backend = args.backend
     owned_backend = None
@@ -291,9 +268,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     print(f"sweep {args.name!r}: {sweep.size} points on {args.workers or 'auto'} workers")
     plan = None
-    if args.incremental or args.resume:
+    if cache is not None:
+        # The store is the sweep's only durable record: plan against it,
+        # and leave the manifest `repro status` reads progress from.
         plan = plan_sweep(sweep, cache)
-        print(f"{'resume' if args.resume else 'incremental'}: {plan.describe()}")
+        previous = cache.write_manifest(args.name, plan.keys)
+        print(f"plan: {plan.describe()}")
+        if previous is not None and previous != cache.fingerprint:
+            print(
+                "plan: simulator source changed since the last run of this "
+                "sweep; its stored points will be recomputed, not replayed"
+            )
     try:
         result = run_sweep(
             sweep,
@@ -301,7 +286,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache=cache,
             backend=backend,
             plan=plan,
-            journal=journal,
             status=status,
         )
     finally:
@@ -396,12 +380,13 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.obs.fleet import journal_progress, load_status, render_status
+    from repro.obs.fleet import load_status, render_status
+    from repro.orchestrator.cache import ResultCache
 
     status = load_status(args.status_file) if args.status_file else None
-    journals = journal_progress(args.store) if args.store else []
-    print(render_status(status, journals))
-    return 0 if status is not None or journals else 1
+    progress = ResultCache(args.store).progress() if args.store else []
+    print(render_status(status, progress))
+    return 0 if status is not None or progress else 1
 
 
 def _cmd_security(args: argparse.Namespace) -> int:
@@ -632,14 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registration-timeout", type=float, default=60.0,
                    dest="registration_timeout",
                    help="socket backend: fail if no worker registers in time")
-    p.add_argument("--incremental", action="store_true",
-                   help="diff the grid against the store first, report the "
-                        "reused-vs-computed plan, and dispatch only "
-                        "missing/stale points")
-    p.add_argument("--resume", action="store_true",
-                   help="continue an interrupted sweep: report the journal's "
-                        "progress, replay completed points from the store, "
-                        "and compute only the remainder")
     p.add_argument("--strict-backend", action="store_true", dest="strict_backend",
                    help="socket backend: fail when no worker registers "
                         "instead of degrading to the local pool")
@@ -678,15 +655,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "status",
-        help="render a sweep's live fleet status and journal progress",
+        help="render a sweep's live fleet status and store progress",
     )
     p.add_argument("--status-file", default=".sweep-status.json",
                    dest="status_file",
                    help="status snapshot written by `repro sweep "
                         "--status-file` ('' skips it)")
     p.add_argument("--store", default=".sweep-cache",
-                   help="result store whose journals report per-sweep "
-                        "progress ('' skips them)")
+                   help="result store whose sweep manifests report "
+                        "per-sweep progress ('' skips them)")
     p.set_defaults(func=_cmd_status)
 
     p = sub.add_parser("security", help="PARA configuration for a threshold")

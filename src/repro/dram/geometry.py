@@ -129,10 +129,6 @@ class Address:
             raise GeometryError(f"column {self.col} out of range")
         return self
 
-    def bank_key(self) -> tuple[int, int, int]:
-        """(channel, rank, bank) triple used as a dict key by schedulers."""
-        return (self.channel, self.rank, self.bank)
-
 
 def geometry_for_capacity(
     capacity_gbit: float,

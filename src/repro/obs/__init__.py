@@ -15,14 +15,15 @@ events/sec floor holds.
   explicit ``ControllerStats``/``ChipStats`` export maps, pinned to the
   dataclasses by parity tests.
 - :mod:`repro.obs.fleet` — fleet telemetry: job lifecycle counters,
-  worker heartbeat ages, and journal-derived progress, snapshotted
-  atomically to the status file behind ``repro status``.
+  worker heartbeat ages, snapshotted atomically to the status file
+  behind ``repro status``, which also renders each sweep's progress from
+  the result store's manifests.
 - :mod:`repro.obs.profiler` — the kernel phase profiler behind
   ``repro perf --profile`` (schedule pass, queue scan, refresh engines,
   trace refill).
 """
 
-from repro.obs.fleet import FleetStatus, journal_progress, load_status, render_status
+from repro.obs.fleet import FleetStatus, load_status, render_status
 from repro.obs.metrics import (
     CHIP_METRICS,
     CONTROLLER_METRICS,
@@ -57,7 +58,6 @@ __all__ = [
     "STALL_REASONS",
     "SimTracer",
     "attach_tracers",
-    "journal_progress",
     "load_status",
     "metrics_from_result",
     "profile_workload",

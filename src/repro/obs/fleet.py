@@ -28,7 +28,6 @@ from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
 from repro.orchestrator.atomicio import atomic_write_text
-from repro.orchestrator.journal import SweepJournal
 
 #: Job lifecycle states tracked as labeled counters.
 JOB_EVENTS = ("queued", "dispatched", "retried", "speculated", "quarantined", "done")
@@ -89,7 +88,7 @@ class FleetStatus:
         the same point twice (and store replay never reaches here at
         all), so ``done`` counts distinct points and can never exceed
         the ``todo`` reported by :meth:`sweep_started` — the rendered
-        ``done/todo`` line stays truthful under ``--resume``.
+        ``done/todo`` line stays truthful when a re-run replays points.
         """
         if label in self._done_labels:
             return
@@ -185,18 +184,13 @@ def load_status(path: str | Path) -> dict | None:
         return None
 
 
-def journal_progress(store_root: str | Path) -> list:
-    """Journal-derived progress for every sweep sharing a result store."""
-    journal_dir = Path(store_root) / "journals"
-    if not journal_dir.is_dir():
-        return []
-    return [
-        SweepJournal.load(path) for path in sorted(journal_dir.glob("*.jsonl"))
-    ]
+def render_status(status: dict | None, progress: list) -> str:
+    """Human-readable sweep/fleet dashboard (the ``repro status`` view).
 
-
-def render_status(status: dict | None, journals: list) -> str:
-    """Human-readable sweep/fleet dashboard (the ``repro status`` view)."""
+    ``progress`` is :meth:`ResultCache.progress
+    <repro.orchestrator.cache.ResultCache.progress>`: ``(name, stored,
+    planned)`` per sweep manifest in the store.
+    """
     lines: list[str] = []
     if status is None:
         lines.append("no status snapshot found")
@@ -234,8 +228,9 @@ def render_status(status: dict | None, journals: list) -> str:
         if updated is not None:
             age = max(0.0, time.time() - updated)
             lines.append(f"snapshot age: {age:.1f}s")
-    if journals:
-        lines.append("journals:")
-        for state in journals:
-            lines.append(f"  {state.path.stem}: {state.describe()}")
+    if progress:
+        lines.append("store:")
+        for name, stored, planned in progress:
+            state = "complete" if stored == planned else "incomplete"
+            lines.append(f"  {name}: {stored}/{planned} points stored, {state}")
     return "\n".join(lines)

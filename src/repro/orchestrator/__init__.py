@@ -17,7 +17,10 @@ package turns that shape into infrastructure:
   regeneration (only missing/stale points execute).
 - :mod:`repro.orchestrator.cache` — the content-addressed result store,
   keyed by config hash + simulator source fingerprint; sweeps sharing a
-  store directory compute each point exactly once across sweeps.
+  store directory compute each point exactly once across sweeps.  It is a
+  sweep's only durable record: each run also leaves one atomic manifest
+  (name, fingerprint, planned keys) that ``repro status`` reads progress
+  from.
 - :mod:`repro.orchestrator.pool` — :func:`parallel_map`, the generic
   order-preserving helper the chip-characterization experiments use.
 - :mod:`repro.orchestrator.backends.dispatch` — the socket backend's
@@ -25,9 +28,6 @@ package turns that shape into infrastructure:
   quarantine, deadlines) plus the shared :class:`Backoff` schedule; the
   chaos suite (``tests/test_chaos.py``) drives it in virtual time and
   replays every fault schedule from its seed.
-- :mod:`repro.orchestrator.journal` — the append-only per-sweep journal
-  behind ``repro sweep --resume`` (the store remains the authority; the
-  journal reports progress and detects fingerprint drift).
 
 Benchmarks and the ``repro sweep`` / ``repro worker`` CLI subcommands are
 thin layers over these primitives.
@@ -46,7 +46,6 @@ from repro.orchestrator.backends import (
 from repro.orchestrator.backends.dispatch import Backoff
 from repro.orchestrator.cache import ResultCache, result_from_dict, result_to_dict
 from repro.orchestrator.hashing import config_hash
-from repro.orchestrator.journal import JournalState, SweepJournal, journal_path_for
 from repro.orchestrator.pool import parallel_map
 from repro.orchestrator.runner import (
     SweepPlan,
@@ -68,14 +67,12 @@ from repro.orchestrator.sweep import (
 __all__ = [
     "Backoff",
     "ExecutionBackend",
-    "JournalState",
     "LocalPoolBackend",
     "NoWorkersRegistered",
     "ResultCache",
     "SerialBackend",
     "SocketBackend",
     "Sweep",
-    "SweepJournal",
     "SweepPlan",
     "SweepPoint",
     "SweepResult",
@@ -86,7 +83,6 @@ __all__ = [
     "axis",
     "config_hash",
     "execute_point",
-    "journal_path_for",
     "make_backend",
     "mix_workloads",
     "parallel_map",

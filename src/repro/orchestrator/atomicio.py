@@ -1,7 +1,7 @@
 """Atomic file writes: no reader ever observes a torn file.
 
 Every artifact the orchestrator persists — result-store entries, sweep
-journals, ``--json-out`` payloads, bench JSON — goes through
+manifests, ``--json-out`` payloads, bench JSON — goes through
 :func:`atomic_write_text`: write to a same-directory temp file, flush,
 ``fsync``, then ``os.replace`` onto the target.  A crash at any point
 leaves either the old file or the new file, never a prefix of the new

@@ -224,9 +224,9 @@ class JobServer:
         """Yield ``(index, result)`` pairs as each job completes.
 
         Streaming is what makes the sweep crash-safe: the runner persists
-        every yielded result to the content-addressed store and the sweep
-        journal immediately, so a server/runner crash loses only in-flight
-        work and ``--resume`` continues from the completed points.
+        every yielded result to the content-addressed store immediately, so
+        a server/runner crash loses only in-flight work and re-running the
+        sweep continues from the completed points.
         """
         jobs = list(jobs)
         if not jobs:

@@ -12,6 +12,14 @@ fingerprint in, but the stamp guards the cache *itself*: entries written
 by older code (different key schema, hand-supplied keys, or a pre-stamp
 layout) can never silently replay results produced by different
 scheduler/engine behavior.
+
+Beside the entries, each sweep run with a store leaves one manifest
+(``<root>/manifests/<name>.json``: name, fingerprint, planned keys),
+atomically replaced at every run.  It is the only record a sweep keeps
+besides its entries: progress is the planned keys whose entry exists,
+and a fingerprint differing from the live source means the previous
+run's points will be recomputed, not replayed.  A crash loses at most the
+in-flight points, because every :meth:`ResultCache.put` is atomic.
 """
 
 from __future__ import annotations
@@ -124,4 +132,39 @@ class ResultCache:
     def __len__(self) -> int:
         if not self.root.exists():
             return 0
-        return sum(1 for __ in self.root.glob("*/*.json"))
+        # Only the two-hex-character key shards: ``manifests/`` is not one.
+        return sum(1 for __ in self.root.glob("[0-9a-f][0-9a-f]/*.json"))
+
+    def manifest_path(self, name: str) -> Path:
+        safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name)
+        return self.root / "manifests" / f"{safe}.json"
+
+    def write_manifest(self, name: str, keys) -> str | None:
+        """Record sweep ``name``'s planned keys under this store's
+        fingerprint; return the fingerprint of the manifest replaced
+        (``None`` when there was none)."""
+        previous = self._read_manifest(self.manifest_path(name))
+        body = {"name": name, "fingerprint": self.fingerprint, "keys": list(keys)}
+        atomic_write_text(self.manifest_path(name), json.dumps(body))
+        return previous.get("fingerprint") if previous else None
+
+    @staticmethod
+    def _read_manifest(path: Path) -> dict | None:
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            return None
+        return data if isinstance(data, dict) else None
+
+    def progress(self) -> list[tuple[str, int, int]]:
+        """``(name, stored, planned)`` for every sweep manifest in the
+        store: how many of its planned keys have an entry file."""
+        rows = []
+        for path in sorted(self.root.glob("manifests/*.json")):
+            manifest = self._read_manifest(path)
+            if manifest is None:
+                continue
+            keys = manifest.get("keys", [])
+            stored = sum(1 for key in keys if self.path_for(key).exists())
+            rows.append((manifest.get("name", path.stem), stored, len(keys)))
+        return rows

@@ -25,8 +25,6 @@ from typing import TYPE_CHECKING, Iterator
 from repro.orchestrator.backends import ExecutionBackend, make_backend
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.execute import execute_point  # noqa: F401  (re-export)
-from repro.orchestrator.hashing import source_fingerprint
-from repro.orchestrator.journal import SweepJournal
 from repro.orchestrator.pool import default_workers
 from repro.orchestrator.sweep import Sweep, SweepPoint
 from repro.sim.system import SimResult
@@ -155,7 +153,6 @@ def run_sweep(
     cache: ResultCache | str | Path | None = None,
     backend: str | ExecutionBackend | None = None,
     plan: SweepPlan | None = None,
-    journal: SweepJournal | str | Path | None = None,
     status: "FleetStatus | None" = None,
 ) -> SweepResult:
     """Execute every point of ``sweep``, reusing the store when possible.
@@ -166,14 +163,13 @@ def run_sweep(
     ``repro worker`` daemons, and any
     :class:`~repro.orchestrator.backends.ExecutionBackend` instance is
     used as-is (and not closed).  ``plan`` short-circuits the store diff
-    when the caller already ran :func:`plan_sweep` (e.g. to report an
-    incremental plan before dispatching).
+    when the caller already ran :func:`plan_sweep` (e.g. to report the
+    plan before dispatching).
 
-    Crash safety: every result is persisted to ``cache`` (and journaled to
-    ``journal``, when given) *the moment the backend yields it* — an
-    interrupted sweep keeps all completed points, and re-running it (the
-    CLI's ``--resume``) replays them from the store and computes only the
-    remainder.
+    Crash safety: every result is persisted to ``cache`` *the moment the
+    backend yields it*, by an atomic write — an interrupted sweep keeps
+    all completed points, and re-running it replays them from the store
+    and computes only the remainder.
 
     ``status`` (a :class:`~repro.obs.fleet.FleetStatus`) mirrors the run
     to a live status file: the sweep lifecycle and per-point completions
@@ -185,9 +181,6 @@ def run_sweep(
         workers = default_workers()
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    owned_journal = journal is not None and not isinstance(journal, SweepJournal)
-    if owned_journal:
-        journal = SweepJournal(journal)
     # Snapshot the (possibly reused) cache's counters to report deltas.
     # A caller-provided plan already consumed its hits outside this call,
     # so the plan's own tally stands in for the delta there.
@@ -199,14 +192,6 @@ def run_sweep(
     results = plan.results
     todo = plan.todo
 
-    if journal is not None:
-        journal.begin(
-            sweep.name,
-            len(plan.points),
-            source_fingerprint(),
-            reused=plan.reused,
-        )
-
     if status is not None:
         status.sweep_started(
             sweep.name, len(plan.points), plan.reused, len(todo), workers
@@ -214,54 +199,46 @@ def run_sweep(
 
     telemetry: dict = {}
     backend_name = backend if isinstance(backend, str) else None
-    try:
-        if todo:
-            bk, owned = make_backend(backend, workers)
-            backend_name = bk.name
-            if status is not None:
-                server = getattr(bk, "server", None)
-                if server is not None:
-                    server.status = status
-            try:
-                jobs = [(i, plan.points[i]) for i in todo]
-                for index, result in bk.run_jobs(jobs):
-                    results[index] = result
-                    # Persist immediately: a crash after this point cannot
-                    # lose this result, only in-flight ones.
-                    if cache is not None:
-                        cache.put(
-                            plan.keys[index],
-                            result,
-                            describe=dict(plan.points[index].coords),
-                        )
-                    if journal is not None:
-                        journal.record_done(index, plan.keys[index])
-                    if status is not None:
-                        status.point_done(plan.points[index].label)
-            finally:
-                if owned:
-                    bk.close()
-            workers = bk.parallelism
-            if getattr(bk, "degraded", False):
-                backend_name = f"{bk.name}+local-fallback"
-            report = getattr(bk, "telemetry", None)
-            if report is not None:
-                telemetry = report()
-            missing = [i for i in todo if results[i] is None]
-            if missing:
-                raise RuntimeError(
-                    f"backend {backend_name!r} returned no result for "
-                    f"{len(missing)} points (first: {plan.points[missing[0]].label})"
-                )
-        elif backend_name is None:
-            backend_name = (
-                backend.name if isinstance(backend, ExecutionBackend) else "local"
+    if todo:
+        bk, owned = make_backend(backend, workers)
+        backend_name = bk.name
+        if status is not None:
+            server = getattr(bk, "server", None)
+            if server is not None:
+                server.status = status
+        try:
+            jobs = [(i, plan.points[i]) for i in todo]
+            for index, result in bk.run_jobs(jobs):
+                results[index] = result
+                # Persist immediately: a crash after this point cannot
+                # lose this result, only in-flight ones.
+                if cache is not None:
+                    cache.put(
+                        plan.keys[index],
+                        result,
+                        describe=dict(plan.points[index].coords),
+                    )
+                if status is not None:
+                    status.point_done(plan.points[index].label)
+        finally:
+            if owned:
+                bk.close()
+        workers = bk.parallelism
+        if getattr(bk, "degraded", False):
+            backend_name = f"{bk.name}+local-fallback"
+        report = getattr(bk, "telemetry", None)
+        if report is not None:
+            telemetry = report()
+        missing = [i for i in todo if results[i] is None]
+        if missing:
+            raise RuntimeError(
+                f"backend {backend_name!r} returned no result for "
+                f"{len(missing)} points (first: {plan.points[missing[0]].label})"
             )
-        if journal is not None:
-            journal.complete()
-    finally:
-        if owned_journal:
-            journal.close()
+    elif backend_name is None:
+        backend_name = (
+            backend.name if isinstance(backend, ExecutionBackend) else "local"
+        )
 
     if caller_plan:
         cache_hits, cache_misses = plan.reused, plan.computed

@@ -11,10 +11,9 @@ class Request:
 
     A request is born decoded: ``rank``/``bank``/``row`` are its DRAM
     coordinates inside the channel it is routed to (``bank`` is the
-    rank-local bank id), decoded in bulk by the trace refill; ``line`` is
-    the flat cache-line address they came from.  ``complete_cycle`` is
-    filled by the controller when the data burst finishes (reads) or the
-    write is accepted.  ``rob`` carries the issuing core's ROB entry for
+    rank-local bank id), decoded in bulk by the trace refill.
+    ``complete_cycle`` is filled by the controller when the data burst
+    finishes (reads) or the write is accepted.  ``rob`` carries the issuing core's ROB entry for
     reads (slotted — a request is a hot object, allocated once per LLC
     miss).
 
@@ -27,7 +26,6 @@ class Request:
     exact object.
     """
 
-    line: int
     is_write: bool
     core_id: int
     arrival_cycle: int

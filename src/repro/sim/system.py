@@ -209,10 +209,10 @@ class System:
                             break
                         # The access arrives decoded (trace refill): route
                         # it by the channel it carries.
-                        __, line, is_write, channel, rank, bank, row = (
+                        __, __, is_write, channel, rank, bank, row = (
                             core.peek_pending()
                         )
-                        req = Request(line, is_write, cid, cycle, rank, bank, row)
+                        req = Request(is_write, cid, cycle, rank, bank, row)
                         if not mcs[channel].enqueue(req):
                             retry_at[cid] = cycle + 4
                             core_wake[cid] = cycle + 4

@@ -22,8 +22,8 @@ through :func:`run_case`.
 ``chaos-matrix`` job runs the suite under two seeds, and
 ``tools/check_chaos.py`` plants one-line policy mutations the suite
 must catch.  The real-socket tests at the end cover what the dispatcher
-cannot see: the crash-safe journal, zero-worker degradation, and
-workers facing a server that never answers.
+cannot see: crash-safe resume from the result store, zero-worker
+degradation, and workers facing a server that never answers.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from repro.orchestrator import (
     NoWorkersRegistered,
     ResultCache,
     SocketBackend,
-    SweepJournal,
-    journal_path_for,
     plan_sweep,
     result_from_dict,
     result_to_dict,
@@ -574,7 +572,7 @@ class TestSimulatedFaults:
 
 
 # ----------------------------------------------------------------------
-# Real sockets: crash-safe journal + resume
+# Real sockets: crash-safe store + resume
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def serial():
@@ -585,11 +583,11 @@ class TestCrashSafetyAndResume:
     def test_interrupted_sweep_keeps_results_and_resumes(self, tmp_path, serial):
         # Phase 1: the only worker returns one result and then dies with
         # no retries left -> the sweep fails *after* one result was
-        # streamed, cached, and journaled.  Phase 2: --resume semantics
-        # (plan + journal) recompute only the missing point.
+        # streamed and stored.  Phase 2: a plain re-run (plan + manifest,
+        # as `repro sweep` does) recomputes only the missing point.
         sweep = tiny_sweep()
         cache = ResultCache(tmp_path / "store")
-        jpath = journal_path_for(cache.root, sweep.name)
+        assert cache.write_manifest(sweep.name, plan_sweep(sweep, cache).keys) is None
         backend = SocketBackend(
             port=0, registration_timeout=2.0, heartbeat_timeout=5.0,
             max_retries=0, strict=True,
@@ -615,46 +613,50 @@ class TestCrashSafetyAndResume:
         worker.start()
         try:
             with pytest.raises(WorkerPoolError, match="failed 1 times"):
-                run_sweep(sweep, cache=cache, backend=backend, journal=jpath)
+                run_sweep(sweep, cache=cache, backend=backend)
         finally:
             backend.close()
         worker.join(timeout=10)
         assert not worker.is_alive()
 
-        state = SweepJournal.load(jpath)
-        assert state.runs == 1 and not state.complete
-        assert state.done == 1
+        assert cache.progress() == [(sweep.name, 1, 2)]
         assert len(cache) == 1  # the streamed result survived the crash
 
         resumed_plan = plan_sweep(sweep, cache)
         assert resumed_plan.reused == 1 and resumed_plan.computed == 1
+        assert (cache.write_manifest(sweep.name, resumed_plan.keys)
+                == cache.fingerprint)
         result = run_sweep(sweep, cache=cache, backend="serial",
-                           plan=resumed_plan, journal=jpath)
+                           plan=resumed_plan)
         assert dicts(result) == dicts(serial)
-        state = SweepJournal.load(jpath)
-        assert state.runs == 2 and state.complete
-        assert state.done == 2
+        assert cache.progress() == [(sweep.name, 2, 2)]
 
-    def test_journal_round_trip_and_torn_tail(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path) as journal:
-            journal.begin("s", 3, "fp", reused=1)
-            journal.record_done(0, "k0")
-            journal.record_done(2, "k2")
-        state = SweepJournal.load(path)
-        assert state.runs == 1 and not state.complete
-        assert state.done_keys == {"k0", "k2"} and state.points == 3
-        assert state.fingerprint == "fp" and not state.torn_tail
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "done", "index": 1, "key"')  # torn
-        state = SweepJournal.load(path)
-        assert state.torn_tail and state.done_keys == {"k0", "k2"}
-        assert "interrupted" in state.describe()
+    def test_manifest_round_trip(self, tmp_path, serial):
+        cache = ResultCache(tmp_path / "store", fingerprint="fp-old")
+        assert cache.write_manifest("s", ["aa00", "bb11", "cc22"]) is None
+        manifest = json.loads(cache.manifest_path("s").read_text())
+        assert manifest == {"name": "s", "fingerprint": "fp-old",
+                            "keys": ["aa00", "bb11", "cc22"]}
+        assert cache.progress() == [("s", 0, 3)]
+        cache.put("aa00", serial.results[0])
+        cache.put("cc22", serial.results[1])
+        assert cache.progress() == [("s", 2, 3)]
+        # A re-run replaces the manifest and reports whose it replaced.
+        newer = ResultCache(tmp_path / "store", fingerprint="fp-new")
+        assert newer.write_manifest("s", ["aa00"]) == "fp-old"
+        assert newer.progress() == [("s", 1, 1)]
 
-    def test_journal_path_sanitizes_sweep_names(self, tmp_path):
-        path = journal_path_for(tmp_path, "fig 12/same-bank")
-        assert path.parent == tmp_path / "journals"
-        assert path.name == "fig_12_same-bank.jsonl"
+    def test_manifest_path_sanitizes_sweep_names(self, tmp_path):
+        path = ResultCache(tmp_path).manifest_path("fig 12/same-bank")
+        assert path.parent == tmp_path / "manifests"
+        assert path.name == "fig_12_same-bank.json"
+
+    def test_manifest_is_not_counted_as_an_entry(self, tmp_path, serial):
+        cache = ResultCache(tmp_path / "store")
+        cache.put("aa11", serial.results[0])
+        cache.write_manifest("s", ["aa11"])
+        assert cache.manifest_path("s").exists()
+        assert len(cache) == 1
 
     def test_kill_during_cache_put_leaves_no_torn_entry(
             self, tmp_path, serial, monkeypatch):

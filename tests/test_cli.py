@@ -25,10 +25,10 @@ class TestParser:
     def test_sweep_backend_args(self):
         args = build_parser().parse_args([
             "sweep", "--backend", "socket", "--port", "7000",
-            "--spawn-workers", "2", "--incremental",
+            "--spawn-workers", "2",
         ])
         assert args.backend == "socket" and args.port == 7000
-        assert args.spawn_workers == 2 and args.incremental
+        assert args.spawn_workers == 2
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--backend", "mainframe"])
 
@@ -264,16 +264,30 @@ class TestCommands:
         assert bad.returncode == 1
         assert "REGRESSED" in bad.stdout
 
-    def test_incremental_requires_store(self, capsys):
-        assert main([
-            "sweep", "--mixes", "1", "--instructions", "5000",
-            "--no-cache", "--incremental",
-        ]) == 2
-        assert "--incremental" in capsys.readouterr().out
+    def test_sweep_notes_a_source_change_since_the_last_run(self, capsys, tmp_path):
+        from repro.orchestrator import ResultCache
+
+        store = tmp_path / "store"
+        ResultCache(store, fingerprint="0" * 16).write_manifest("drift", ["aa00"])
+        argv = [
+            "sweep", "--name", "drift", "--modes", "baseline", "--mixes", "1",
+            "--instructions", "2000", "--backend", "serial",
+            "--cache-dir", str(store),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "plan: 1 points: 0 reused from the store, 1 to compute" in out
+        assert "plan: simulator source changed since the last run" in out
+        # The manifest now carries the live fingerprint: no note on a re-run.
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "plan: 1 points: 1 reused from the store, 0 to compute" in out
+        assert "source changed" not in out
+        assert ResultCache(store).progress() == [("drift", 1, 1)]
 
     def test_sweep_socket_backend_with_worker_thread(self, capsys, tmp_path):
         # The full CLI path: `repro sweep --backend socket` against an
-        # in-process worker, then an overlapping incremental re-run that
+        # in-process worker, then an overlapping re-run that
         # must reuse every shared point (cross-sweep dedup telemetry).
         import json
         import threading
@@ -301,10 +315,10 @@ class TestCommands:
             "sweep", "--name", "two", "--modes", "baseline",
             "--capacities", "8,32", "--mixes", "1", "--instructions", "5000",
             "--cache-dir", store, "--backend", "socket", "--port", str(port),
-            "--incremental", "--json-out", str(json2),
+            "--json-out", str(json2),
         ]) == 0
         out = capsys.readouterr().out
-        assert "incremental: 2 points: 1 reused from the store, 1 to compute" in out
+        assert "plan: 2 points: 1 reused from the store, 1 to compute" in out
         worker.join(timeout=15)
         one = json.loads(json1.read_text())
         two = json.loads(json2.read_text())

@@ -18,7 +18,7 @@ def make_hira_mc(**engine_kwargs):
 
 def req(row=0, bank=0):
     return Request(
-        line=0, is_write=False, core_id=0, arrival_cycle=0,
+        is_write=False, core_id=0, arrival_cycle=0,
         rank=0, bank=bank, row=row,
     )
 

@@ -55,9 +55,6 @@ class TestAddress:
         with pytest.raises(GeometryError):
             Address(col=128).validate(geom)
 
-    def test_bank_key(self):
-        assert Address(channel=1, rank=2, bank=3).bank_key() == (1, 2, 3)
-
 
 class TestGeometryForCapacity:
     def test_eight_gbit_matches_table3(self):

@@ -642,7 +642,7 @@ def _mc(engine: RefreshEngine, **overrides) -> MemoryController:
 
 def _read(rank: int, bank: int, row: int) -> Request:
     return Request(
-        line=0, is_write=False, core_id=0, arrival_cycle=0,
+        is_write=False, core_id=0, arrival_cycle=0,
         rank=rank, bank=bank, row=row,
     )
 

@@ -4,9 +4,9 @@ The contract: lifecycle events fold into deterministic job counts, the
 status file is written atomically and round-trips through
 :func:`load_status`, heartbeat chatter is rate-limited while lifecycle
 edges force a write, a ``None`` path makes every write a no-op, and the
-``repro status`` subcommand renders both the snapshot and the journal
-progress.  Telemetry must never break a sweep, so the unwritable-path
-case is exercised too.
+``repro status`` subcommand renders both the snapshot and each sweep's
+progress from the result store's manifests.  Telemetry must never break
+a sweep, so the unwritable-path case is exercised too.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.obs.fleet import (
     FleetStatus,
     JOB_EVENTS,
-    journal_progress,
     load_status,
     render_status,
 )
@@ -123,21 +122,45 @@ def test_render_status_mentions_everything(tmp_path):
     assert render_status(None, []) == "no status snapshot found"
 
 
-def test_journal_progress_reads_the_store(tmp_path):
-    from repro.orchestrator.journal import SweepJournal
+def test_store_progress_reads_the_manifests(tmp_path):
+    from repro.orchestrator.cache import ResultCache
 
-    journal_dir = tmp_path / "journals"
-    journal_dir.mkdir()
-    with SweepJournal(journal_dir / "demo.jsonl") as journal:
-        journal.begin("demo", points=2, fingerprint="f" * 8)
-        journal.record_done(0, "k0")
-    states = journal_progress(tmp_path)
-    assert len(states) == 1
-    assert states[0].done == 1
-    assert "interrupted" in states[0].describe()
-    assert journal_progress(tmp_path / "nowhere") == []
-    text = render_status(None, states)
-    assert "journals:" in text and "demo" in text
+    cache = ResultCache(tmp_path, fingerprint="f" * 8)
+    cache.write_manifest("demo", ["k0", "k1"])
+    cache.path_for("k0").parent.mkdir(parents=True)
+    cache.path_for("k0").write_text("{}")
+    progress = cache.progress()
+    assert progress == [("demo", 1, 2)]
+    assert ResultCache(tmp_path / "nowhere").progress() == []
+    text = render_status(None, progress)
+    assert "store:" in text and "demo: 1/2 points stored, incomplete" in text
+
+
+def test_manifest_fingerprint_change_resets_stored_count(tmp_path):
+    """Point keys carry the source fingerprint, so after a source change
+    the re-run's manifest plans new keys: entries stored by the old code
+    must not count toward its progress (never e.g. "10/6" or "4/6")."""
+    from repro.orchestrator.cache import ResultCache
+
+    def store(cache, key):
+        cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(key).write_text("{}")
+
+    old = ResultCache(tmp_path, fingerprint="a" * 8)
+    old_keys = [f"a{i}" * 4 for i in range(6)]
+    old.write_manifest("demo", old_keys)
+    for key in old_keys[:4]:
+        store(old, key)
+    assert old.progress() == [("demo", 4, 6)]
+    # Source changed between runs: everything recomputes under new keys.
+    new = ResultCache(tmp_path, fingerprint="b" * 8)
+    new_keys = [f"b{i}" * 4 for i in range(6)]
+    assert new.write_manifest("demo", new_keys) == "a" * 8
+    assert new.progress() == [("demo", 0, 6)]
+    for key in new_keys:
+        store(new, key)
+    assert new.progress() == [("demo", 6, 6)]
+    assert "demo: 6/6 points stored, complete" in render_status(None, new.progress())
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +197,24 @@ def test_status_cli_end_to_end(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "sweep fleet-e2e: finished" in out
     assert "jobs:" in out
-    assert "journals:" in out and "complete" in out
+    assert "store:" in out and "fleet-e2e: 1/1 points stored, complete" in out
+
+
+def test_status_cli_reports_a_partial_store_without_a_snapshot(tmp_path, capsys):
+    # A sweep killed after 1 of its 2 points: the store alone is enough
+    # for `repro status` to report K/N and exit 0.
+    from repro.orchestrator.cache import ResultCache
+
+    cache = ResultCache(tmp_path / "store")
+    cache.write_manifest("killed", ["aa00", "bb11"])
+    cache.path_for("aa00").parent.mkdir(parents=True)
+    cache.path_for("aa00").write_text("{}")
+    code, out = _run_cli(
+        ["status", "--status-file", "", "--store", str(tmp_path / "store")],
+        capsys,
+    )
+    assert code == 0
+    assert "store:" in out and "killed: 1/2 points stored, incomplete" in out
 
 
 def test_status_cli_exits_nonzero_when_nothing_to_report(tmp_path, capsys):
@@ -214,7 +254,7 @@ def test_sweep_json_out_carries_telemetry_and_fleet(tmp_path, capsys):
 def test_resumed_half_done_sweep_renders_consistent_progress(tmp_path):
     """Resuming a half-done sweep replays the stored half; the rendered
     line must count only newly computed points against ``todo`` — never
-    ``done > todo``, never double-counting journal-replayed points."""
+    ``done > todo``, never double-counting store-replayed points."""
     from repro.orchestrator.runner import run_sweep
     from repro.orchestrator.sweep import Sweep, Variant, axis, profile_workloads
     from repro.sim.trace import TraceProfile
@@ -262,26 +302,3 @@ def test_point_done_is_idempotent_per_label(tmp_path):
     status.sweep_finished("serial", 0.5)
     text = render_status(load_status(path), [])
     assert "2/2 computed (2 replayed from the store, 4 points total)" in text
-
-
-def test_journal_fingerprint_change_resets_done_count(tmp_path):
-    """Points journaled under a stale source fingerprint are recomputed,
-    not replayed — they must not count toward the latest run (the old
-    behavior reported e.g. "10/6 points journaled")."""
-    from repro.orchestrator.journal import SweepJournal
-
-    journal_dir = tmp_path / "journals"
-    journal_dir.mkdir()
-    with SweepJournal(journal_dir / "demo.jsonl") as journal:
-        journal.begin("demo", points=6, fingerprint="a" * 8)
-        for i in range(4):
-            journal.record_done(i, f"old-k{i}")
-        # Source changed between runs: everything recomputes under new keys.
-        journal.begin("demo", points=6, fingerprint="b" * 8)
-        for i in range(6):
-            journal.record_done(i, f"new-k{i}")
-        journal.complete()
-    state = journal_progress(tmp_path)[0]
-    assert state.done == 6  # not 10: stale-fingerprint points dropped
-    assert state.describe().startswith("6/6 points journaled")
-    assert state.runs == 2 and state.complete

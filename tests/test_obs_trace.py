@@ -212,7 +212,7 @@ def test_stall_attribution_reads_every_bank_head():
     for i, bank in enumerate([0] * 8 + [1]):
         mc.enqueue(
             Request(
-                line=i, is_write=False, core_id=0, arrival_cycle=0,
+                is_write=False, core_id=0, arrival_cycle=0,
                 rank=0, bank=bank, row=i,
             )
         )

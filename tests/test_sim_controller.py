@@ -23,7 +23,6 @@ def make_mc(mode="none", **overrides):
 
 def req(row=0, bank=0, is_write=False, cycle=0, core=0):
     return Request(
-        line=0,
         is_write=is_write,
         core_id=core,
         arrival_cycle=cycle,

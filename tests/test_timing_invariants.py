@@ -677,7 +677,7 @@ class TestPairingPolicy:
         state.pending.append(now - engine.slack_c)  # deadline == now: due
         engine._active.add((0, 0))
         demand = Request(
-            line=0, is_write=False, core_id=0, arrival_cycle=now,
+            is_write=False, core_id=0, arrival_cycle=now,
             rank=0, bank=0, row=5,
         )
         return system, mc, engine, state, demand, now
