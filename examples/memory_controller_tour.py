@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """A tour of HiRA-MC's internal components (Fig. 7).
 
-Builds the controller structures directly — Refresh Table, RefPtr Table,
-PR-FIFO, Subarray Pairs Table — and walks one refresh-access and one
-refresh-refresh parallelization decision through the Concurrent Refresh
-Finder, printing each step.  Ends with the §6 hardware-cost summary.
+Builds the controller structures directly — the Refresh Table's deadlines
+as the HiRA engine keeps them, RefPtr Table, PR-FIFO, Subarray Pairs
+Table — and walks one refresh-access and one refresh-refresh
+parallelization decision through the Concurrent Refresh Finder, printing
+each step.  Ends with the §6 hardware-cost summary.
 
 Run:  python examples/memory_controller_tour.py
 """
 
 from repro.core.engine import HiraRefreshEngine
 from repro.core.pr_fifo import PreventiveRequest, PrFifo
-from repro.core.refresh_table import RefreshTable, RefreshTableEntry
 from repro.core.refptr_table import RefPtrTable
-from repro.core.hira_op import RefreshKind
 from repro.dram.geometry import Geometry
 from repro.hwcost.report import (
     component_estimates,
@@ -28,12 +27,20 @@ from repro.sim.request import Request
 def tour_tables() -> None:
     print("== Component tour ==")
     geom = Geometry()
-    table = RefreshTable(capacity=68)
-    table.insert(RefreshTableEntry(deadline=500, bank=3, kind=RefreshKind.PERIODIC))
-    table.insert(RefreshTableEntry(deadline=200, bank=3, kind=RefreshKind.PREVENTIVE))
-    print(f"Refresh Table: earliest entry for bank 3 -> "
-          f"{table.earliest_for_bank(3).kind.name} @ deadline "
-          f"{table.earliest_for_bank(3).deadline}")
+    # The paper's Refresh Table (§5, component 3) is the engine's
+    # generation heap (when each bank's next periodic request is due) and
+    # its per-bank earliest deadline (periodic head + tRefSlack, or the
+    # PR-FIFO head if sooner).
+    config = SystemConfig(refresh_mode="hira", tref_slack_acts=4)
+    engine = HiraRefreshEngine(tref_slack_acts=4)
+    MemoryController(0, config, engine)
+    engine._advance_generation(int(config.per_bank_refresh_interval_cycles) // 4)
+    rank, bank = min(engine._bank_deadline)
+    print(f"Refresh Table: {len(engine._bank_deadline)} banks hold a periodic "
+          f"request; bank {bank} must refresh by cycle "
+          f"{engine._bank_deadline[(rank, bank)]}; next generation due at "
+          f"cycle {engine._gen_heap[0][0]} (rank {engine._gen_heap[0][1]}, "
+          f"bank {engine._gen_heap[0][2]})")
 
     refptr = RefPtrTable(geom)
     first = refptr.advance(3, 10)
@@ -81,11 +88,9 @@ def tour_decisions() -> None:
     engine2 = HiraRefreshEngine(tref_slack_acts=0)
     mc2 = MemoryController(0, config, engine2)
     engine2.para = None
-    engine2.para = None
-    from repro.core.pr_fifo import PreventiveRequest as PR
 
     engine2._advance_generation(int(config.per_bank_refresh_interval_cycles) + 5)
-    engine2.pr[0].push(0, PR(row=engine2.spt.geometry.row_of(40, 7), deadline=0))
+    engine2.pr[0].push(0, PreventiveRequest(row=engine2.spt.geometry.row_of(40, 7), deadline=0))
     engine2._perform_due_refresh(0, 0, now=horizon)
     kind = ("refresh-refresh pair" if mc2.stats.hira_refresh_parallelized
             else "solo refresh")

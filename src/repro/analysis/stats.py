@@ -24,11 +24,6 @@ class BoxWhisker:
     mean: float
     count: int
 
-    @property
-    def iqr(self) -> float:
-        """Interquartile range (the box size in the paper's plots)."""
-        return self.q3 - self.q1
-
     def row(self, label: str) -> list:
         """A table row: label, min, q1, median, q3, max, mean."""
         return [

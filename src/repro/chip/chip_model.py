@@ -112,22 +112,6 @@ class DramChip:
             self._data[key] = arr
         return arr
 
-    def write_row_direct(self, bank: int, row: int, fill_byte: int) -> None:
-        """Functionally write a row (the host wraps this in ACT/WR/PRE).
-
-        Writing replaces the stored charge, clearing accumulated
-        disturbance for the row.
-        """
-        self.geometry.check_bank(bank)
-        phys = self._physical(row)[0]
-        self._row_array(bank, row)[:] = fill_byte
-        self.disturb.on_write(bank, phys)
-        self.stats.writes += 1
-
-    def peek_row(self, bank: int, row: int) -> np.ndarray:
-        """Read the stored bytes without issuing commands (test helper)."""
-        return self._row_array(bank, row).copy()
-
     def _inject_flips(self, bank: int, row: int, count: int) -> None:
         if count <= 0:
             return

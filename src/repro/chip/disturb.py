@@ -118,7 +118,3 @@ class DisturbState:
     def disturbance(self, bank: int, phys_row: int) -> float:
         entry = self.rows.get((bank, phys_row))
         return entry.disturb if entry else 0.0
-
-    def peak_disturbance(self, bank: int, phys_row: int) -> float:
-        entry = self.rows.get((bank, phys_row))
-        return entry.peak if entry else 0.0

@@ -139,13 +139,6 @@ class IsolationMap:
         """All subarrays isolated from ``sa``."""
         return [j for j in range(self.subarrays) if self.isolated(sa, j)]
 
-    def coverage_of_subarray(self, sa: int, candidate_subarrays: list[int]) -> float:
-        """Fraction of candidate subarrays isolated from ``sa``."""
-        if not candidate_subarrays:
-            return 0.0
-        good = sum(1 for j in candidate_subarrays if self.isolated(sa, j))
-        return good / len(candidate_subarrays)
-
     def average_coverage(self) -> float:
         """Average pairable fraction over the whole bank."""
         return self._coverage_given(self._allowed_diffs)

@@ -32,8 +32,3 @@ def mix_keys(*keys: int) -> int:
 def rng_for(*keys: int) -> np.random.Generator:
     """A fast, independent generator keyed by the given integers."""
     return np.random.Generator(np.random.Philox(key=mix_keys(*keys)))
-
-
-def uniform_for(*keys: int) -> float:
-    """A single uniform(0, 1) draw keyed by the given integers."""
-    return (mix_keys(*keys) >> 11) / float(1 << 53)

@@ -116,10 +116,6 @@ class RowTiming:
         need = self.sa_enable_ps + (self.checkerboard_margin_ps if checkerboard else 0)
         return need <= t1_ps <= self.interrupt_deadline_ps
 
-    def t2_interrupts(self, t2_ps: int) -> bool:
-        """Whether a PRE→ACT gap of ``t2_ps`` interrupts the precharge."""
-        return t2_ps <= self.wordline_window_ps
-
     def t2_isolates_io(self, t2_ps: int) -> bool:
         """Whether ``t2_ps`` suffices to hand bank I/O to the new row."""
         return t2_ps >= self.io_disconnect_ps

@@ -26,10 +26,6 @@ class VendorClass(enum.Enum):
     #: no second activation, no corruption, no parallel refresh).
     MICRON_LIKE = "micron_like"
 
-    @property
-    def supports_hira(self) -> bool:
-        return self is VendorClass.HYNIX_LIKE
-
     def ignores_early_pre(self, t1_ps: int, tras_ps: int) -> bool:
         """Whether a PRE issued ``t1_ps`` after ACT is silently dropped."""
         if self is VendorClass.SAMSUNG_LIKE:

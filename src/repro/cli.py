@@ -385,7 +385,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
     status = load_status(args.status_file) if args.status_file else None
     progress = ResultCache(args.store).progress() if args.store else []
-    print(render_status(status, progress))
+    lines = []
+    if args.status_file and status is None:
+        lines.append("no status snapshot found")
+    if status is not None or progress:
+        lines.append(render_status(status, progress))
+    print("\n".join(lines) or "nothing to report")
     return 0 if status is not None or progress else 1
 
 

@@ -1,8 +1,6 @@
 """HiRA and the HiRA Memory Controller (the paper's §3 and §5 contribution).
 
 - :mod:`repro.core.hira_op` — the HiRA operation and its latency identities.
-- :mod:`repro.core.refresh_table` — the Refresh Table (deadline-tagged
-  periodic/preventive refresh requests, §5, component 3).
 - :mod:`repro.core.refptr_table` — the RefPtr Table (per-subarray refresh
   pointers, component 1).
 - :mod:`repro.core.pr_fifo` — the PR-FIFO (queued preventive refreshes,
@@ -16,7 +14,6 @@
 from repro.core.engine import HiraRefreshEngine
 from repro.core.hira_op import HiraOperation, RefreshKind
 from repro.core.pr_fifo import PrFifo
-from repro.core.refresh_table import RefreshTable, RefreshTableEntry
 from repro.core.refptr_table import RefPtrTable
 from repro.core.spt import SubarrayPairsTable
 
@@ -26,7 +23,5 @@ __all__ = [
     "PrFifo",
     "RefPtrTable",
     "RefreshKind",
-    "RefreshTable",
-    "RefreshTableEntry",
     "SubarrayPairsTable",
 ]

@@ -570,10 +570,7 @@ class HiraRefreshEngine(RefreshEngine):
             self._queue_preventive(rank, bank_id, row, deadline)
 
     # ------------------------------------------------------------------
-    # Introspection for tests and benchmarks
+    # Introspection for tests
     # ------------------------------------------------------------------
     def pending_periodic(self) -> int:
         return sum(len(s.pending) for s in self._periodic.values())
-
-    def pending_preventive(self) -> int:
-        return sum(fifo.total_pending() for fifo in self.pr.values())

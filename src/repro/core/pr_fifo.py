@@ -1,9 +1,11 @@
 """The PR-FIFO: queued preventive refresh requests (§5, component 2).
 
 PreventiveRC enqueues each RowHammer-preventive refresh here (one FIFO per
-bank, 4 entries each per §6's worst-case sizing) together with an entry in
-the Refresh Table carrying the deadline.  The Concurrent Refresh Finder
-consults the FIFO head when looking for refresh-access parallelization.
+bank, 4 entries each per §6's worst-case sizing) with its deadline; the
+engine folds the head's deadline into its per-bank deadline, which plays
+the paper's Refresh Table role (:class:`repro.core.engine.HiraRefreshEngine`).
+The Concurrent Refresh Finder consults the FIFO head when looking for
+refresh-access parallelization.
 """
 
 from __future__ import annotations
@@ -41,12 +43,6 @@ class PrFifo:
 
     def pop(self, bank: int) -> PreventiveRequest:
         return self._fifos[bank].popleft()
-
-    def occupancy(self, bank: int) -> int:
-        return len(self._fifos[bank])
-
-    def full(self, bank: int) -> bool:
-        return len(self._fifos[bank]) >= self.depth
 
     def total_pending(self) -> int:
         return sum(len(f) for f in self._fifos)

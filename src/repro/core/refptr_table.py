@@ -1,21 +1,15 @@
 """The RefPtr Table: per-subarray next-row-to-refresh pointers (§5, comp. 1).
 
 One entry per (bank, subarray) holds a pointer to the next row the subarray
-must refresh within the current refresh window, plus a refreshed-row count
-used to advance all subarrays in a balanced manner (§5.1.3, step b).
+must refresh.  §5.1.3's balanced advance across subarrays (step b) comes
+from the Subarray Pairs Table's rotating partner choice
+(:meth:`repro.core.spt.SubarrayPairsTable.partner_subarray`), so the table
+keeps no per-window refresh counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.dram.geometry import Geometry
-
-
-@dataclass
-class _SubarrayPtr:
-    next_offset: int = 0
-    refreshed_in_window: int = 0
 
 
 class RefPtrTable:
@@ -23,39 +17,11 @@ class RefPtrTable:
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
-        self._ptrs: dict[tuple[int, int], _SubarrayPtr] = {}
-
-    def _entry(self, bank: int, subarray: int) -> _SubarrayPtr:
-        key = (bank, subarray)
-        entry = self._ptrs.get(key)
-        if entry is None:
-            entry = _SubarrayPtr()
-            self._ptrs[key] = entry
-        return entry
-
-    def next_row(self, bank: int, subarray: int) -> int:
-        """The row the subarray would refresh next (does not advance)."""
-        entry = self._entry(bank, subarray)
-        return self.geometry.row_of(subarray, entry.next_offset)
+        self._next_offset: dict[tuple[int, int], int] = {}
 
     def advance(self, bank: int, subarray: int) -> int:
         """Consume and return the subarray's next refresh row."""
-        entry = self._entry(bank, subarray)
-        row = self.geometry.row_of(subarray, entry.next_offset)
-        entry.next_offset = (entry.next_offset + 1) % self.geometry.rows_per_subarray
-        entry.refreshed_in_window += 1
-        return row
-
-    def refreshed_count(self, bank: int, subarray: int) -> int:
-        return self._entry(bank, subarray).refreshed_in_window
-
-    def least_refreshed(self, bank: int, candidates: list[int]) -> int | None:
-        """Candidate subarray with the fewest refreshes this window."""
-        if not candidates:
-            return None
-        return min(candidates, key=lambda sa: self._entry(bank, sa).refreshed_in_window)
-
-    def reset_window(self) -> None:
-        """Start a new refresh window (counts reset, pointers persist)."""
-        for entry in self._ptrs.values():
-            entry.refreshed_in_window = 0
+        key = (bank, subarray)
+        offset = self._next_offset.get(key, 0)
+        self._next_offset[key] = (offset + 1) % self.geometry.rows_per_subarray
+        return self.geometry.row_of(subarray, offset)

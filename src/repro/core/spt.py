@@ -58,18 +58,6 @@ class SubarrayPairsTable:
                 return candidate
         return None
 
-    def refresh_pair(self, bank: int) -> tuple[int, int] | None:
-        """Two mutually isolated subarrays for refresh-refresh HiRA."""
-        n = self.geometry.subarrays_per_bank
-        start = self._scan_ptr.get(bank, 0)
-        first = start % n
-        for step in range(1, n):
-            candidate = (start + step) % n
-            if self._map.isolated(first, candidate):
-                self._scan_ptr[bank] = (candidate + 1) % n
-                return first, candidate
-        return None
-
     @property
     def average_coverage(self) -> float:
         return self._map.average_coverage()

@@ -60,14 +60,6 @@ class Geometry:
     def row_bits(self) -> int:
         return self.columns_per_row * self.bits_per_column
 
-    @property
-    def total_banks(self) -> int:
-        return self.channels * self.ranks_per_channel * self.banks_per_rank
-
-    @property
-    def capacity_bits_per_chip(self) -> int:
-        return self.banks_per_rank * self.rows_per_bank * self.row_bits
-
     # ------------------------------------------------------------------
     # Row <-> subarray conversions
     # ------------------------------------------------------------------
@@ -100,11 +92,6 @@ class Geometry:
             raise GeometryError(
                 f"bank {bank} out of range [0, {self.banks_per_rank})"
             )
-
-    def bankgroup_of(self, bank: int) -> int:
-        """Bank group a rank-local bank index belongs to."""
-        self.check_bank(bank)
-        return bank // self.banks_per_bankgroup
 
 
 @dataclass(frozen=True, slots=True)

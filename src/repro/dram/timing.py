@@ -149,11 +149,6 @@ class TimingParams:
         sb = max(1, round(self.trfc_sb * trfc_ps / self.trfc))
         return replace(self, trfc=trfc_ps, trfc_sb=sb)
 
-    def with_hira(self, t1_ps: int, t2_ps: int) -> "TimingParams":
-        """A copy with different HiRA t1/t2 timings."""
-        return replace(self, hira_t1=t1_ps, hira_t2=t2_ps)
-
-
 #: The DDR4-2400 configuration used throughout the paper's evaluation.
 DDR4_2400 = TimingParams()
 
@@ -204,18 +199,6 @@ def timing_for_capacity(capacity_gbit: float, base: TimingParams = DDR4_2400) ->
     return base.with_trfc(ns(trfc_for_capacity_ns(capacity_gbit)))
 
 
-def rows_per_bank_for_capacity(capacity_gbit: float, banks: int = 16, row_bits: int = 8192) -> int:
-    """Rows per bank for a chip capacity, assuming 1 KiB chip rows.
-
-    With 16 banks and 8192-bit (1 KiB) rows per chip this yields the paper's
-    Table 3 configuration of 64K rows/bank at 8 Gbit.  Used for the
-    characterization-scale chip models (2–8 Gbit).
-    """
-    total_bits = capacity_gbit * (1 << 30)
-    rows = total_bits / (banks * row_bits)
-    return max(1, int(round(rows)))
-
-
 def projected_rows_per_bank(
     capacity_gbit: float, anchor_gbit: float = 8.0, anchor_rows: int = 65_536
 ) -> int:
@@ -262,21 +245,6 @@ def hira_latency_reduction(tp: TimingParams = DDR4_2400) -> float:
     nominal = nominal_two_row_refresh_latency_ps(tp)
     hira = hira_two_row_refresh_latency_ps(tp)
     return 1.0 - hira / nominal
-
-
-def refresh_rows_per_ref(rows_per_bank: int, trefw_ps: int, trefi_ps: int) -> float:
-    """How many rows per bank each REF command must cover.
-
-    For 64K rows and DDR4's 8K REFs per tREFW this is 8 rows per REF per
-    bank (§5.1.1).
-    """
-    refs_per_window = trefw_ps / trefi_ps
-    return rows_per_bank / refs_per_window
-
-
-def math_isclose_ps(a: int, b: int, tol_ps: int = 1) -> bool:
-    """Integer-picosecond closeness check used by property tests."""
-    return abs(a - b) <= tol_ps
 
 
 assert math.isclose(hira_latency_reduction(), 0.514, abs_tol=0.002), (

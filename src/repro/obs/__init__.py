@@ -11,9 +11,8 @@ events/sec floor holds.
   JSON with exact aggregate summaries.  Armed traces are byte-identical
   across re-runs and across execution backends (timestamps are simulated
   cycles, never wall clock).
-- :mod:`repro.obs.metrics` — labeled counters/gauges/histograms plus the
-  explicit ``ControllerStats``/``ChipStats`` export maps, pinned to the
-  dataclasses by parity tests.
+- :mod:`repro.obs.metrics` — labeled counters and gauges in the
+  registry that fleet telemetry records into.
 - :mod:`repro.obs.fleet` — fleet telemetry: job lifecycle counters,
   worker heartbeat ages, snapshotted atomically to the status file
   behind ``repro status``, which also renders each sweep's progress from
@@ -24,17 +23,7 @@ events/sec floor holds.
 """
 
 from repro.obs.fleet import FleetStatus, load_status, render_status
-from repro.obs.metrics import (
-    CHIP_METRICS,
-    CONTROLLER_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metrics_from_result,
-    record_chip_stats,
-    record_controller_stats,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.profiler import PhaseProfiler, profile_workload
 from repro.obs.tracer import (
     DECISION_KINDS,
@@ -46,23 +35,17 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "CHIP_METRICS",
-    "CONTROLLER_METRICS",
     "Counter",
     "DECISION_KINDS",
     "FleetStatus",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "PhaseProfiler",
     "STALL_REASONS",
     "SimTracer",
     "attach_tracers",
     "load_status",
-    "metrics_from_result",
     "profile_workload",
-    "record_chip_stats",
-    "record_controller_stats",
     "render_status",
     "trace_json",
     "validate_chrome_trace",

@@ -192,9 +192,7 @@ def render_status(status: dict | None, progress: list) -> str:
     planned)`` per sweep manifest in the store.
     """
     lines: list[str] = []
-    if status is None:
-        lines.append("no status snapshot found")
-    else:
+    if status is not None:
         sweep = status.get("sweep") or {}
         if sweep:
             name = sweep.get("name", "?")

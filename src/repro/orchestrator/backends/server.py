@@ -21,8 +21,7 @@ registration deadline — is documented on the dispatcher.  On top of it:
 
 - **Streaming results** — :meth:`JobServer.stream` yields each ``(index,
   result)`` the moment it lands, so the runner can persist completed
-  points *before* the sweep finishes (crash-safety) and ``serve`` is just
-  ``list(stream(...))``.
+  points *before* the sweep finishes (crash-safety).
 - **Graceful degradation** — :class:`SocketBackend` (non-``strict``)
   catches the zero-workers-registered failure and falls back to
   :class:`~repro.orchestrator.backends.base.LocalPoolBackend` with a
@@ -216,10 +215,6 @@ class JobServer:
     # ------------------------------------------------------------------
     # Serving (the stream thread: every policy decision happens here)
     # ------------------------------------------------------------------
-    def serve(self, jobs: Jobs) -> list[tuple[int, SimResult]]:
-        """Execute every job on the registered workers; any-order results."""
-        return list(self.stream(jobs))
-
     def stream(self, jobs: Jobs) -> Iterator[tuple[int, SimResult]]:
         """Yield ``(index, result)`` pairs as each job completes.
 

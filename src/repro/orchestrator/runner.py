@@ -140,12 +140,6 @@ class SweepResult:
             raise KeyError(f"no sweep points match {coords!r}")
         return sum(r.weighted_speedup for __, r in picked) / len(picked)
 
-    def mean_stat(self, name: str, **coords) -> float:
-        picked = self.select(**coords)
-        if not picked:
-            raise KeyError(f"no sweep points match {coords!r}")
-        return sum(r.stat_total(name) for __, r in picked) / len(picked)
-
 
 def run_sweep(
     sweep: Sweep,

@@ -11,11 +11,10 @@
 
 from repro.rowhammer.defense import GrapheneDefense
 from repro.rowhammer.graphene import GrapheneTracker
-from repro.rowhammer.mapping import find_aggressors, find_victims
+from repro.rowhammer.mapping import find_aggressors
 from repro.rowhammer.para import Para
 from repro.rowhammer.security import (
     legacy_pth,
-    legacy_success_probability,
     rowhammer_success_probability,
     k_factor,
     solve_pth,
@@ -28,10 +27,8 @@ __all__ = [
     "HammerTestConfig",
     "Para",
     "find_aggressors",
-    "find_victims",
     "k_factor",
     "legacy_pth",
-    "legacy_success_probability",
     "measure_threshold",
     "rowhammer_success_probability",
     "run_hammer_test",

@@ -57,7 +57,3 @@ class GrapheneDefense:
         first = victims[0]
         self._pending.extend(victims[1:])
         return first
-
-    def total_table_bits(self) -> int:
-        """Aggregate counter-table storage across instantiated banks."""
-        return sum(t.table_bits for t in self._trackers.values())

@@ -10,7 +10,8 @@ estimated activation count crosses the (slack-adjusted) threshold.
 
 Unlike PARA it is deterministic and stateful; unlike PARA its hardware cost
 grows as the RowHammer threshold shrinks (the paper's argument for
-evaluating PARA, §9) — the ``table_entries`` property quantifies that.
+evaluating PARA, §9) — ``configured_for``'s ``entries`` sizing
+quantifies that.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class GrapheneTracker:
     entries: int
     counters: dict[int, int] = field(default_factory=dict)
     spillover: int = 0
-    activations_seen: int = 0
 
     def __post_init__(self) -> None:
         if self.threshold < 1:
@@ -73,7 +73,6 @@ class GrapheneTracker:
         """Record one activation; returns the row if it crossed the
         threshold (the caller then preventively refreshes its neighbours
         and the counter resets)."""
-        self.activations_seen += 1
         count = self.counters.get(row)
         if count is not None:
             count += 1
@@ -93,24 +92,3 @@ class GrapheneTracker:
             del self.counters[r]
         self.counters[row] = self.spillover + 1
         return None
-
-    def reset_window(self) -> None:
-        """Start a new refresh window (counts are per-tREFW)."""
-        self.counters.clear()
-        self.spillover = 0
-        self.activations_seen = 0
-
-    def estimated_count(self, row: int) -> int:
-        """Upper-bound estimate of a row's activations this window."""
-        return self.counters.get(row, self.spillover)
-
-    @property
-    def table_bits(self) -> int:
-        """Storage cost: (row address + counter) per entry.
-
-        This is the scaling §9 argues against: entries grow as NRH falls,
-        and cannot be grown after chip deployment.
-        """
-        row_bits = 17
-        counter_bits = max(1, self.threshold.bit_length())
-        return self.entries * (row_bits + counter_bits)

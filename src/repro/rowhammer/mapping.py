@@ -13,28 +13,6 @@ from repro.softmc.host import SoftMCHost
 from repro.softmc.patterns import DataPattern
 
 
-def find_victims(
-    host: SoftMCHost,
-    bank: int,
-    aggressor: int,
-    candidates: list[int],
-    hammer_count: int = 400_000,
-    pattern: DataPattern = DataPattern.ALL_ONES,
-) -> list[int]:
-    """Rows among ``candidates`` that flip when ``aggressor`` is hammered.
-
-    The returned rows are the aggressor's physical neighbours (in logical
-    row numbers).  ``hammer_count`` defaults to well above any realistic
-    RowHammer threshold so the test is decisive.
-    """
-    targets = [row for row in candidates if row != aggressor]
-    for row in targets:
-        host.initialize(bank, row, pattern)
-    host.initialize(bank, aggressor, pattern.inverse)
-    host.hammer(bank, [aggressor], hammer_count)
-    return [row for row in targets if host.compare_data(pattern, bank, row) > 0]
-
-
 def find_aggressors(
     host: SoftMCHost,
     bank: int,

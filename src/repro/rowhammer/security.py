@@ -83,11 +83,6 @@ def rowhammer_success_probability(
     )
 
 
-def legacy_success_probability(pth: float, nrh: float) -> float:
-    """PARA-Legacy's optimistic model: ``(1 − pth/2)^NRH``."""
-    return math.exp(nrh * math.log1p(-pth / 2.0))
-
-
 def legacy_pth(nrh: float, target: float = DEFAULT_TARGET) -> float:
     """PARA-Legacy's probability threshold for a success-probability target."""
     if not 0.0 < target < 1.0:

@@ -132,8 +132,3 @@ class ElasticRefreshEngine(BaselineRefreshEngine):
         self._debt[rank_id] = max(0, self._debt[rank_id] + missed - 1)
         if missed and self.mc.tracer is not None:
             self.mc.tracer.on_decision("postpone", now, rank_id, -1, missed)
-
-    def postponed_total(self) -> int:
-        if self._same_bank:
-            return sum(self._sb_debt.values())
-        return sum(self._debt)

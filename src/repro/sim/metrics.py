@@ -46,27 +46,3 @@ def weighted_speedup(shared_ipcs: Sequence[float], alone_ipcs: Sequence[float]) 
             raise ValueError("alone IPC must be positive")
         total += shared / alone
     return total
-
-
-def harmonic_speedup(shared_ipcs: Sequence[float], alone_ipcs: Sequence[float]) -> float:
-    """Harmonic mean of per-core speedups (fairness-oriented companion)."""
-    if len(shared_ipcs) != len(alone_ipcs) or not shared_ipcs:
-        raise ValueError("shared and alone IPC lists must align and be non-empty")
-    denom = 0.0
-    for shared, alone in zip(shared_ipcs, alone_ipcs):
-        if shared <= 0:
-            return 0.0
-        denom += alone / shared
-    return len(shared_ipcs) / denom
-
-
-def geomean(values: Sequence[float]) -> float:
-    """Geometric mean (used to aggregate normalized speedups)."""
-    if not values:
-        raise ValueError("need at least one value")
-    product = 1.0
-    for v in values:
-        if v <= 0:
-            raise ValueError("geomean requires positive values")
-        product *= v
-    return product ** (1.0 / len(values))

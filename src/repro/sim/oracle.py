@@ -196,13 +196,6 @@ class RuleTable:
     refresh_mode: str = "baseline"
     refresh_granularity: str = "all_bank"
 
-    def rule_ids(self) -> list[str]:
-        ids = [r.rule_id for r in self.pair_rules]
-        ids += [r.rule_id for r in self.bus_rules]
-        ids += [r.rule_id for r in self.window_rules]
-        ids += [r.rule_id for r in self.cadence_rules]
-        return ids
-
     # -- interchange ----------------------------------------------------
     def to_json(self) -> dict:
         return {

@@ -28,10 +28,6 @@ class DataPattern(enum.Enum):
     def inverse(self) -> "DataPattern":
         return _INVERSES[self]
 
-    def fill(self, nbytes: int) -> np.ndarray:
-        """A row-sized array filled with this pattern."""
-        return np.full(nbytes, self.byte, dtype=np.uint8)
-
     def count_bitflips(self, data: np.ndarray) -> int:
         """Number of bit flips in ``data`` relative to this pattern."""
         diff = np.bitwise_xor(data, np.uint8(self.byte))

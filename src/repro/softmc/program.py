@@ -62,10 +62,6 @@ class Program:
         self._cursor_ps += wait_ps
         return self
 
-    def ref(self, wait_ps: int) -> "Program":
-        """Rank-level refresh."""
-        return self._push(CommandKind.REF, wait_ps, rank=0)
-
     def wait(self, wait_ps: int) -> "Program":
         """Idle for ``wait_ps`` (Algorithm 2's no-HiRA arm)."""
         if wait_ps < 0:

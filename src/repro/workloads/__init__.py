@@ -1,6 +1,6 @@
 """SPEC CPU2006-like workload profiles and multiprogrammed mixes (§7)."""
 
-from repro.workloads.spec import SPEC_PROFILES, profile_by_name
-from repro.workloads.mixes import make_mixes, mix_for
+from repro.workloads.spec import SPEC_PROFILES
+from repro.workloads.mixes import mix_for
 
-__all__ = ["SPEC_PROFILES", "make_mixes", "mix_for", "profile_by_name"]
+__all__ = ["SPEC_PROFILES", "mix_for"]

@@ -33,10 +33,3 @@ def mix_for(
     rng = np.random.default_rng(seed + mix_id)
     picks = rng.integers(0, len(pool), size=cores)
     return [pool[int(i)] for i in picks]
-
-
-def make_mixes(
-    count: int = 125, cores: int = 8, seed: int = 2022, intensive: bool = True
-) -> list[list[TraceProfile]]:
-    """The paper's 125 randomly chosen 8-core multiprogrammed workloads."""
-    return [mix_for(i, cores=cores, seed=seed, intensive=intensive) for i in range(count)]

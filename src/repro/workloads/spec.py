@@ -55,10 +55,3 @@ SPEC_PROFILES: tuple[TraceProfile, ...] = (
     TraceProfile("povray-like", mpki=0.3, row_locality=0.50, read_fraction=0.70,
                  working_set_rows=512),
 )
-
-
-def profile_by_name(name: str) -> TraceProfile:
-    for profile in SPEC_PROFILES:
-        if profile.name == name:
-            return profile
-    raise KeyError(f"unknown profile {name!r}")

@@ -15,9 +15,9 @@ class TestSummarize:
         assert box.mean == 3
         assert box.count == 5
 
-    def test_iqr(self):
+    def test_quartiles(self):
         box = summarize(range(101))
-        assert box.iqr == pytest.approx(50.0)
+        assert (box.q1, box.q3) == pytest.approx((25.0, 75.0))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -220,7 +220,7 @@ class TestFailureHandling:
         server = JobServer(port=0, registration_timeout=0.5)
         try:
             with pytest.raises(WorkerPoolError, match="no worker registered"):
-                server.serve([(0, tiny_sweep().expand()[0])])
+                list(server.stream([(0, tiny_sweep().expand()[0])]))
         finally:
             server.close()
 
@@ -286,7 +286,7 @@ class TestFailureHandling:
         threading.Thread(target=doomed_worker, daemon=True).start()
         try:
             with pytest.raises(WorkerPoolError, match="registered workers left"):
-                server.serve([(0, point)])
+                list(server.stream([(0, point)]))
         finally:
             server.close()
 
@@ -304,7 +304,7 @@ class TestFailureHandling:
         threading.Thread(target=one_shot_evil, daemon=True).start()
         try:
             with pytest.raises(WorkerPoolError, match="failed"):
-                server.serve([(0, point)])
+                list(server.stream([(0, point)]))
         finally:
             server.close()
 
@@ -326,7 +326,7 @@ class TestFailureHandling:
         threading.Thread(target=erroring_worker, daemon=True).start()
         try:
             with pytest.raises(WorkerPoolError, match="planted failure"):
-                server.serve([(0, point)])
+                list(server.stream([(0, point)]))
         finally:
             server.close()
 

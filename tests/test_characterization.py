@@ -126,7 +126,7 @@ class TestNoiseDraws:
 
         def recording_draw(model, bank, row, run):
             assert model is chip.variation
-            peaks.append(chip.disturb.peak_disturbance(bank, row))
+            peaks.append(chip.disturb.rows[(bank, row)].peak)
             return draw(model, bank, row, run)
 
         monkeypatch.setattr(VariationModel, "run_noise", recording_draw)

@@ -25,15 +25,15 @@ class TestAccumulation:
     def test_peak_tracks_maximum(self, state):
         state.hammer(0, [10], count=50)
         state.on_restore(0, 10, timing_of(state), fraction=1.0)
-        assert state.peak_disturbance(0, 10) <= 50
+        assert state.rows[(0, 10)].peak <= 50
         state.hammer(0, [10], count=10)
-        assert state.peak_disturbance(0, 10) >= state.disturbance(0, 10)
+        assert state.rows[(0, 10)].peak >= state.disturbance(0, 10)
 
     def test_write_resets_everything(self, state):
         state.hammer(0, [10], count=99_999)
         state.on_write(0, 10)
         assert state.disturbance(0, 10) == 0
-        assert state.peak_disturbance(0, 10) == 0
+        assert state.rows[(0, 10)].peak == 0
 
 
 class TestFlips:

@@ -107,15 +107,6 @@ class TestQueries:
             for partner in iso.partners(sa):
                 assert iso.isolated(sa, partner)
 
-    def test_coverage_of_subarray(self, iso):
-        candidates = list(range(64))
-        value = iso.coverage_of_subarray(0, candidates)
-        expected = len(iso.partners(0)) / 64
-        assert value == pytest.approx(expected)
-
-    def test_coverage_of_empty_candidates(self, iso):
-        assert iso.coverage_of_subarray(0, []) == 0.0
-
 
 class TestGolden:
     def test_maps_match_golden_exactly(self):

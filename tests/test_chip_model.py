@@ -200,19 +200,17 @@ class TestRowResolution:
     def test_out_of_range_rows_rejected_on_every_path(self, chip, host):
         bad = chip.geometry.rows_per_bank
         with pytest.raises(GeometryError):
-            chip.write_row_direct(0, bad, 0xFF)
-        with pytest.raises(GeometryError):
             chip.bulk_hammer(0, [bad], 10)
         with pytest.raises(GeometryError):
             host.run(host.program().act(0, bad, wait_ps=chip.timing.tras))
         assert bad not in chip._resolved and (0, bad) not in chip._data
         with pytest.raises(GeometryError):
-            chip.write_row_direct(99, 5, 0xFF)
+            host.initialize(99, 5, DataPattern.ALL_ONES)
 
-    def test_flip_injection_matches_one_at_a_time_reference(self, chip):
+    def test_flip_injection_matches_one_at_a_time_reference(self, chip, host):
         row, count = 7, 3_000
-        chip.write_row_direct(0, row, 0xAA)
-        expected = chip.peek_row(0, row)
+        host.initialize(0, row, DataPattern.CHECKERBOARD)
+        expected = chip._row_array(0, row).copy()
         rng = rng_for(chip.chip_seed, 0xF11B5, 0, row, chip._flip_salt + 1)
         positions = rng.integers(0, expected.size, size=count)
         bits = rng.integers(0, 8, size=count)
@@ -221,5 +219,5 @@ class TestRowResolution:
         for pos, bit in zip(positions, bits):
             expected[pos] ^= np.uint8(1 << int(bit))
         chip._inject_flips(0, row, count)
-        assert np.array_equal(chip.peek_row(0, row), expected)
+        assert np.array_equal(chip._row_array(0, row), expected)
         assert chip.stats.bitflips_injected == count

@@ -285,6 +285,25 @@ class TestCommands:
         assert "source changed" not in out
         assert ResultCache(store).progress() == [("drift", 1, 1)]
 
+    def test_status_without_a_status_file_reports_only_the_store(self, capsys, tmp_path):
+        from repro.orchestrator import ResultCache
+
+        store = tmp_path / "store"
+        ResultCache(store).write_manifest("only-store", ["aa00"])
+        assert main(["status", "--status-file", "", "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "no status snapshot found" not in out
+        assert out.splitlines() == ["store:", "  only-store: 0/1 points stored, incomplete"]
+        # A named status file that cannot be read is still reported.
+        assert main([
+            "status", "--status-file", str(tmp_path / "missing.json"),
+            "--store", str(store),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "no status snapshot found"
+        # Neither a status file nor a store: nothing to report.
+        assert main(["status", "--status-file", "", "--store", ""]) == 1
+        assert capsys.readouterr().out == "nothing to report\n"
+
     def test_sweep_socket_backend_with_worker_thread(self, capsys, tmp_path):
         # The full CLI path: `repro sweep --backend socket` against an
         # in-process worker, then an overlapping re-run that

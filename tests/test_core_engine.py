@@ -122,7 +122,7 @@ class TestPreventivePath:
 
         engine.para = Para(pth=1.0, rng=np.random.default_rng(1))
         engine.on_demand_act(req(row=100, bank=3), now=50)
-        assert engine.pending_preventive() == 1
+        assert engine.pr[0].total_pending() == 1
         head = engine.pr[0].head(3)
         assert head.row in (99, 101)
         assert head.deadline == 50 + engine.slack_c

@@ -1,54 +1,12 @@
-"""HiRA-MC storage structures: Refresh Table, RefPtr, PR-FIFO, SPT."""
+"""HiRA-MC storage structures: RefPtr, PR-FIFO, SPT."""
 
 import pytest
 
-from repro.core.hira_op import HiraOperation, RefreshKind, access_after_refresh_latency_ps, refresh_pair_savings
+from repro.core.hira_op import HiraOperation, access_after_refresh_latency_ps, refresh_pair_savings
 from repro.core.pr_fifo import PreventiveRequest, PrFifo
-from repro.core.refresh_table import RefreshTable, RefreshTableEntry
 from repro.core.refptr_table import RefPtrTable
 from repro.core.spt import SubarrayPairsTable
 from repro.dram.geometry import Geometry
-
-
-class TestRefreshTable:
-    def test_orders_by_deadline(self):
-        table = RefreshTable()
-        table.insert(RefreshTableEntry(deadline=50, bank=1))
-        table.insert(RefreshTableEntry(deadline=10, bank=2))
-        table.insert(RefreshTableEntry(deadline=30, bank=3))
-        assert table.earliest().bank == 2
-        assert [e.deadline for e in table] == [10, 30, 50]
-
-    def test_capacity_enforced(self):
-        table = RefreshTable(capacity=2)
-        assert table.insert(RefreshTableEntry(deadline=1, bank=0))
-        assert table.insert(RefreshTableEntry(deadline=2, bank=0))
-        assert not table.insert(RefreshTableEntry(deadline=3, bank=0))
-        assert table.full
-
-    def test_earliest_for_bank(self):
-        table = RefreshTable()
-        table.insert(RefreshTableEntry(deadline=10, bank=2))
-        table.insert(RefreshTableEntry(deadline=20, bank=5))
-        assert table.earliest_for_bank(5).deadline == 20
-        assert table.earliest_for_bank(9) is None
-
-    def test_due_entries(self):
-        table = RefreshTable()
-        table.insert(RefreshTableEntry(deadline=10, bank=0))
-        table.insert(RefreshTableEntry(deadline=99, bank=0))
-        assert len(table.due_entries(50)) == 1
-
-    def test_pop_removes(self):
-        table = RefreshTable()
-        entry = RefreshTableEntry(deadline=10, bank=0, kind=RefreshKind.PREVENTIVE)
-        table.insert(entry)
-        table.pop(entry)
-        assert len(table) == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            RefreshTable(capacity=0)
 
 
 class TestRefPtrTable:
@@ -60,23 +18,13 @@ class TestRefPtrTable:
         assert rows[7] == geom.row_of(2, 7)
         assert rows[8] == geom.row_of(2, 0)  # wraps
 
-    def test_counts_and_least_refreshed(self):
+    def test_pointers_are_per_bank_and_subarray(self):
         geom = Geometry(subarrays_per_bank=4, rows_per_subarray=8)
         table = RefPtrTable(geom)
         table.advance(0, 1)
-        table.advance(0, 1)
-        table.advance(0, 3)
-        assert table.refreshed_count(0, 1) == 2
-        assert table.least_refreshed(0, [1, 3]) == 3
-        assert table.least_refreshed(0, []) is None
-
-    def test_reset_window_clears_counts_not_pointers(self):
-        geom = Geometry(subarrays_per_bank=4, rows_per_subarray=8)
-        table = RefPtrTable(geom)
-        table.advance(0, 1)
-        table.reset_window()
-        assert table.refreshed_count(0, 1) == 0
-        assert table.next_row(0, 1) == geom.row_of(1, 1)
+        assert table.advance(0, 3) == geom.row_of(3, 0)
+        assert table.advance(1, 1) == geom.row_of(1, 0)
+        assert table.advance(0, 1) == geom.row_of(1, 1)
 
 
 class TestPrFifo:
@@ -93,7 +41,6 @@ class TestPrFifo:
         assert fifo.push(0, PreventiveRequest(1, 1))
         assert fifo.push(0, PreventiveRequest(2, 2))
         assert not fifo.push(0, PreventiveRequest(3, 3))
-        assert fifo.full(0)
 
     def test_per_bank_independence(self):
         fifo = PrFifo(banks=2, depth=1)
@@ -125,11 +72,6 @@ class TestSubarrayPairsTable:
     def test_partner_rotates(self, spt):
         partners = {spt.partner_subarray(1, 0) for __ in range(16)}
         assert len(partners) > 1
-
-    def test_refresh_pair_isolated(self, spt):
-        pair = spt.refresh_pair(2)
-        assert pair is not None
-        assert spt.isolated(*pair)
 
     def test_average_coverage_near_target(self, spt):
         assert spt.average_coverage == pytest.approx(0.32, abs=0.08)

@@ -32,16 +32,6 @@ class TestGeometry:
         with pytest.raises(GeometryError):
             Geometry(channels=0)
 
-    def test_bankgroup_of(self):
-        geom = Geometry()
-        assert geom.bankgroup_of(0) == 0
-        assert geom.bankgroup_of(5) == 1
-        assert geom.bankgroup_of(15) == 3
-
-    def test_capacity_bits(self):
-        geom = Geometry()  # 16 banks × 64K rows × 8192 bits = 8 Gbit
-        assert geom.capacity_bits_per_chip == 8 * (1 << 30)
-
 
 class TestAddress:
     def test_validate_accepts_in_range(self):

@@ -13,8 +13,6 @@ from repro.dram.timing import (
     nominal_two_row_refresh_latency_ps,
     ns,
     projected_rows_per_bank,
-    refresh_rows_per_ref,
-    rows_per_bank_for_capacity,
     timing_for_capacity,
     trfc_for_capacity_ns,
 )
@@ -51,12 +49,10 @@ class TestPreset:
         assert tp.to_cycles(tp.tck + 1) == 2
         assert tp.to_cycles(tp.trc) == math.ceil(46_250 / 833)
 
-    def test_with_trfc_and_with_hira_copies(self):
+    def test_with_trfc_copies(self):
         tp = DDR4_2400.with_trfc(ns(500.0))
         assert tp.trfc == 500_000
         assert DDR4_2400.trfc == 350_000
-        tp2 = DDR4_2400.with_hira(1_500, 4_500)
-        assert (tp2.hira_t1, tp2.hira_t2) == (1_500, 4_500)
 
 
 class TestLatencyIdentities:
@@ -96,7 +92,6 @@ class TestTrfcScaling:
 
 class TestRowScaling:
     def test_table3_anchor_64k_rows_at_8gbit(self):
-        assert rows_per_bank_for_capacity(8.0) == 65_536
         assert projected_rows_per_bank(8.0) == 65_536
 
     def test_projection_is_sqrt(self):
@@ -106,12 +101,6 @@ class TestRowScaling:
 
     def test_projection_rounds_to_subarrays(self):
         assert projected_rows_per_bank(3.0) % 512 == 0
-
-    def test_refresh_rows_per_ref_is_8_at_64k(self):
-        # 64K rows, 8K REFs per 64 ms window → 8 rows per REF per bank.
-        assert refresh_rows_per_ref(65_536, ns(64e6), ns(7_800.0)) == pytest.approx(
-            8.0, rel=0.01
-        )
 
 
 @given(st.floats(min_value=0.5, max_value=512.0))

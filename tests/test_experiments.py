@@ -51,9 +51,7 @@ class TestAlgorithm1:
         row_a = chip.geometry.row_of(3, 10)
         candidates = [chip.geometry.row_of(sa, 20) for sa in range(chip.geometry.subarrays_per_bank)]
         measured = algorithm1_coverage(host, 0, row_a, candidates, 3_000, 3_000)
-        expected = chip.isolation.coverage_of_subarray(
-            3, list(range(chip.geometry.subarrays_per_bank))
-        )
+        expected = len(chip.isolation.partners(3)) / chip.geometry.subarrays_per_bank
         # One candidate (same subarray) always fails; tolerance accordingly.
         assert measured == pytest.approx(expected, abs=0.1)
 

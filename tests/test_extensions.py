@@ -24,7 +24,7 @@ class TestGrapheneTracker:
         for __ in range(10):
             result = tracker.observe(7)
         assert result == 7
-        assert tracker.estimated_count(7) == tracker.spillover
+        assert 7 not in tracker.counters
 
     def test_cold_rows_never_trigger(self):
         tracker = GrapheneTracker(threshold=50, entries=4)
@@ -37,8 +37,7 @@ class TestGrapheneTracker:
         for i in range(500):
             tracker.observe(1)  # heavy
             tracker.observe(100 + i)  # noise, all distinct
-        assert tracker.estimated_count(1) >= 500 - tracker.spillover
-        assert 1 in tracker.counters
+        assert tracker.counters[1] >= 500 - tracker.spillover
 
     def test_configured_for_slack_reduces_threshold(self):
         base = GrapheneTracker.configured_for(nrh=1_024)
@@ -49,19 +48,10 @@ class TestGrapheneTracker:
         big = GrapheneTracker.configured_for(nrh=4_096)
         small = GrapheneTracker.configured_for(nrh=256)
         assert small.entries > big.entries
-        assert small.table_bits > big.table_bits
 
     def test_unprotectable_threshold_rejected(self):
         with pytest.raises(ValueError):
             GrapheneTracker.configured_for(nrh=8, tref_slack_acts=8)
-
-    def test_reset_window(self):
-        tracker = GrapheneTracker(threshold=10, entries=4)
-        for __ in range(5):
-            tracker.observe(3)
-        tracker.reset_window()
-        assert tracker.estimated_count(3) == 0
-        assert tracker.activations_seen == 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -155,7 +145,7 @@ class TestGrapheneDefenseIntegration:
         # Same row in a different bank has its own counter.
         tracker_a = defense._trackers[(0, 0)]
         assert (0, 1) not in defense._trackers
-        assert tracker_a.estimated_count(5) >= 40 - tracker_a.spillover
+        assert tracker_a.counters[5] >= 40 - tracker_a.spillover
 
     def test_system_runs_with_graphene(self):
         cfg = SystemConfig(

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.sim.metrics import (
     alone_ipc_estimate,
-    geomean,
-    harmonic_speedup,
     weighted_speedup,
 )
 
@@ -26,32 +24,6 @@ class TestWeightedSpeedup:
     def test_nonpositive_alone_rejected(self):
         with pytest.raises(ValueError):
             weighted_speedup([1.0], [0.0])
-
-
-class TestHarmonic:
-    def test_equal_speedups(self):
-        assert harmonic_speedup([0.5, 0.5], [1.0, 1.0]) == pytest.approx(0.5)
-
-    def test_zero_shared_gives_zero(self):
-        assert harmonic_speedup([0.0, 1.0], [1.0, 1.0]) == 0.0
-
-    def test_harmonic_below_arithmetic(self):
-        shared, alone = [0.2, 0.9], [1.0, 1.0]
-        arithmetic = weighted_speedup(shared, alone) / 2
-        assert harmonic_speedup(shared, alone) <= arithmetic + 1e-12
-
-
-class TestGeomean:
-    def test_basic(self):
-        assert geomean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geomean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geomean([])
 
 
 class TestAloneEstimate:

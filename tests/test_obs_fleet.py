@@ -119,7 +119,7 @@ def test_render_status_mentions_everything(tmp_path):
     assert "retried 1" in text and "quarantined 1" in text
     assert "w1" in text and "w2" in text
     assert "quarantined: w2" in text
-    assert render_status(None, []) == "no status snapshot found"
+    assert render_status(None, []) == ""
 
 
 def test_store_progress_reads_the_manifests(tmp_path):

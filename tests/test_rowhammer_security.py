@@ -9,7 +9,6 @@ from repro.rowhammer.security import (
     DEFAULT_TARGET,
     k_factor,
     legacy_pth,
-    legacy_success_probability,
     log_rowhammer_success_probability,
     max_failed_attempts,
     n_ref_slack_for,
@@ -25,12 +24,6 @@ class TestLegacy:
 
     def test_legacy_pth_at_nrh_128_is_0_4730(self):
         assert legacy_pth(128) == pytest.approx(0.4730, abs=1e-3)
-
-    def test_legacy_probability_identity(self):
-        pth = legacy_pth(256)
-        assert legacy_success_probability(pth, 256) == pytest.approx(
-            DEFAULT_TARGET, rel=1e-6
-        )
 
 
 class TestKFactor:

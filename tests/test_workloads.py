@@ -1,9 +1,7 @@
 """Workload profiles and multiprogrammed mixes."""
 
-import pytest
-
-from repro.workloads.mixes import INTENSIVE_MPKI, make_mixes, mix_for
-from repro.workloads.spec import SPEC_PROFILES, profile_by_name
+from repro.workloads.mixes import INTENSIVE_MPKI, mix_for
+from repro.workloads.spec import SPEC_PROFILES
 
 
 class TestProfiles:
@@ -18,18 +16,8 @@ class TestProfiles:
         assert max(mpkis) > 25  # mcf-class
         assert min(mpkis) < 1  # compute-bound class
 
-    def test_profile_by_name(self):
-        assert profile_by_name("mcf-like").mpki == pytest.approx(33.0)
-        with pytest.raises(KeyError):
-            profile_by_name("nonexistent")
-
 
 class TestMixes:
-    def test_125_mixes_of_8(self):
-        mixes = make_mixes()
-        assert len(mixes) == 125
-        assert all(len(mix) == 8 for mix in mixes)
-
     def test_deterministic(self):
         assert [p.name for p in mix_for(7)] == [p.name for p in mix_for(7)]
 
@@ -38,9 +26,9 @@ class TestMixes:
         assert len(names) > 15
 
     def test_intensive_pool_filtered(self):
-        for mix in make_mixes(count=10, intensive=True):
+        for mix in (mix_for(i, intensive=True) for i in range(10)):
             assert all(p.mpki >= INTENSIVE_MPKI for p in mix)
 
     def test_full_pool_includes_light(self):
-        mixes = make_mixes(count=40, intensive=False)
+        mixes = [mix_for(i, intensive=False) for i in range(40)]
         assert any(p.mpki < INTENSIVE_MPKI for mix in mixes for p in mix)
