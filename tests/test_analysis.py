@@ -19,6 +19,17 @@ class TestSummarize:
         box = summarize(range(101))
         assert (box.q1, box.q3) == pytest.approx((25.0, 75.0))
 
+    def test_accepts_a_generator(self):
+        assert summarize(x * x for x in range(4)).maximum == 9
+
+    def test_even_count_median_interpolates(self):
+        assert summarize([1, 2, 3, 10]).median == pytest.approx(2.5)
+
+    def test_constant_dataset_collapses(self):
+        box = summarize([4.2] * 3)
+        assert box.minimum == box.q1 == box.median == box.q3 == box.maximum == 4.2
+        assert box.mean == 4.2
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])

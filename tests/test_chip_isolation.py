@@ -107,6 +107,12 @@ class TestQueries:
             for partner in iso.partners(sa):
                 assert iso.isolated(sa, partner)
 
+    def test_average_coverage_is_mean_partner_fraction(self, iso):
+        # Below 256 subarrays calibration visits every pair, so coverage is
+        # exactly the mean fraction of other subarrays each one pairs with.
+        fractions = [len(iso.partners(sa)) / 63 for sa in range(64)]
+        assert iso.average_coverage() == pytest.approx(sum(fractions) / 64)
+
 
 class TestGolden:
     def test_maps_match_golden_exactly(self):

@@ -127,6 +127,19 @@ class TestPreventivePath:
         assert head.row in (99, 101)
         assert head.deadline == 50 + engine.slack_c
 
+    def test_para_victim_sets_bank_deadline(self):
+        mc, engine = make_hira_mc(tref_slack_acts=4)
+        from repro.rowhammer.para import Para
+        import numpy as np
+
+        engine.para = Para(pth=1.0, rng=np.random.default_rng(1))
+        # Bank 3 has no periodic request yet, so the victim's deadline is
+        # the bank's Refresh Table entry.
+        assert (0, 3) not in engine._bank_deadline
+        engine.on_demand_act(req(row=100, bank=3), now=50)
+        assert engine._bank_deadline[(0, 3)] == 50 + engine.slack_c
+        assert (0, 3) in engine._active
+
     def test_pr_fifo_overflow_falls_back_to_blocking(self):
         mc, engine = make_hira_mc(tref_slack_acts=4, pr_fifo_depth=1)
         from repro.rowhammer.para import Para

@@ -14,6 +14,17 @@ class TestGeometry:
         assert geom.rows_per_bank == 65_536
         assert geom.row_bits == 8_192  # 1 KiB chip rows
 
+    def test_default_chip_is_8_gbit(self):
+        geom = Geometry()
+        assert geom.banks_per_rank * geom.rows_per_bank * geom.row_bits == 8 * (1 << 30)
+
+    def test_banks_per_rank_spans_bank_groups(self):
+        geom = Geometry(bankgroups_per_rank=2, banks_per_bankgroup=8)
+        assert geom.banks_per_rank == 16
+        geom.check_bank(15)
+        with pytest.raises(GeometryError):
+            geom.check_bank(16)
+
     def test_subarray_row_roundtrip(self):
         geom = Geometry()
         for row in (0, 511, 512, 65_535):
@@ -27,6 +38,10 @@ class TestGeometry:
             geom.subarray_of_row(geom.rows_per_bank)
         with pytest.raises(GeometryError):
             geom.row_of(geom.subarrays_per_bank, 0)
+        with pytest.raises(GeometryError):
+            geom.row_of(0, geom.rows_per_subarray)
+        with pytest.raises(GeometryError):
+            geom.row_within_subarray(-1)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(GeometryError):

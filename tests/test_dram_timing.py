@@ -16,6 +16,7 @@ from repro.dram.timing import (
     timing_for_capacity,
     trfc_for_capacity_ns,
 )
+from repro.sim.config import SystemConfig
 
 
 class TestPreset:
@@ -53,6 +54,13 @@ class TestPreset:
         tp = DDR4_2400.with_trfc(ns(500.0))
         assert tp.trfc == 500_000
         assert DDR4_2400.trfc == 350_000
+
+    def test_with_trfc_keeps_same_bank_ratio(self):
+        tp = DDR4_2400.with_trfc(2 * DDR4_2400.trfc)
+        assert tp.trfc_sb / tp.trfc == pytest.approx(
+            DDR4_2400.trfc_sb / DDR4_2400.trfc, rel=1e-3
+        )
+        assert tp.trc == DDR4_2400.trc
 
 
 class TestLatencyIdentities:
@@ -101,6 +109,12 @@ class TestRowScaling:
 
     def test_projection_rounds_to_subarrays(self):
         assert projected_rows_per_bank(3.0) % 512 == 0
+
+    def test_refresh_rows_per_ref_is_8_at_64k(self):
+        # 64K rows, 8K REFs per 64 ms window -> 8 rows per REF per bank.
+        config = SystemConfig(capacity_gbit=8.0)
+        per_row_ps = config.per_bank_refresh_interval_cycles * config.tck_ps
+        assert config.timing.trefi / per_row_ps == pytest.approx(8.0, rel=0.01)
 
 
 @given(st.floats(min_value=0.5, max_value=512.0))

@@ -19,6 +19,11 @@ class TestGrapheneTracker:
             fired = tracker.observe(42) or fired
         assert fired == 42
 
+    def test_fires_exactly_at_threshold(self):
+        tracker = GrapheneTracker(threshold=10, entries=8)
+        results = [tracker.observe(3) for __ in range(10)]
+        assert results == [None] * 9 + [3]
+
     def test_counter_resets_after_trigger(self):
         tracker = GrapheneTracker(threshold=10, entries=8)
         for __ in range(10):

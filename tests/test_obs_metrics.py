@@ -7,6 +7,8 @@ runs can share a process.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
@@ -34,6 +36,37 @@ def test_gauge_set_overwrites():
     g.set(2.0, worker="b")
     assert g.snapshot()["values"] == {"worker=a": 0.5, "worker=b": 2.0}
     assert list(g.snapshot()["values"]) == ["worker=a", "worker=b"]
+
+
+def test_label_order_is_irrelevant():
+    c = Counter("acts", "")
+    c.inc(bank=3, rank=0)
+    c.inc(rank=0, bank=3)
+    assert c.value(rank=0, bank=3) == 2
+    assert list(c.snapshot()["values"]) == ["bank=3,rank=0"]
+
+
+def test_unlabelled_value_is_its_own_series():
+    c = Counter("jobs", "help text")
+    c.inc()
+    c.inc(state="done")
+    assert c.value() == 1
+    assert c.snapshot() == {
+        "kind": "counter",
+        "help": "help text",
+        "values": {"": 1, "state=done": 1},
+    }
+
+
+def test_registry_snapshot_is_byte_stable_across_registration_order():
+    def build(order):
+        reg = MetricsRegistry()
+        for name in order:
+            reg.counter(name).inc(worker="w1")
+        reg.gauge("age").set(0.5, worker="w1")
+        return json.dumps(reg.snapshot())
+
+    assert build(["b", "a", "c"]) == build(["c", "b", "a"])
 
 
 def test_registry_idempotent_and_kind_checked():

@@ -1,5 +1,7 @@
 """Reverse engineering the internal row mapping (§4.3 footnote 8)."""
 
+import pytest
+
 from repro.rowhammer.mapping import find_aggressors
 
 
@@ -33,3 +35,13 @@ class TestReverseEngineering:
         expected = sorted(chip.design.aggressors_for_victim(victim))
         found = sorted(find_aggressors(host, 0, victim, search_radius=8))
         assert found == expected
+
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_find_aggressors_at_subarray_edge(self, chip, host, edge):
+        # The search window is clipped to the victim's subarray.
+        geom = chip.geometry
+        offset = 0 if edge == "first" else geom.rows_per_subarray - 1
+        victim = geom.row_of(1, offset)
+        found = find_aggressors(host, 0, victim, search_radius=8)
+        assert sorted(found) == sorted(chip.design.aggressors_for_victim(victim))
+        assert all(geom.subarray_of_row(row) == 1 for row in found)

@@ -25,6 +25,12 @@ class TestLegacy:
     def test_legacy_pth_at_nrh_128_is_0_4730(self):
         assert legacy_pth(128) == pytest.approx(0.4730, abs=1e-3)
 
+    def test_legacy_probability_identity(self):
+        # PARA-Legacy: an attack succeeds if none of NRH activations
+        # refreshes the victim, (1 - pth/2)^NRH, which pth sets to target.
+        pth = legacy_pth(256)
+        assert (1.0 - pth / 2.0) ** 256 == pytest.approx(DEFAULT_TARGET, rel=1e-6)
+
 
 class TestKFactor:
     """Expression 9's published k values."""

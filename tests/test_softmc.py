@@ -23,6 +23,11 @@ class TestPatterns:
         arr = np.full(64, 0xFF, dtype=np.uint8)
         assert DataPattern.ALL_ONES.count_bitflips(arr) == 0
 
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=lambda p: p.name)
+    def test_inverse_fill_flips_every_bit(self, pattern):
+        arr = np.full(16, pattern.inverse.byte, dtype=np.uint8)
+        assert pattern.count_bitflips(arr) == 16 * 8
+
     def test_count_bitflips_counts_each_bit(self):
         arr = np.zeros(8, dtype=np.uint8)
         arr[3] = 0b0000_0101

@@ -17,7 +17,24 @@ class TestProfiles:
         assert min(mpkis) < 1  # compute-bound class
 
 
+    def test_names_unique(self):
+        names = [p.name for p in SPEC_PROFILES]
+        assert len(set(names)) == len(names)
+
+
 class TestMixes:
+    def test_evaluation_mixes_have_8_cores(self):
+        # §7: 125 eight-core mixes.
+        assert all(len(mix_for(i)) == 8 for i in range(125))
+
+    def test_core_count_respected(self):
+        assert len(mix_for(0, cores=4)) == 4
+
+    def test_seed_selects_a_different_mix_family(self):
+        a = [tuple(p.name for p in mix_for(i)) for i in range(5)]
+        b = [tuple(p.name for p in mix_for(i, seed=7)) for i in range(5)]
+        assert a != b
+
     def test_deterministic(self):
         assert [p.name for p in mix_for(7)] == [p.name for p in mix_for(7)]
 
