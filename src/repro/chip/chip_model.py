@@ -389,6 +389,7 @@ class DramChip:
         return open_row.row, self._row_array(bank, open_row.row).copy()
 
     def _do_write_cmd(self, bank: int, now_ps: int, meta: dict) -> None:
+        self.stats.writes += 1
         state = self._bank(bank)
         self._maybe_settle(bank, state, now_ps)
         if state.phase != "open" or state.io_owner is None:

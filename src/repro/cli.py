@@ -15,8 +15,7 @@ Nine subcommands mirror the repository's main workflows:
 - ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``
   (``--profile`` adds the phase-attributed wall-time breakdown).
 - ``lint`` — AST-based invariant linter (timing enforcement coverage,
-  determinism, protocol exhaustiveness and timeouts); exit 0 clean /
-  1 findings / 2 usage error.
+  determinism); exit 0 clean / 1 findings / 2 usage error.
 
 Usage::
 

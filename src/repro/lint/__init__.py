@@ -1,6 +1,6 @@
 """``repro lint``: AST-based invariant linting for the simulator.
 
-Four repo-specific rules guard the invariants the runtime layers
+Two repo-specific rules guard the invariants the runtime layers
 (controller gates → oracle) cannot see:
 
 ========================  ==============================================
@@ -11,11 +11,6 @@ rule                      invariant
 ``determinism``           no wall clocks, unseeded RNGs, ``id()``/
                           ``hash()`` ordering, or raw set iteration in
                           simulation logic
-``protocol-dispatch``     every socket-protocol message type is sent and
-                          dispatched on by the right endpoints
-``protocol-timeouts``     every protocol receive is bounded by a socket
-                          timeout / timeout handler, or carries a
-                          ``blocking-ok:`` justification
 ========================  ==============================================
 
 Run ``repro lint`` (or ``python -m repro.cli lint``); see README
@@ -27,12 +22,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import (
-    determinism,
-    protocol_dispatch,
-    protocol_timeouts,
-    timing_coverage,
-)
+from repro.lint import determinism, timing_coverage
 from repro.lint.core import (  # noqa: F401  (re-exported API)
     Finding,
     LintResult,
@@ -41,15 +31,7 @@ from repro.lint.core import (  # noqa: F401  (re-exported API)
 )
 
 #: Rule name -> checker module (each exposes NAME/DESCRIPTION/check).
-CHECKERS = {
-    module.NAME: module
-    for module in (
-        timing_coverage,
-        determinism,
-        protocol_dispatch,
-        protocol_timeouts,
-    )
-}
+CHECKERS = {module.NAME: module for module in (timing_coverage, determinism)}
 
 #: The installed ``src/repro`` tree — the default lint root.
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent

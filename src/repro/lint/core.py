@@ -9,8 +9,7 @@ checkers at small fixture trees that mirror the real layout.
 There is no baseline and no inline suppression: findings are fixed.
 Each rule carries its own reasoned escape hatch instead
 (``timing-coverage``'s ``EXEMPT_FIELDS``, ``determinism``'s
-``INT_KEYED_SETS`` and scopes, ``protocol-timeouts``' ``blocking-ok:``
-comment).
+``INT_KEYED_SETS`` and scopes).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@
 - :mod:`~repro.orchestrator.backends.dispatch` — the job server's
   dispatch policy as a pure state machine (no clock, thread or socket).
 - :mod:`~repro.orchestrator.backends.worker` — the worker daemon loop.
-- :mod:`~repro.orchestrator.backends.protocol` — the length-prefixed
-  JSON job protocol and bit-exact ``SweepPoint`` serialization.
+- :mod:`~repro.orchestrator.backends.protocol` — the job protocol's
+  typed messages, their length-prefixed JSON codec, and bit-exact
+  ``SweepPoint`` serialization.
 
 All backends yield ``(grid index, SimResult)`` pairs in arbitrary order;
 the runner assembles them into grid order, so every backend is

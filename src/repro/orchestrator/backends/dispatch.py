@@ -97,7 +97,7 @@ class Heartbeat:
 class Result:
     worker: int
     index: int
-    #: The wire payload; only the winning copy is ever decoded.
+    #: The decoded result; only the winning copy is delivered.
     result: object = field(repr=False, compare=False)
 
 
@@ -129,7 +129,8 @@ class Tick:
 class Assign:
     worker: int
     index: int
-    payload: dict = field(repr=False, compare=False)
+    #: The job's sweep point, passed through untouched.
+    payload: object = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ class Fail:
 class _Job:
     __slots__ = ("index", "payload", "attempts", "not_before", "speculated")
 
-    def __init__(self, index: int, payload: dict, attempts: int = 0,
+    def __init__(self, index: int, payload: object, attempts: int = 0,
                  speculated: bool = False):
         self.index = index
         self.payload = payload

@@ -3,12 +3,14 @@
 :class:`JobServer` is a thin I/O layer around the pure dispatch policy
 in :mod:`repro.orchestrator.backends.dispatch`.  It owns a listening
 socket and one reader thread per connection.  A reader admits its
-worker with a ``hello`` (carrying the worker's source fingerprint — a
-mismatched worker is *rejected*, because results from a different
-simulator tree would break bit-identical assembly), then only receives
-frames and posts them to one inbox.  Every policy decision runs on the
-:meth:`JobServer.stream` thread, which feeds each frame (or, when none
-arrives before the dispatcher's next deadline, a tick) to a
+worker with a :class:`~repro.orchestrator.backends.protocol.Hello`
+(carrying the worker's source fingerprint — a mismatched worker is
+*rejected*, because results from a different simulator tree would break
+bit-identical assembly), then only receives messages and posts the
+dispatcher event each stands for to one inbox; a frame that is no
+server-bound message ends its connection.  Every policy decision runs
+on the :meth:`JobServer.stream` thread, which feeds each event (or,
+when none arrives before the dispatcher's next deadline, a tick) to a
 :class:`~repro.orchestrator.backends.dispatch.Dispatcher` built for that
 stream, and carries out its actions: send a job, shut down or close a
 connection, yield a result, or raise.
@@ -46,6 +48,7 @@ import threading
 import time
 from typing import Iterable, Iterator
 
+from repro.orchestrator.backends import protocol
 from repro.orchestrator.backends.base import (
     ExecutionBackend,
     Jobs,
@@ -71,11 +74,13 @@ from repro.orchestrator.backends.dispatch import (
 )
 from repro.orchestrator.backends.protocol import (
     PROTOCOL_VERSION,
-    point_to_dict,
+    Hello,
+    ProtocolError,
+    Reject,
+    Welcome,
     recv_msg,
     send_msg,
 )
-from repro.orchestrator.cache import result_from_dict
 from repro.orchestrator.hashing import source_fingerprint
 from repro.sim.system import SimResult
 
@@ -112,21 +117,19 @@ def _bind_listener(host: str, port: int, bind_timeout: float) -> socket.socket:
             backoff.sleep()
 
 
-def frame_event(worker: int, message: dict | None):
-    """The dispatcher event one inbound frame stands for (``None``: the
-    connection ended).  An unknown frame type changes nothing."""
-    if message is None:
-        return Disconnect(worker)
-    kind = message.get("type")
-    if kind == "hello":
-        return Register(worker, str(message.get("worker", "?")))
-    if kind == "heartbeat":
-        return Heartbeat(worker)
-    if kind == "result":
-        return Result(worker, message.get("id"), message.get("result"))
-    if kind == "error":
-        return Error(worker, message.get("id"), str(message.get("error")))
-    return Tick()
+def frame_event(worker: int, message):
+    """The dispatcher event one received message stands for;
+    :class:`ProtocolError` for a worker-bound one."""
+    match message:
+        case Hello(worker=label):
+            return Register(worker, label)
+        case protocol.Heartbeat():
+            return Heartbeat(worker)
+        case protocol.Result(id=index, result=result):
+            return Result(worker, index, result)
+        case protocol.Error(id=index, error=error):
+            return Error(worker, index, error)
+    raise ProtocolError(f"a worker sent {type(message).__name__}")
 
 
 def _hang_up(conn: socket.socket) -> None:
@@ -173,8 +176,8 @@ class JobServer:
         self._sock = _bind_listener(host, port, bind_timeout)
         self.host, self.port = self._sock.getsockname()[:2]
         self._log(f"job server listening on {self.host}:{self.port}")
-        #: Every reader's frames in arrival order: ``(worker id, socket,
-        #: message)``, with ``None`` for a connection that ended.
+        #: Every reader's events in arrival order: ``(worker id, socket,
+        #: event)``, ending with the connection's :class:`Disconnect`.
         self._inbox: queue.Queue = queue.Queue()
         #: Registered connections of the running stream: id -> (socket, label).
         self._live: dict[int, tuple[socket.socket, str]] = {}
@@ -227,7 +230,7 @@ class JobServer:
         if not jobs:
             return
         dispatcher = Dispatcher(
-            [(index, point_to_dict(point)) for index, point in jobs],
+            jobs,
             time.monotonic(),
             rng=self._retry_rng,
             registration_timeout=self.registration_timeout,
@@ -253,7 +256,7 @@ class JobServer:
                     event = self._event(*item)
                 for action in dispatcher.handle(time.monotonic(), event):
                     if isinstance(action, Deliver):
-                        yield action.index, result_from_dict(action.result)
+                        yield action.index, action.result
                     else:
                         self._act(action)
         finally:
@@ -261,10 +264,9 @@ class JobServer:
             for wid in list(self._live):
                 self._act(Shutdown(wid))
 
-    def _event(self, wid: int, conn: socket.socket, message: dict | None):
-        """Translate one inbox item, keeping the live-connection map and
-        the fleet status in step."""
-        event = frame_event(wid, message)
+    def _event(self, wid: int, conn: socket.socket, event):
+        """Pass on one inbox event, keeping the live-connection map and the
+        fleet status in step."""
         if isinstance(event, Register):
             self._live[wid] = (conn, event.label)
             self.workers_seen += 1
@@ -280,9 +282,7 @@ class JobServer:
         if isinstance(action, Assign):
             conn, label = self._live[action.worker]
             try:
-                send_msg(conn, {
-                    "type": "job", "id": action.index, "point": action.payload,
-                })
+                send_msg(conn, protocol.Job(action.index, action.payload))
             except OSError:
                 _hang_up(conn)  # the reader posts the disconnect: requeue
             else:
@@ -291,7 +291,7 @@ class JobServer:
             conn, __ = self._live.pop(action.worker)
             if isinstance(action, Shutdown):
                 try:
-                    send_msg(conn, {"type": "shutdown"})
+                    send_msg(conn, protocol.Shutdown())
                 except OSError:
                     pass  # the worker is gone already
             _hang_up(conn)
@@ -340,42 +340,38 @@ class JobServer:
     def _read(self, wid: int, conn: socket.socket) -> None:
         admitted = False
         try:
-            conn.settimeout(self.heartbeat_timeout)
-            message = recv_msg(conn)
-            admitted = self._admit(conn, message)
-            # blocking-ok: once admitted, silence is the dispatcher's
-            # heartbeat expiry, whose Close shuts this socket down and so
-            # ends the wait (close() does the same between streams).
-            conn.settimeout(None)
+            message = recv_msg(conn, timeout=self.heartbeat_timeout)
+            admitted = isinstance(message, Hello) and self._admit(conn, message)
             while admitted and message is not None:
-                self._inbox.put((wid, conn, message))
-                message = recv_msg(conn)
+                self._inbox.put((wid, conn, frame_event(wid, message)))
+                # Once admitted, silence is the dispatcher's heartbeat
+                # expiry, whose Close shuts this socket down and so ends
+                # the wait (close() does the same between streams).
+                message = recv_msg(conn, timeout=None)
         except (OSError, ValueError):
             pass  # a dead or garbled connection ends like an EOF
         finally:
             if admitted:
-                self._inbox.put((wid, conn, None))
+                self._inbox.put((wid, conn, Disconnect(wid)))
             self._conns.discard(conn)
             conn.close()
 
-    def _admit(self, conn: socket.socket, hello: dict | None) -> bool:
+    def _admit(self, conn: socket.socket, hello: Hello) -> bool:
         """Answer a registration: welcome, or reject a mismatched worker."""
-        if not hello or hello.get("type") != "hello":
-            return False
-        if hello.get("protocol") != PROTOCOL_VERSION:
-            reason = f"protocol {hello.get('protocol')} != {PROTOCOL_VERSION}"
-        elif hello.get("fingerprint") != self.fingerprint:
+        if hello.protocol != PROTOCOL_VERSION:
+            reason = f"protocol {hello.protocol} != {PROTOCOL_VERSION}"
+        elif hello.fingerprint != self.fingerprint:
             # A worker running different simulator source would return
             # results that are not bit-identical to serial execution.
             reason = (
-                f"source fingerprint {hello.get('fingerprint')} does not "
+                f"source fingerprint {hello.fingerprint} does not "
                 f"match the server's {self.fingerprint}; update the "
                 "worker's checkout"
             )
         else:
-            send_msg(conn, {"type": "welcome", "server": f"pid{os.getpid()}"})
+            send_msg(conn, Welcome(f"pid{os.getpid()}"))
             return True
-        send_msg(conn, {"type": "reject", "reason": reason})
+        send_msg(conn, Reject(reason))
         return False
 
     # ------------------------------------------------------------------
@@ -387,7 +383,7 @@ class JobServer:
         self._sock.close()
         for conn in list(self._conns):
             try:
-                send_msg(conn, {"type": "shutdown"})
+                send_msg(conn, protocol.Shutdown())
             except OSError:
                 pass
             _hang_up(conn)

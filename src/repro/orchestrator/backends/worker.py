@@ -26,11 +26,18 @@ import traceback
 from repro.orchestrator.backends.dispatch import Backoff
 from repro.orchestrator.backends.protocol import (
     PROTOCOL_VERSION,
-    point_from_dict,
+    Error,
+    Heartbeat,
+    Hello,
+    Job,
+    ProtocolError,
+    Reject,
+    Result,
+    Shutdown,
+    Welcome,
     recv_msg,
     send_msg,
 )
-from repro.orchestrator.cache import result_to_dict
 from repro.orchestrator.execute import execute_point
 from repro.orchestrator.hashing import source_fingerprint
 
@@ -63,7 +70,7 @@ class _Heartbeat(threading.Thread):
     def run(self) -> None:
         while not self.stopped.wait(self.interval):
             try:
-                send_msg(self.sock, {"type": "heartbeat"}, lock=self.lock)
+                send_msg(self.sock, Heartbeat(), lock=self.lock)
             except OSError:
                 return  # connection is gone; the main loop will notice
 
@@ -86,75 +93,61 @@ def run_session(
     session either way).
     """
     lock = threading.Lock()
-    # Registration is request/response on an idle socket: a server that
-    # accepts but never welcomes (wedged accept thread, port squatter)
-    # must not strand the daemon, so the welcome wait is bounded.
-    sock.settimeout(welcome_timeout)
     send_msg(
         sock,
-        {
-            "type": "hello",
-            "worker": label or f"{socket.gethostname()}-{os.getpid()}",
-            "pid": os.getpid(),
-            "fingerprint": source_fingerprint(),
-            "protocol": PROTOCOL_VERSION,
-        },
+        Hello(
+            worker=label or f"{socket.gethostname()}-{os.getpid()}",
+            pid=os.getpid(),
+            fingerprint=source_fingerprint(),
+            protocol=PROTOCOL_VERSION,
+        ),
         lock=lock,
     )
     try:
-        welcome = recv_msg(sock)
-    except socket.timeout:
-        return None  # no welcome within the bound: reconnect with backoff
-    if welcome is None:
+        # Registration is request/response on an idle socket: a server
+        # that accepts but never welcomes (wedged accept thread, port
+        # squatter) must not strand the daemon, so the wait is bounded.
+        reply = recv_msg(sock, timeout=welcome_timeout)
+    except (socket.timeout, ProtocolError):
+        return None  # no welcome in time, or no message: reconnect
+    if isinstance(reply, Reject):
+        raise WorkerRejected(reply.reason)
+    if not isinstance(reply, Welcome):
+        # EOF, or a reply other than a welcome (e.g. the shutdown of a
+        # server tearing down just as we connected, or a confused peer),
+        # is not a session: reconnect instead of entering the job loop on
+        # an unregistered connection.
         return None
-    if welcome.get("type") == "reject":
-        raise WorkerRejected(welcome.get("reason", "rejected"))
-    if welcome.get("type") != "welcome":
-        # A non-welcome registration reply (e.g. the shutdown frame of a
-        # server tearing down just as we connected, or a confused peer) is
-        # not a session: treat it like the EOF race above and reconnect,
-        # instead of entering the job loop on an unregistered connection.
-        return None
-    # blocking-ok: job frames arrive at the server's dealing pace (a long
-    # queue drain between jobs is normal), and TCP keepalive bounds a
-    # vanished peer — see _enable_keepalive.
-    sock.settimeout(None)
     heartbeat = _Heartbeat(sock, lock, heartbeat_interval)
     heartbeat.start()
     done = 0
     try:
         while True:
-            message = recv_msg(sock)
-            if message is None:
-                # EOF without a shutdown: the server vanished.  A 0-job
-                # connection was a phantom (e.g. racing a server that had
-                # just finished its sweep and was tearing down), not a
-                # served session.
-                return done if done else None
-            if message.get("type") == "shutdown":
-                # Same phantom rule: a shutdown before any job means we
-                # connected to a server that was already tearing down
-                # (back-to-back sweeps race this constantly) — don't let
-                # it consume a ``max_sessions`` slot.
-                return done if done else None
-            if message.get("type") != "job":
-                continue
-            job_id = message.get("id")
-            try:
-                result = execute_point(point_from_dict(message["point"]))
-            except Exception:
-                send_msg(
-                    sock,
-                    {"type": "error", "id": job_id, "error": traceback.format_exc()},
-                    lock=lock,
-                )
-                continue
-            send_msg(
-                sock,
-                {"type": "result", "id": job_id, "result": result_to_dict(result)},
-                lock=lock,
-            )
-            done += 1
+            # Jobs arrive at the server's dealing pace (a long queue drain
+            # between jobs is normal), and TCP keepalive bounds a vanished
+            # peer — see _enable_keepalive.  A frame that is no message
+            # raises ProtocolError, which ends the session.
+            message = recv_msg(sock, timeout=None)
+            match message:
+                case Job(id=job_id, point=point):
+                    try:
+                        result = execute_point(point)
+                    except Exception:
+                        send_msg(sock, Error(job_id, traceback.format_exc()),
+                                 lock=lock)
+                        continue
+                    send_msg(sock, Result(job_id, result), lock=lock)
+                    done += 1
+                case None | Shutdown():
+                    # EOF or shutdown: the session is over.  One that ran
+                    # no job was a phantom (we connected to a server that
+                    # was already tearing down — back-to-back sweeps race
+                    # this constantly), so it must not consume a
+                    # ``max_sessions`` slot.
+                    return done if done else None
+                case _:
+                    raise ProtocolError(
+                        f"the server sent {type(message).__name__}")
     finally:
         heartbeat.stop()
 

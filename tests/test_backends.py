@@ -11,6 +11,7 @@ must pass on a 1-CPU runner: socket workers run as in-process threads
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -29,14 +30,20 @@ from repro.orchestrator.backends import make_backend
 from repro.orchestrator.backends.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    Error,
+    Heartbeat,
+    Hello,
+    Job,
     ProtocolError,
+    Reject,
+    Welcome,
     point_from_dict,
     point_to_dict,
     recv_msg,
     send_msg,
 )
 from repro.orchestrator.backends.server import JobServer, WorkerPoolError
-from repro.orchestrator.backends.worker import WorkerRejected, run_session, serve
+from repro.orchestrator.backends.worker import WorkerRejected, serve
 from repro.orchestrator.hashing import source_fingerprint
 from repro.orchestrator.sweep import Sweep, Variant, axis, profile_workloads
 from repro.sim.trace import TraceProfile
@@ -85,16 +92,13 @@ class TestProtocol:
     def test_framing_round_trip(self):
         a, b = socket.socketpair()
         try:
-            messages = [
-                {"type": "heartbeat"},
-                {"type": "job", "id": 3, "point": {"nested": [1, 2.5, "x", None]}},
-            ]
+            messages = [Heartbeat(), Job(3, tiny_sweep().expand()[0])]
             for message in messages:
                 send_msg(a, message)
             for message in messages:
-                assert recv_msg(b) == message
+                assert recv_msg(b, timeout=5.0) == message
             a.close()
-            assert recv_msg(b) is None  # clean EOF
+            assert recv_msg(b, timeout=5.0) is None  # clean EOF
         finally:
             b.close()
 
@@ -103,7 +107,7 @@ class TestProtocol:
         try:
             a.sendall(struct.pack(">I", 1 << 31))
             with pytest.raises(ProtocolError):
-                recv_msg(b)
+                recv_msg(b, timeout=5.0)
         finally:
             a.close()
             b.close()
@@ -203,16 +207,20 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 # Failure handling
 # ----------------------------------------------------------------------
-def _handshake(port: int, fingerprint: str | None = None) -> socket.socket:
+def _handshake(port: int, fingerprint: str | None = None,
+               protocol: int = PROTOCOL_VERSION) -> socket.socket:
     sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
-    send_msg(sock, {
-        "type": "hello",
-        "worker": "test-evil",
-        "pid": 0,
-        "fingerprint": fingerprint or source_fingerprint(),
-        "protocol": PROTOCOL_VERSION,
-    })
+    send_msg(sock, Hello(
+        worker="test-evil",
+        pid=0,
+        fingerprint=fingerprint or source_fingerprint(),
+        protocol=protocol,
+    ))
     return sock
+
+
+def _recv(sock: socket.socket):
+    return recv_msg(sock, timeout=10.0)
 
 
 class TestFailureHandling:
@@ -233,6 +241,17 @@ class TestFailureHandling:
         finally:
             server.close()
 
+    def test_protocol_mismatch_rejected(self):
+        # A worker of another protocol revision still decodes as a hello
+        # (its field set never changes), so it is told why it is refused.
+        server = JobServer(port=0, registration_timeout=5.0)
+        try:
+            sock = _handshake(server.port, protocol=PROTOCOL_VERSION + 1)
+            with pytest.raises(WorkerRejected, match="protocol"):
+                run_session_welcome(sock)
+        finally:
+            server.close()
+
     def test_worker_death_requeues_job(self):
         # An evil worker registers, accepts the first job, and drops the
         # connection without answering; a healthy worker must finish the
@@ -246,9 +265,8 @@ class TestFailureHandling:
 
         def evil_worker():
             sock = _handshake(backend.port)
-            assert recv_msg(sock).get("type") == "welcome"
-            job = recv_msg(sock)  # take a job...
-            assert job.get("type") == "job"
+            assert isinstance(_recv(sock), Welcome)
+            assert isinstance(_recv(sock), Job)  # take a job...
             sock.close()  # ...and die holding it
             died.set()
 
@@ -279,8 +297,8 @@ class TestFailureHandling:
 
         def doomed_worker():
             sock = _handshake(server.port)
-            assert recv_msg(sock).get("type") == "welcome"
-            recv_msg(sock)  # accept the job...
+            assert isinstance(_recv(sock), Welcome)
+            _recv(sock)  # accept the job...
             sock.close()  # ...and die; retries remain but workers don't
 
         threading.Thread(target=doomed_worker, daemon=True).start()
@@ -297,8 +315,8 @@ class TestFailureHandling:
 
         def one_shot_evil():
             sock = _handshake(server.port)
-            assert recv_msg(sock).get("type") == "welcome"
-            recv_msg(sock)  # the job
+            assert isinstance(_recv(sock), Welcome)
+            _recv(sock)  # the job
             sock.close()
 
         threading.Thread(target=one_shot_evil, daemon=True).start()
@@ -317,11 +335,10 @@ class TestFailureHandling:
 
         def erroring_worker():
             sock = _handshake(server.port)
-            assert recv_msg(sock).get("type") == "welcome"
-            job = recv_msg(sock)
-            send_msg(sock, {"type": "error", "id": job["id"],
-                            "error": "ValueError: planted failure"})
-            recv_msg(sock)
+            assert isinstance(_recv(sock), Welcome)
+            job = _recv(sock)
+            send_msg(sock, Error(job.id, "ValueError: planted failure"))
+            _recv(sock)
 
         threading.Thread(target=erroring_worker, daemon=True).start()
         try:
@@ -345,11 +362,11 @@ class TestProtocolRobustness:
 
         def evil_worker():
             sock = _handshake(backend.port)
-            assert recv_msg(sock).get("type") == "welcome"
-            job = recv_msg(sock)  # take a job...
-            assert job.get("type") == "job"
+            assert isinstance(_recv(sock), Welcome)
+            job = _recv(sock)  # take a job...
+            assert isinstance(job, Job)
             try:
-                evil_after_job(sock)  # ...and answer with a corrupt frame
+                evil_after_job(sock, job)  # ...and answer with a corrupt frame
             finally:
                 sent.set()
 
@@ -370,7 +387,7 @@ class TestProtocolRobustness:
         assert dicts(result_box["result"]) == dicts(serial)
 
     def test_truncated_frame_requeues_job(self):
-        def evil(sock):
+        def evil(sock, job):
             # Header promises 4 KiB, the body stops after 16 bytes.
             sock.sendall(struct.pack(">I", 4096) + b"x" * 16)
             sock.close()
@@ -378,7 +395,7 @@ class TestProtocolRobustness:
         self._sweep_past_evil(evil)
 
     def test_garbage_json_frame_requeues_job(self):
-        def evil(sock):
+        def evil(sock, job):
             body = b"{this is not json"
             sock.sendall(struct.pack(">I", len(body)) + body)
             # The socket stays open: the server must tear it down anyway.
@@ -386,10 +403,20 @@ class TestProtocolRobustness:
         self._sweep_past_evil(evil)
 
     def test_oversized_frame_requeues_job(self):
-        def evil(sock):
+        def evil(sock, job):
             # The header alone exceeds the frame cap; no body ever follows,
             # so a server that tried to read it would block forever.
             sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+
+        self._sweep_past_evil(evil)
+
+    def test_malformed_result_payload_requeues_job(self):
+        def evil(sock, job):
+            # Well-formed JSON for the job it was dealt, but the result
+            # is no SimResult: the connection ends, the sweep goes on.
+            body = json.dumps(
+                {"type": "result", "id": job.id, "result": {}}).encode()
+            sock.sendall(struct.pack(">I", len(body)) + body)
 
         self._sweep_past_evil(evil)
 
@@ -414,10 +441,10 @@ class TestProtocolRobustness:
 
 def run_session_welcome(sock: socket.socket):
     """Read the registration response the way the worker daemon does."""
-    welcome = recv_msg(sock)
-    if welcome and welcome.get("type") == "reject":
-        raise WorkerRejected(welcome.get("reason", "rejected"))
-    return welcome
+    reply = _recv(sock)
+    if isinstance(reply, Reject):
+        raise WorkerRejected(reply.reason)
+    return reply
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ The socket backend's policy is one pure state machine,
 :class:`~repro.orchestrator.backends.dispatch.Dispatcher`.  Here a
 seeded, single-thread simulator drives it with N virtual workers over
 an in-memory transport that carries real protocol frames
-(``send_msg``/``recv_msg``), and the server side turns frames into
+(``send_msg``/``recv_msg``), and the server side turns messages into
 events with the job server's own
 :func:`~repro.orchestrator.backends.server.frame_event`.  The workers
 compute real sweep points, so delivered results are compared with
@@ -45,15 +45,16 @@ from repro.orchestrator import (
     ResultCache,
     SocketBackend,
     plan_sweep,
-    result_from_dict,
     result_to_dict,
     run_sweep,
 )
+from repro.orchestrator.backends import protocol
 from repro.orchestrator.backends.dispatch import (
     Assign,
     Backoff,
     Close,
     Deliver,
+    Disconnect,
     Dispatcher,
     Fail,
     Quarantine,
@@ -64,8 +65,6 @@ from repro.orchestrator.backends.dispatch import (
 )
 from repro.orchestrator.backends.protocol import (
     PROTOCOL_VERSION,
-    point_from_dict,
-    point_to_dict,
     recv_msg,
     send_msg,
 )
@@ -148,6 +147,9 @@ class _Wire:
     def __init__(self, data: bytes = b""):
         self.data = data
 
+    def settimeout(self, timeout) -> None:
+        pass  # bytes in memory never keep a reader waiting
+
     def sendall(self, data: bytes) -> None:
         self.data += data
 
@@ -156,31 +158,30 @@ class _Wire:
         return chunk
 
 
-def _encode(message: dict) -> bytes:
+def _encode(message) -> bytes:
     wire = _Wire()
     send_msg(wire, message)
     return wire.data
 
 
-def _decode(frame: bytes) -> dict | None:
+def _decode(frame: bytes):
     """One frame as its reader sees it; ``None`` when the bytes end the
     connection (torn frame) or cannot be read (corrupt frame)."""
     try:
-        return recv_msg(_Wire(frame))
+        return recv_msg(_Wire(frame), timeout=None)
     except ValueError:
         return None
 
 
-_EXECUTED: dict[str, dict] = {}
+_EXECUTED: dict = {}
 
 
-def execute_payload(payload: dict) -> dict:
-    """What a worker returns for a job frame's point (memoized: every
-    case re-runs the same few points)."""
-    key = json.dumps(payload, sort_keys=True)
-    if key not in _EXECUTED:
-        _EXECUTED[key] = result_to_dict(execute_point(point_from_dict(payload)))
-    return _EXECUTED[key]
+def execute_memo(point):
+    """What a worker returns for a job's point (memoized: every case
+    re-runs the same few points)."""
+    if point not in _EXECUTED:
+        _EXECUTED[point] = execute_point(point)
+    return _EXECUTED[point]
 
 
 class VirtualWorker:
@@ -211,15 +212,12 @@ class VirtualWorker:
         self.arrives_after = 0.0
         sim.conns[self.wid] = self
         sim.labels[self.wid] = self.label
-        self.send({
-            "type": "hello", "worker": self.label, "pid": 0,
-            "fingerprint": "sim", "protocol": PROTOCOL_VERSION,
-        })
+        self.send(protocol.Hello(self.label, 0, "sim", PROTOCOL_VERSION))
         sim.at(sim.now + HEARTBEAT_S, self.beat, self.wid)
 
     def beat(self, wid: int) -> None:
         if self.wid == wid:
-            self.send({"type": "heartbeat"})
+            self.send(protocol.Heartbeat())
             self.sim.at(self.sim.now + HEARTBEAT_S, self.beat, wid)
 
     def _drop(self, back_in: float | None) -> None:
@@ -231,7 +229,7 @@ class VirtualWorker:
         if back_in is not None:
             sim.at(sim.now + back_in, self.connect)
 
-    def send(self, message: dict) -> None:
+    def send(self, message) -> None:
         sim = self.sim
         if self.wid is None or sim.now < self.hung_until:
             return  # no session, or a hung process sends nothing
@@ -242,7 +240,7 @@ class VirtualWorker:
         fault = sim.fault
         if self.faulty and fault is not None and self.sent == fault[1]:
             kind = fault[0]
-            sim.struck = (message["type"], self.job)
+            sim.struck = (type(message), self.job)
             if kind in ("reset", "crash", "late"):
                 self._drop({"reset": 0.0, "crash": RESTART_S, "late": LATE_S}[kind])
                 return
@@ -257,8 +255,7 @@ class VirtualWorker:
                 sim.at(self.hung_until, self.wake, self.wid)
                 return
             elif kind == "error" and self.job is not None:
-                frame = _encode({"type": "error", "id": self.job,
-                                 "error": "planted failure"})
+                frame = _encode(protocol.Error(self.job, "planted failure"))
                 self.job = None
                 sim.error_sent = True
         self.arrives_after = max(sim.now + sim.latency() + hold,
@@ -280,15 +277,15 @@ class VirtualWorker:
         sim = self.sim
         if self.wid != wid or sim.now < self.hung_until:
             return
-        message = _decode(frame)
-        if message is None:
-            self._drop(0.0)  # a torn job frame ends the session
-        elif message["type"] == "shutdown":
-            self.wid = None
-        elif message["type"] == "job":
-            self.job = message["id"]
-            sim.at(sim.now + sim.compute(self, message["id"]), self.finish,
-                   wid, message["id"], message["point"])
+        match _decode(frame):
+            case None:
+                self._drop(0.0)  # a torn job frame ends the session
+            case protocol.Shutdown():
+                self.wid = None
+            case protocol.Job(id=index, point=point):
+                self.job = index
+                sim.at(sim.now + sim.compute(self, index), self.finish,
+                       wid, index, point)
 
     def hang_up(self, wid: int) -> None:
         """The server closed the connection."""
@@ -296,10 +293,9 @@ class VirtualWorker:
             self.wid = None
             self.connect()
 
-    def finish(self, wid: int, index: int, payload: dict) -> None:
+    def finish(self, wid: int, index: int, point) -> None:
         if self.wid == wid and self.job == index:
-            self.send({"type": "result", "id": index,
-                       "result": self.sim.execute(payload)})
+            self.send(protocol.Result(index, execute_memo(point)))
             self.job = None
 
 
@@ -308,10 +304,9 @@ class Sim:
     seeded event loop.  ``log`` is every action with its virtual time."""
 
     def __init__(self, seed: int, workers: int, fault=None, *, jobs,
-                 execute=execute_payload, compute=None, policy=None):
+                 compute=None, policy=None):
         self.rng = random.Random(seed)
         self.fault = fault
-        self.execute = execute
         self.compute = compute or (
             lambda worker, index: self.rng.uniform(*COMPUTE_S))
         self.dispatcher = Dispatcher(
@@ -323,7 +318,7 @@ class Sim:
         self.conns: dict[int, VirtualWorker] = {}
         self.labels: dict[int, str] = {}
         self.log: list[tuple[float, object]] = []
-        self.delivered: dict[int, list[dict]] = {}
+        self.delivered: dict[int, list] = {}
         self.failure: Fail | None = None
         self.struck = None
         self.error_sent = False
@@ -361,7 +356,8 @@ class Sim:
             worker = self.conns.pop(wid)
             if frame is not None:  # unreadable: the server hangs up
                 self.at(self.now + self.latency(), worker.hang_up, wid)
-        self.step(frame_event(wid, message))
+        self.step(Disconnect(wid) if message is None
+                  else frame_event(wid, message))
 
     def step(self, event) -> None:
         for action in self.dispatcher.handle(self.now, event):
@@ -375,7 +371,7 @@ class Sim:
             elif isinstance(action, (Shutdown, Close)):
                 worker = self.conns.pop(action.worker)
                 if isinstance(action, Shutdown):
-                    frame = _encode({"type": "shutdown"})
+                    frame = _encode(protocol.Shutdown())
                     self.at(self.now + self.latency(), worker.receive,
                             action.worker, frame)
                 else:
@@ -384,13 +380,12 @@ class Sim:
 
     def _send_job(self, action: Assign) -> None:
         worker = self.conns[action.worker]
-        frame = _encode({"type": "job", "id": action.index,
-                         "point": action.payload})
+        frame = _encode(protocol.Job(action.index, action.payload))
         if worker.faulty:
             worker.jobs_received += 1
             if self.fault == ("torn-job", worker.jobs_received):
                 frame = frame[: len(frame) // 2]
-                self.struck = ("job", action.index)
+                self.struck = (protocol.Job, action.index)
         self.at(self.now + self.latency(), worker.receive, action.worker, frame)
 
 
@@ -398,7 +393,7 @@ SIM_SWEEP = tiny_sweep(
     name="chaos-sim",
     axes=(tiny_sweep().axes[0], axis("capacity_gbit", 8.0, 32.0)),
 )
-SIM_JOBS = [(i, point_to_dict(p)) for i, p in enumerate(SIM_SWEEP.expand())]
+SIM_JOBS = list(enumerate(SIM_SWEEP.expand()))
 
 
 def run_case(seed: int, workers: int, frame: int | None = None,
@@ -427,7 +422,7 @@ def check_invariants(sim: Sim, serial: list[dict], replay: str) -> None:
         f"unfinished at virtual {sim.now:.1f}s; {replay}")
     for index, copies in sim.delivered.items():
         assert len(copies) == 1, f"point {index} delivered twice; {replay}"
-        got = result_to_dict(result_from_dict(copies[0]))
+        got = result_to_dict(copies[0])
         assert got == serial[index], f"point {index} != serial; {replay}"
     if sim.failure is None:
         assert sorted(sim.delivered) == list(range(len(serial))), replay
@@ -486,7 +481,7 @@ class TestSimulatedFaults:
         stalled = 0
         for sim, replay in each_case("stall", serial_sim, policy):
             assert not kinds_in(sim, Requeue, Close), replay
-            if sim.struck is not None and sim.struck[0] == "result":
+            if sim.struck is not None and sim.struck[0] is protocol.Result:
                 stalled += 1
                 assert Speculate(sim.struck[1]) in kinds_in(sim, Speculate), (
                     replay)
@@ -542,10 +537,9 @@ class TestSimulatedFaults:
         # its job; the second returns a result every 0.1 s.  The deadline
         # must fire on time, not wait for a lull in the result stream,
         # and the copy must be dealt next, not behind the backlog.
-        jobs = [(i, {"n": i}) for i in range(40)]
+        jobs = [(i, SIM_JOBS[0][1]) for i in range(40)]
         policy = dict(POLICY, job_deadline=1.0, heartbeat_timeout=600.0)
         sim = Sim(CHAOS_SEED, 2, jobs=jobs, policy=policy,
-                  execute=lambda payload: payload,
                   compute=lambda worker, index:
                       500.0 if worker.label == "w0" else 0.1)
         sim.run()
@@ -596,17 +590,13 @@ class TestCrashSafetyAndResume:
         def doomed_worker():
             sock = socket.create_connection(("127.0.0.1", backend.port),
                                             timeout=10.0)
-            send_msg(sock, {
-                "type": "hello", "worker": "chaos-doomed", "pid": 0,
-                "fingerprint": source_fingerprint(),
-                "protocol": PROTOCOL_VERSION,
-            })
-            assert recv_msg(sock).get("type") == "welcome"
-            job = recv_msg(sock)
-            result = execute_point(point_from_dict(job["point"]))
-            send_msg(sock, {"type": "result", "id": job["id"],
-                            "result": result_to_dict(result)})
-            assert recv_msg(sock).get("type") == "job"
+            send_msg(sock, protocol.Hello("chaos-doomed", 0,
+                                          source_fingerprint(),
+                                          PROTOCOL_VERSION))
+            assert isinstance(recv_msg(sock, timeout=10.0), protocol.Welcome)
+            job = recv_msg(sock, timeout=10.0)
+            send_msg(sock, protocol.Result(job.id, execute_point(job.point)))
+            assert isinstance(recv_msg(sock, timeout=10.0), protocol.Job)
             sock.close()  # dies holding the second job
 
         worker = threading.Thread(target=doomed_worker, daemon=True)

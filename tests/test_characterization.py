@@ -28,7 +28,9 @@ from repro.softmc.patterns import ALL_PATTERNS, DataPattern
 # Exact results recorded from the chip model before its per-command path
 # skipped dead noise draws, memoized address resolution and vectorized flip
 # injection.  Never regenerate: a record that differs from these is a
-# behaviour change, not a refresh of the golden.
+# behaviour change, not a refresh of the golden.  The one declared
+# regeneration filled in the ``writes`` counters, which the WR path had
+# never incremented; every other field stayed byte-identical.
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "characterization.json"
 
 STRIDE = 256

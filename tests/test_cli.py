@@ -61,10 +61,10 @@ class TestLintCommand:
         assert "clean" in out
 
     def test_findings_exit_one(self, capsys):
-        root = str(self.FIXTURES / "protocol_timeouts_bad")
-        assert main(["lint", "--root", root, "--rules", "protocol-timeouts"]) == 1
+        root = str(self.FIXTURES / "timing_bad")
+        assert main(["lint", "--root", root, "--rules", "timing-coverage"]) == 1
         out = capsys.readouterr().out
-        assert "[protocol-timeouts]" in out and "finding" in out
+        assert "[timing-coverage]" in out and "finding" in out
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["lint", "--rules", "no-such-rule"]) == 2
@@ -76,15 +76,15 @@ class TestLintCommand:
         assert "no rules selected" in capsys.readouterr().out
 
     def test_repeated_rule_reports_once(self, capsys):
-        root = str(self.FIXTURES / "protocol_bad")
+        root = str(self.FIXTURES / "timing_bad")
         code = main([
             "lint", "--root", root, "--json",
-            "--rules", "protocol-dispatch,protocol-dispatch",
+            "--rules", "timing-coverage,timing-coverage",
         ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rules"] == ["protocol-dispatch"]
-        assert len(payload["findings"]) == 1
+        assert payload["rules"] == ["timing-coverage"]
+        assert len(payload["findings"]) == 2  # gating + oracle, once each
 
     def test_baseline_flag_is_rejected(self, capsys):
         # The grandfathering baseline is gone; the flag is not accepted.
@@ -94,9 +94,9 @@ class TestLintCommand:
         assert "--baseline" in capsys.readouterr().err
 
     def test_json_report_schema(self, capsys):
-        root = str(self.FIXTURES / "protocol_bad")
+        root = str(self.FIXTURES / "determinism_bad")
         code = main([
-            "lint", "--root", root, "--rules", "protocol-dispatch", "--json",
+            "lint", "--root", root, "--rules", "determinism", "--json",
         ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -105,9 +105,10 @@ class TestLintCommand:
         assert set(payload) == {
             "version", "root", "rules", "files", "findings", "clean",
         }
-        (finding,) = payload["findings"]
-        assert set(finding) == {"rule", "path", "line", "symbol", "message"}
-        assert finding["rule"] == "protocol-dispatch"
+        assert payload["findings"]
+        for finding in payload["findings"]:
+            assert set(finding) == {"rule", "path", "line", "symbol", "message"}
+            assert finding["rule"] == "determinism"
 
     def test_json_clean_tree(self, capsys):
         assert main(["lint", "--json"]) == 0
@@ -117,10 +118,7 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
-        assert names == list(CHECKERS) == [
-            "timing-coverage", "determinism",
-            "protocol-dispatch", "protocol-timeouts",
-        ]
+        assert names == list(CHECKERS) == ["timing-coverage", "determinism"]
 
 
 class TestCommands:

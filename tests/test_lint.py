@@ -3,7 +3,7 @@
 Each rule gets one *bad* fixture (a planted violation it must flag) and
 one *good* fixture (idiomatic code it must pass) under
 ``tests/lint_fixtures/``, mirroring real repo paths so the file-anchored
-rules (protocol endpoints, timing surfaces) engage.
+rules (timing surfaces, simulation-logic scopes) engage.
 The suite also locks the rule selection, the JSON report shape, and —
 most importantly — a no-false-positive run over the real ``src/repro``
 tree.
@@ -35,8 +35,6 @@ def _edit(path: Path, old: str, new: str) -> None:
 CASES = [
     ("timing-coverage", "timing_bad", "timing_good"),
     ("determinism", "determinism_bad", "determinism_good"),
-    ("protocol-dispatch", "protocol_bad", "protocol_good"),
-    ("protocol-timeouts", "protocol_timeouts_bad", "protocol_timeouts_good"),
 ]
 
 
@@ -66,20 +64,6 @@ def test_timing_coverage_flags_both_surfaces():
     assert all(f.symbol == "tfoo" for f in result.findings)
     assert any("controller gating" in m for m in messages)
     assert any("oracle rule generation" in m for m in messages)
-
-
-def test_protocol_timeouts_names_each_unbounded_receive():
-    result = run_lint(FIXTURES / "protocol_timeouts_bad", ["protocol-timeouts"])
-    # No timeout at all, and a timeout lifted by settimeout(None).
-    assert {f.symbol for f in result.findings} == {"await_welcome", "await_job"}
-    assert {f.path for f in result.findings} == {"orchestrator/backends/worker.py"}
-
-
-def test_protocol_dispatch_names_missing_arm():
-    result = run_lint(FIXTURES / "protocol_bad", ["protocol-dispatch"])
-    (finding,) = result.findings
-    assert finding.symbol == "job"
-    assert finding.path == "orchestrator/backends/worker.py"
 
 
 # ----------------------------------------------------------------------
@@ -146,17 +130,6 @@ def test_determinism_keeps_the_dispatcher_sans_io(tmp_path):
     assert finding.symbol == "time.monotonic"
 
 
-def test_protocol_timeouts_blocking_ok_justifies_a_wait(tmp_path):
-    root = _copy_fixture("protocol_timeouts_bad", tmp_path)
-    _edit(
-        root / "orchestrator" / "backends" / "worker.py",
-        "def await_welcome(sock):\n",
-        "def await_welcome(sock):\n    # blocking-ok: TCP keepalive bounds the peer.\n",
-    )
-    result = run_lint(root, ["protocol-timeouts"])
-    assert {f.symbol for f in result.findings} == {"await_job"}
-
-
 @pytest.mark.parametrize("rule,bad,good", CASES, ids=[c[0] for c in CASES])
 def test_disable_comment_does_not_silence_findings(rule, bad, good, tmp_path):
     """There is no inline suppression syntax: a ``# repro-lint: disable=``
@@ -182,26 +155,27 @@ def test_disable_comment_does_not_silence_findings(rule, bad, good, tmp_path):
 # ----------------------------------------------------------------------
 def test_unknown_rule_is_usage_error():
     with pytest.raises(LintUsageError, match="unknown rule"):
-        run_lint(FIXTURES / "protocol_timeouts_good", ["no-such-rule"])
+        run_lint(FIXTURES / "timing_good", ["no-such-rule"])
 
 
 def test_empty_rule_selection_is_usage_error():
     # A selection that runs nothing would report a vacuous "clean".
     with pytest.raises(LintUsageError, match="no rules selected"):
-        run_lint(FIXTURES / "protocol_bad", [])
+        run_lint(FIXTURES / "determinism_bad", [])
 
 
 def test_repeated_rule_runs_once():
+    once = run_lint(FIXTURES / "determinism_bad", ["determinism"])
     result = run_lint(
-        FIXTURES / "protocol_bad", ["protocol-dispatch", "protocol-dispatch"]
+        FIXTURES / "determinism_bad", ["determinism", "determinism"]
     )
-    assert result.rules == ["protocol-dispatch"]
-    assert len(result.findings) == 1
+    assert result.rules == ["determinism"]
+    assert result.findings == once.findings
 
 
 def test_missing_root_is_usage_error(tmp_path):
     with pytest.raises(LintUsageError):
-        run_lint(tmp_path / "nope", ["protocol-timeouts"])
+        run_lint(tmp_path / "nope", ["determinism"])
 
 
 def test_syntax_error_in_tree_is_usage_error(tmp_path):
@@ -209,7 +183,7 @@ def test_syntax_error_in_tree_is_usage_error(tmp_path):
     (root / "sim").mkdir(parents=True)
     (root / "sim" / "broken.py").write_text("def oops(:\n")
     with pytest.raises(LintUsageError):
-        run_lint(root, ["protocol-timeouts"])
+        run_lint(root, ["determinism"])
 
 
 def test_json_report_shape():

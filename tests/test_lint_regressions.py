@@ -8,18 +8,10 @@ baseline and elastic engines, HiRA's ``_refresh_active`` chokepoint, and
 the elastic same-bank heap->deferred promotion.  ``TestMemoContract``
 pins each fix on a hand-built state; ``dense_loop()`` in
 ``tests/test_kernel_equivalence.py`` checks the same contract on every
-cycle the event kernel skips.  The protocol-dispatch lint rule found
-that the worker entered its job loop on *any* non-reject registration
-reply; ``TestWorkerRegistrationReply`` pins that fix.
+cycle the event kernel skips.
 """
 
-import socket
-
-import pytest
-
 from repro.core.engine import HiraRefreshEngine
-from repro.orchestrator.backends.protocol import recv_msg, send_msg
-from repro.orchestrator.backends.worker import WorkerRejected, run_session
 from repro.sim.config import SystemConfig
 from repro.sim.controller import BaselineRefreshEngine, MemoryController
 from repro.sim.elastic import ElasticRefreshEngine
@@ -120,32 +112,3 @@ class TestMemoContract:
         epoch = arm_memo(mc)
         engine._sb_promote(0)  # nothing due at cycle 0
         assert untouched(mc, epoch)
-
-
-class TestWorkerRegistrationReply:
-    """run_session must not enter the job loop without a real welcome."""
-
-    def _session(self, reply: dict):
-        ours, theirs = socket.socketpair()
-        try:
-            send_msg(theirs, reply)
-            result = run_session(ours, heartbeat_interval=60.0)
-            hello = recv_msg(theirs)
-            assert hello is not None and hello["type"] == "hello"
-            return result
-        finally:
-            ours.close()
-            theirs.close()
-
-    def test_shutdown_as_first_reply_is_phantom_session(self):
-        # A worker racing a closing server receives the broadcast shutdown
-        # as its registration reply; that must read as "no session" (the
-        # daemon reconnects), not as a rejection that kills it.
-        assert self._session({"type": "shutdown"}) is None
-
-    def test_garbage_reply_is_phantom_session(self):
-        assert self._session({"type": "bogus", "x": 1}) is None
-
-    def test_reject_still_raises(self):
-        with pytest.raises(WorkerRejected, match="incompatible"):
-            self._session({"type": "reject", "reason": "incompatible"})
