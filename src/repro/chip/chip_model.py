@@ -29,16 +29,20 @@ import numpy as np
 from repro.chip.design import ChipDesign
 from repro.chip.disturb import DisturbState
 from repro.chip.rng import rng_for
-from repro.chip.variation import VariationModel
+from repro.chip.variation import RowTiming, VariationModel
 from repro.dram.commands import Command, CommandKind
 from repro.dram.errors import DramError, TimingViolation
 from repro.dram.timing import DDR4_2400, TimingParams
 
 
-@dataclass
+@dataclass(slots=True)
 class _OpenRow:
     row: int
     act_ps: int
+    #: Physical row and its circuit characteristics, resolved at ACT time
+    #: (both are pure functions of the chip, bank and row).
+    phys: int
+    timing: RowTiming
     corrupted: bool = False
 
 
@@ -97,9 +101,10 @@ class DramChip:
         self._last_cmd_ps = -1
         self._ref_pointer: dict[int, int] = {}
         self._flip_salt = 0
-        #: Logical row -> (physical row, physical neighbours), filled on
-        #: first use; only rows that passed ``check_row`` are ever stored.
-        self._resolved: dict[int, tuple[int, tuple[int, ...]]] = {}
+        #: Logical row -> (physical row, physical neighbours, subarray),
+        #: filled on first use; only rows that passed ``check_row`` are
+        #: ever stored.
+        self._resolved: dict[int, tuple[int, tuple[int, ...], int]] = {}
 
     # ------------------------------------------------------------------
     # Data plane
@@ -148,44 +153,38 @@ class DramChip:
                 f"command at {cmd.time_ps} ps issued after {self._last_cmd_ps} ps"
             )
         self._last_cmd_ps = cmd.time_ps
-        if cmd.kind is CommandKind.ACT:
+        kind = cmd.kind
+        if kind is CommandKind.ACT:
             self._do_act(cmd.bank, cmd.row, cmd.time_ps)
-        elif cmd.kind is CommandKind.PRE:
+        elif kind is CommandKind.PRE:
             self._do_pre(cmd.bank, cmd.time_ps)
-        elif cmd.kind is CommandKind.RD:
+        elif kind is CommandKind.RD:
             self._do_read(cmd.bank, cmd.time_ps)
-        elif cmd.kind is CommandKind.WR:
+        elif kind is CommandKind.WR:
             self._do_write_cmd(cmd.bank, cmd.time_ps, cmd.meta)
-        elif cmd.kind is CommandKind.REF:
+        elif kind is CommandKind.REF:
             self._do_ref(cmd.time_ps)
-        elif cmd.kind is CommandKind.NOP:
+        elif kind is CommandKind.NOP:
             pass
         else:  # pragma: no cover - enum is closed
-            raise DramError(f"unsupported command {cmd.kind}")
+            raise DramError(f"unsupported command {kind}")
 
-    def _physical(self, row: int) -> tuple[int, tuple[int, ...]]:
-        """A logical row's physical row and physical neighbours.
+    def _physical(self, row: int) -> tuple[int, tuple[int, ...], int]:
+        """A logical row's physical row, physical neighbours and subarray.
 
-        The design's scrambling is fixed, so each row is resolved (and
-        range-checked) once per chip.
+        The design's scrambling is fixed (and stays within the subarray),
+        so each row is resolved and range-checked once per chip.  All
+        per-row variation belongs to the physical row.
         """
         resolved = self._resolved.get(row)
         if resolved is None:
             resolved = (
                 self.design.logical_to_physical(row),
                 tuple(self.design.physical_neighbors(row)),
+                row // self.geometry.rows_per_subarray,
             )
             self._resolved[row] = resolved
         return resolved
-
-    def _timing_of(self, bank: int, row: int):
-        """Per-row circuit characteristics, keyed by physical position.
-
-        All variation (sense-amp enable, restore quality, RowHammer
-        threshold) belongs to the physical row; logical addresses reach it
-        through the design's internal scrambling.
-        """
-        return self.variation.row_timing(bank, self._physical(row)[0])
 
     def _bank(self, bank: int) -> _ChipBankState:
         state = self._banks.get(bank)
@@ -197,7 +196,7 @@ class DramChip:
 
     # -- ACT ------------------------------------------------------------
     def _do_act(self, bank: int, row: int, now_ps: int) -> None:
-        self.geometry.check_row(row)
+        resolved = self._physical(row)
         self.stats.acts += 1
         state = self._bank(bank)
         self._maybe_settle(bank, state, now_ps)
@@ -208,20 +207,25 @@ class DramChip:
             return
 
         if state.phase == "precharging":
-            self._act_during_precharge(bank, state, row, now_ps)
+            self._act_during_precharge(bank, state, row, resolved, now_ps)
             return
 
-        self._fresh_activation(bank, state, row, now_ps)
+        self._fresh_activation(bank, state, row, resolved, now_ps)
 
-    def _fresh_activation(self, bank: int, state: _ChipBankState, row: int, now_ps: int) -> None:
-        sa = self.geometry.subarray_of_row(row)
-        self._sense_row(bank, row)
-        state.open_rows[sa] = _OpenRow(row=row, act_ps=now_ps)
+    def _fresh_activation(
+        self, bank: int, state: _ChipBankState, row: int, resolved: tuple, now_ps: int
+    ) -> None:
+        phys, neighbors, sa = resolved
+        timing = self.variation.row_timing(bank, phys)
+        self._sense_row(bank, row, phys, timing)
+        state.open_rows[sa] = _OpenRow(row, now_ps, phys, timing)
         state.phase = "open"
         state.io_owner = sa
-        self.disturb.hammer(bank, self._physical(row)[1])
+        self.disturb.hammer(bank, neighbors)
 
-    def _act_during_precharge(self, bank: int, state: _ChipBankState, row: int, now_ps: int) -> None:
+    def _act_during_precharge(
+        self, bank: int, state: _ChipBankState, row: int, resolved: tuple, now_ps: int
+    ) -> None:
         t2 = now_ps - state.pre_ps
         vendor = self.design.vendor
         if vendor.ignores_fast_act(t2, self.timing.trp):
@@ -232,25 +236,24 @@ class DramChip:
         interruptible = {
             sa: open_row
             for sa, open_row in state.open_rows.items()
-            if t2 <= self._timing_of(bank, open_row.row).wordline_window_ps
+            if t2 <= open_row.timing.wordline_window_ps
         }
         if not interruptible:
             # Precharge already completed; this is a fresh ACT issued with a
             # violated tRP — the new row senses unprecharged bitlines.
             self._settle(bank, state, now_ps)
-            self._fresh_activation(bank, state, row, now_ps)
+            self._fresh_activation(bank, state, row, resolved, now_ps)
             if t2 < round(self.timing.trp * 0.9):
-                new_sa = self.geometry.subarray_of_row(row)
                 self._corrupt_row(bank, row, "act-under-trp")
-                state.open_rows[new_sa].corrupted = True
+                state.open_rows[resolved[2]].corrupted = True
             return
 
         # --- HiRA: the second ACT interrupts the precharge -------------
         self.stats.hira_attempts += 1
-        sa_b = self.geometry.subarray_of_row(row)
+        sa_b = resolved[2]
         success = True
         for sa_a, open_row in list(state.open_rows.items()):
-            timing_a = self._timing_of(bank, open_row.row)
+            timing_a = open_row.timing
             t1 = state.pre_ps - open_row.act_ps
             checkerboard = self._is_checkerboard(bank, open_row.row)
             if sa_a not in interruptible:
@@ -276,18 +279,13 @@ class DramChip:
                     open_row.corrupted = True
                 success = False
 
-        self._sense_row(bank, row)
-        state.open_rows[sa_b] = _OpenRow(row=row, act_ps=now_ps)
-        state.phase = "open"
-        state.io_owner = sa_b
-        self.disturb.hammer(bank, self._physical(row)[1])
+        self._fresh_activation(bank, state, row, resolved, now_ps)
         if success:
             self.stats.hira_successes += 1
 
-    def _sense_row(self, bank: int, row: int) -> None:
+    def _sense_row(self, bank: int, row: int, phys: int, timing: RowTiming) -> None:
         """Sensing amplifies the stored charge: materialize pending flips."""
-        phys = self._physical(row)[0]
-        flips = self.disturb.flips_on_sense(bank, phys, self.variation.row_timing(bank, phys))
+        flips = self.disturb.flips_on_sense(bank, phys, timing)
         if flips:
             self._inject_flips(bank, row, flips)
             # Sensing latches current charge; pending disturbance becomes
@@ -309,17 +307,18 @@ class DramChip:
             self._settle(bank, state, now_ps)
             return
 
-        vendor = self.design.vendor
-        min_t1 = min(
-            (now_ps - open_row.act_ps for open_row in state.open_rows.values()),
-            default=self.timing.tras,
-        )
-        if vendor.ignores_early_pre(min_t1, self.timing.tras):
+        # An open bank holds at least one open row; the shortest t1 is the
+        # latest activation's.
+        latest_act_ps = 0
+        for open_row in state.open_rows.values():
+            if open_row.act_ps > latest_act_ps:
+                latest_act_ps = open_row.act_ps
+        if self.design.vendor.ignores_early_pre(now_ps - latest_act_ps, self.timing.tras):
             self.stats.ignored_pre += 1
             return
 
         for open_row in state.open_rows.values():
-            timing_row = self._timing_of(bank, open_row.row)
+            timing_row = open_row.timing
             t1 = now_ps - open_row.act_ps
             checkerboard = self._is_checkerboard(bank, open_row.row)
             need = timing_row.sa_enable_ps + (
@@ -336,13 +335,11 @@ class DramChip:
         """Complete a pending precharge whose interrupt window has passed."""
         if state.phase != "precharging":
             return
-        max_window = max(
-            (
-                self._timing_of(bank, open_row.row).wordline_window_ps
-                for open_row in state.open_rows.values()
-            ),
-            default=0,
-        )
+        max_window = 0
+        for open_row in state.open_rows.values():
+            window = open_row.timing.wordline_window_ps
+            if window > max_window:
+                max_window = window
         if now_ps - state.pre_ps > max_window:
             self._settle(bank, state, now_ps)
 
@@ -355,8 +352,8 @@ class DramChip:
 
     def _close_row(self, bank: int, state: _ChipBankState, sa: int, close_ps: int) -> None:
         open_row = state.open_rows.pop(sa)
-        phys = self._physical(open_row.row)[0]
-        timing_row = self.variation.row_timing(bank, phys)
+        phys = open_row.phys
+        timing_row = open_row.timing
         duration = close_ps - open_row.act_ps
         needed = timing_row.restore_needed_ps(self.timing.tras)
         if duration >= needed:
@@ -400,7 +397,7 @@ class DramChip:
         fill = meta.get("fill")
         if fill is not None:
             self._row_array(bank, open_row.row)[:] = fill
-            self.disturb.on_write(bank, self._physical(open_row.row)[0])
+            self.disturb.on_write(bank, open_row.phys)
 
     # -- REF --------------------------------------------------------------
     def _do_ref(self, now_ps: int) -> None:
@@ -418,11 +415,10 @@ class DramChip:
             pointer = self._ref_pointer.get(bank, 0)
             for i in range(rows_per_ref):
                 row = (pointer + i) % self.geometry.rows_per_bank
-                self._sense_row(bank, row)
                 phys = self._physical(row)[0]
-                self.disturb.on_restore(
-                    bank, phys, self.variation.row_timing(bank, phys), fraction=1.0
-                )
+                timing_row = self.variation.row_timing(bank, phys)
+                self._sense_row(bank, row, phys, timing_row)
+                self.disturb.on_restore(bank, phys, timing_row, fraction=1.0)
             self._ref_pointer[bank] = (pointer + rows_per_ref) % self.geometry.rows_per_bank
 
     # ------------------------------------------------------------------
@@ -445,8 +441,9 @@ class DramChip:
         self.stats.acts += count * len(rows)
         self.stats.pres += count * len(rows)
         for row in rows:
-            self._sense_row(bank, row)
-            self.disturb.hammer(bank, self._physical(row)[1], count)
+            phys, neighbors, __ = self._physical(row)
+            self._sense_row(bank, row, phys, self.variation.row_timing(bank, phys))
+            self.disturb.hammer(bank, neighbors, count)
         # Advance time past the hammering burst.
         self._last_cmd_ps += count * len(rows) * self.timing.trc
 

@@ -35,6 +35,15 @@ class CommandKind(enum.Enum):
         return self in (CommandKind.RD, CommandKind.WR)
 
 
+# Each member's address requirements, derived once from the methods above so
+# that validating a command costs attribute reads, not enum comparisons.
+for _kind in CommandKind:
+    _kind._needs_bank = _kind.targets_bank()
+    _kind._needs_row = _kind.targets_row()
+    _kind._needs_col = _kind.is_column_access()
+del _kind
+
+
 @dataclass(frozen=True, slots=True)
 class Command:
     """A single DDR4 command with an issue timestamp.
@@ -64,12 +73,13 @@ class Command:
     def __post_init__(self) -> None:
         if self.time_ps < 0:
             raise ValueError(f"command time must be non-negative, got {self.time_ps}")
-        if self.kind.targets_bank() and self.bank is None:
-            raise ValueError(f"{self.kind.value} requires a bank address")
-        if self.kind.targets_row() and self.row is None:
-            raise ValueError(f"{self.kind.value} requires a row address")
-        if self.kind.is_column_access() and self.col is None:
-            raise ValueError(f"{self.kind.value} requires a column address")
+        kind = self.kind
+        if kind._needs_bank and self.bank is None:
+            raise ValueError(f"{kind.value} requires a bank address")
+        if kind._needs_row and self.row is None:
+            raise ValueError(f"{kind.value} requires a row address")
+        if kind._needs_col and self.col is None:
+            raise ValueError(f"{kind.value} requires a column address")
 
     def describe(self) -> str:
         """Human-readable one-line rendering, e.g. ``@1500ps ACT b0 r42``."""

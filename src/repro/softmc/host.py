@@ -44,15 +44,18 @@ class SoftMCHost:
     # ------------------------------------------------------------------
     def run(self, program: Program) -> None:
         """Issue every command of a program, validating slot spacing."""
+        slot_ps = self.slot_ps
+        issue = self.chip.issue
         prev_ps: int | None = None
-        for cmd in program:
-            if prev_ps is not None and cmd.time_ps - prev_ps < self.slot_ps:
+        for cmd in program.commands:
+            time_ps = cmd.time_ps
+            if prev_ps is not None and time_ps - prev_ps < slot_ps:
                 raise TimingViolation(
-                    f"commands {prev_ps}→{cmd.time_ps} ps violate the "
-                    f"{self.slot_ps} ps command slot"
+                    f"commands {prev_ps}→{time_ps} ps violate the "
+                    f"{slot_ps} ps command slot"
                 )
-            prev_ps = cmd.time_ps
-            self.chip.issue(cmd)
+            prev_ps = time_ps
+            issue(cmd)
         self._time_ps = max(self._time_ps, program.cursor_ps)
 
     def program(self) -> Program:

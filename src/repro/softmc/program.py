@@ -31,10 +31,13 @@ class Program:
         """Issue time of the next command."""
         return self._cursor_ps
 
-    def _push(self, kind: CommandKind, wait_ps: int, **fields) -> "Program":
+    def _push(
+        self, kind: CommandKind, wait_ps: int, bank: int, row: int | None = None,
+        col: int | None = None,
+    ) -> "Program":
         if wait_ps < 0:
             raise ValueError("wait must be non-negative")
-        self.commands.append(Command(kind=kind, time_ps=self._cursor_ps, **fields))
+        self.commands.append(Command(kind, self._cursor_ps, 0, bank, row, col))
         self._cursor_ps += wait_ps
         return self
 
@@ -43,22 +46,20 @@ class Program:
     # ------------------------------------------------------------------
     def act(self, bank: int, row: int, wait_ps: int) -> "Program":
         """Activate ``row`` then wait ``wait_ps`` before the next command."""
-        return self._push(CommandKind.ACT, wait_ps, bank=bank, row=row)
+        return self._push(CommandKind.ACT, wait_ps, bank, row)
 
     def pre(self, bank: int, wait_ps: int) -> "Program":
         """Precharge the bank then wait ``wait_ps``."""
-        return self._push(CommandKind.PRE, wait_ps, bank=bank)
+        return self._push(CommandKind.PRE, wait_ps, bank)
 
     def rd(self, bank: int, col: int, wait_ps: int) -> "Program":
         """Read a column of the open row."""
-        return self._push(CommandKind.RD, wait_ps, bank=bank, col=col)
+        return self._push(CommandKind.RD, wait_ps, bank, col=col)
 
     def wr(self, bank: int, col: int, wait_ps: int, fill: int | None = None) -> "Program":
         """Write a column; ``fill`` writes the whole open row (bulk mode)."""
         meta = {"fill": fill} if fill is not None else {}
-        self.commands.append(
-            Command(kind=CommandKind.WR, time_ps=self._cursor_ps, bank=bank, col=col, meta=meta)
-        )
+        self.commands.append(Command(CommandKind.WR, self._cursor_ps, 0, bank, None, col, meta))
         self._cursor_ps += wait_ps
         return self
 

@@ -178,6 +178,9 @@ class TestBackendEquivalence:
             via_socket = run_sweep(tiny_sweep(), backend=backend)
         finally:
             backend.close()
+        # A refused worker would let the local-pool fallback compute the
+        # same results, so the equality alone proves nothing about sockets.
+        assert via_socket.backend == "socket" and not backend.degraded
         assert dicts(via_socket) == dicts(serial)
 
     def test_two_thread_workers_match_serial(self, serial):
@@ -190,6 +193,7 @@ class TestBackendEquivalence:
             backend.close()
         for thread in threads:
             thread.join(timeout=10)
+        assert via_socket.backend == "socket" and not backend.degraded
         assert dicts(via_socket) == dicts(serial)
 
     def test_make_backend_registry(self):

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.chip.chip_model import DramChip
+from repro.chip.design import make_design
 from repro.chip.rng import rng_for
+from repro.chip.variation import VariationModel
+from repro.chip.vendor import VendorClass
 from repro.dram.commands import Command, CommandKind
 from repro.dram.errors import DramError, GeometryError, TimingViolation
 from repro.softmc.host import SoftMCHost
@@ -203,9 +208,20 @@ class TestRowResolution:
             chip.bulk_hammer(0, [bad], 10)
         with pytest.raises(GeometryError):
             host.run(host.program().act(0, bad, wait_ps=chip.timing.tras))
-        assert bad not in chip._resolved and (0, bad) not in chip._data
         with pytest.raises(GeometryError):
             host.initialize(99, 5, DataPattern.ALL_ONES)
+        tp = chip.timing
+        # An ACT to an open bank is ignored by the chip, but range-checked.
+        host.run(host.program().act(1, 5, wait_ps=tp.tras))
+        with pytest.raises(GeometryError):
+            host.run(host.program().act(1, bad, wait_ps=tp.tras))
+        assert chip.stats.ignored_act == 0
+        # HiRA's RowB arrives while the bank is precharging.
+        host = SoftMCHost(chip)
+        with pytest.raises(GeometryError):
+            host.run(host.program().hira(0, 5, bad, tp.hira_t1, tp.hira_t2, tp.tras))
+        assert bad not in chip._resolved
+        assert not any(key[1] == bad for key in chip._data)
 
     def test_flip_injection_matches_one_at_a_time_reference(self, chip, host):
         row, count = 7, 3_000
@@ -221,3 +237,53 @@ class TestRowResolution:
         chip._inject_flips(0, row, count)
         assert np.array_equal(chip._row_array(0, row), expected)
         assert chip.stats.bitflips_injected == count
+
+
+#: A HiRA-capable and a Samsung-like design (the latter drops early PREs).
+_CACHE_DESIGNS = {
+    vendor: make_design(name=vendor.name, vendor=vendor, design_seed=7,
+                        subarrays_per_bank=16, rows_per_subarray=128)
+    for vendor in (VendorClass.HYNIX_LIKE, VendorClass.SAMSUNG_LIKE)
+}
+#: Row pool: a few rows in each of four subarrays, so sequences collide.
+_ROWS = st.sampled_from([sa * 128 + offset for sa in (0, 1, 5, 15) for offset in (0, 6, 127)])
+#: Gaps (ps) inside and outside the sense-amp, interrupt and wordline windows.
+_GAPS = st.sampled_from([0, 1_000, 1_500, 3_000, 5_000, 8_000, 14_250, 32_000, 50_000])
+_OPS = st.one_of(
+    st.tuples(st.just("act"), st.integers(0, 1), _ROWS, _GAPS),
+    st.tuples(st.just("pre"), st.integers(0, 1), _GAPS),
+    st.tuples(st.just("hira"), st.integers(0, 1), _ROWS, _ROWS, _GAPS, _GAPS, _GAPS),
+)
+
+
+class TestOpenRowPhysics:
+    @settings(max_examples=60, deadline=None)
+    @given(vendor=st.sampled_from(list(_CACHE_DESIGNS)),
+           ops=st.lists(_OPS, min_size=1, max_size=12))
+    def test_cached_physics_matches_fresh_lookup(self, vendor, ops):
+        design = _CACHE_DESIGNS[vendor]
+        chip = DramChip(design, chip_seed=3)
+        fresh = VariationModel(design.variation, chip.chip_seed)
+        commands = []
+        now = 0
+        for op in ops:
+            if op[0] == "act":
+                __, bank, row, wait = op
+                commands.append(Command(CommandKind.ACT, now, bank=bank, row=row))
+            elif op[0] == "pre":
+                __, bank, wait = op
+                commands.append(Command(CommandKind.PRE, now, bank=bank))
+            else:
+                __, bank, row_a, row_b, t1, t2, wait = op
+                commands.append(Command(CommandKind.ACT, now, bank=bank, row=row_a))
+                commands.append(Command(CommandKind.PRE, now + t1, bank=bank))
+                commands.append(Command(CommandKind.ACT, now + t1 + t2, bank=bank, row=row_b))
+                now += t1 + t2
+            now += wait
+        for cmd in commands:
+            chip.issue(cmd)
+            for bank, state in chip._banks.items():
+                for open_row in state.open_rows.values():
+                    phys = design.logical_to_physical(open_row.row)
+                    assert open_row.phys == phys
+                    assert open_row.timing == fresh.row_timing(bank, phys)
