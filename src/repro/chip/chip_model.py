@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.chip.design import ChipDesign
 from repro.chip.disturb import DisturbState
-from repro.chip.rng import rng_for
+from repro.chip.rng import KeyedStream
 from repro.chip.variation import RowTiming, VariationModel
 from repro.dram.commands import Command, CommandKind
 from repro.dram.errors import DramError, TimingViolation
@@ -101,6 +101,8 @@ class DramChip:
         self._last_cmd_ps = -1
         self._ref_pointer: dict[int, int] = {}
         self._flip_salt = 0
+        self._flip_stream = KeyedStream(chip_seed, 0xF11B5)
+        self._corrupt_stream = KeyedStream(chip_seed, 0xDEAD)
         #: Logical row -> (physical row, physical neighbours, subarray),
         #: filled on first use; only rows that passed ``check_row`` are
         #: ever stored.
@@ -122,7 +124,7 @@ class DramChip:
             return
         arr = self._row_array(bank, row)
         self._flip_salt += 1
-        rng = rng_for(self.chip_seed, 0xF11B5, bank, row, self._flip_salt)
+        rng = self._flip_stream.at(bank, row, self._flip_salt)
         positions = rng.integers(0, self._row_bytes, size=count)
         bits = rng.integers(0, 8, size=count)
         # XOR commutes and ``.at`` applies every occurrence of a repeated
@@ -132,8 +134,7 @@ class DramChip:
 
     def _corrupt_row(self, bank: int, row: int, reason: str) -> None:
         """Structural corruption: flip a seeded burst of bits in the row."""
-        rng = rng_for(self.chip_seed, 0xDEAD, bank, row, self._flip_salt)
-        burst = int(rng.integers(4, 64))
+        burst = int(self._corrupt_stream.at(bank, row, self._flip_salt).integers(4, 64))
         self._inject_flips(bank, row, burst)
         self.stats.corrupted_rows += 1
 

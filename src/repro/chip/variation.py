@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chip.rng import rng_for
+from repro.chip.rng import KeyedStream
 
 
 def _clipped_normal(rng, mean: float, std: float, lo: float, hi: float) -> float:
@@ -130,8 +130,9 @@ class VariationModel:
 
     def __init__(self, params: DesignVariation, chip_seed: int):
         self.params = params
-        self.chip_seed = chip_seed
         self._cache: dict[tuple[int, int], RowTiming] = {}
+        self._timing_stream = KeyedStream(chip_seed, 0x7A11)
+        self._noise_stream = KeyedStream(chip_seed, 0x4015E)
 
     def row_timing(self, bank: int, row: int) -> RowTiming:
         key = (bank, row)
@@ -139,7 +140,7 @@ class VariationModel:
         if cached is not None:
             return cached
         p = self.params
-        rng = rng_for(self.chip_seed, 0x7A11, bank, row)
+        rng = self._timing_stream.at(bank, row)
         timing = RowTiming(
             sa_enable_ps=round(
                 _clipped_normal(
@@ -180,5 +181,5 @@ class VariationModel:
 
     def run_noise(self, bank: int, row: int, run: int) -> float:
         """Per-test-run multiplicative noise on the effective NRH."""
-        rng = rng_for(self.chip_seed, 0x4015E, bank, row, run)
+        rng = self._noise_stream.at(bank, row, run)
         return float(rng.lognormal(0.0, self.params.run_noise_sigma))

@@ -43,20 +43,30 @@ class SoftMCHost:
     # Program execution
     # ------------------------------------------------------------------
     def run(self, program: Program) -> None:
-        """Issue every command of a program, validating slot spacing."""
+        """Issue every command of a program, validating slot spacing.
+
+        However the program ends, the host clock moves past the program and
+        at least one slot past the last command the chip accepted, so a
+        program that raised part-way does not strand the next one behind
+        the chip's clock.
+        """
+        chip = self.chip
         slot_ps = self.slot_ps
-        issue = self.chip.issue
+        issue = chip.issue
         prev_ps: int | None = None
-        for cmd in program.commands:
-            time_ps = cmd.time_ps
-            if prev_ps is not None and time_ps - prev_ps < slot_ps:
-                raise TimingViolation(
-                    f"commands {prev_ps}→{time_ps} ps violate the "
-                    f"{slot_ps} ps command slot"
-                )
-            prev_ps = time_ps
-            issue(cmd)
-        self._time_ps = max(self._time_ps, program.cursor_ps)
+        try:
+            for cmd in program.commands:
+                time_ps = cmd.time_ps
+                if prev_ps is not None and time_ps - prev_ps < slot_ps:
+                    raise TimingViolation(
+                        f"commands {prev_ps}→{time_ps} ps violate the "
+                        f"{slot_ps} ps command slot"
+                    )
+                prev_ps = time_ps
+                issue(cmd)
+        finally:
+            self._time_ps = max(self._time_ps, program.cursor_ps,
+                                chip._last_cmd_ps + slot_ps)
 
     def program(self) -> Program:
         """A new program starting at the current host time."""

@@ -31,7 +31,7 @@ class DataPattern(enum.Enum):
     def count_bitflips(self, data: np.ndarray) -> int:
         """Number of bit flips in ``data`` relative to this pattern."""
         diff = np.bitwise_xor(data, np.uint8(self.byte))
-        return int(np.unpackbits(diff).sum())
+        return int.from_bytes(diff.tobytes(), "little").bit_count()
 
 
 _INVERSES = {

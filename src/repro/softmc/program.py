@@ -33,11 +33,11 @@ class Program:
 
     def _push(
         self, kind: CommandKind, wait_ps: int, bank: int, row: int | None = None,
-        col: int | None = None,
+        col: int | None = None, meta: dict | None = None,
     ) -> "Program":
         if wait_ps < 0:
             raise ValueError("wait must be non-negative")
-        self.commands.append(Command(kind, self._cursor_ps, 0, bank, row, col))
+        self.commands.append(Command(kind, self._cursor_ps, 0, bank, row, col, meta or {}))
         self._cursor_ps += wait_ps
         return self
 
@@ -58,10 +58,8 @@ class Program:
 
     def wr(self, bank: int, col: int, wait_ps: int, fill: int | None = None) -> "Program":
         """Write a column; ``fill`` writes the whole open row (bulk mode)."""
-        meta = {"fill": fill} if fill is not None else {}
-        self.commands.append(Command(CommandKind.WR, self._cursor_ps, 0, bank, None, col, meta))
-        self._cursor_ps += wait_ps
-        return self
+        meta = {"fill": fill} if fill is not None else None
+        return self._push(CommandKind.WR, wait_ps, bank, col=col, meta=meta)
 
     def wait(self, wait_ps: int) -> "Program":
         """Idle for ``wait_ps`` (Algorithm 2's no-HiRA arm)."""

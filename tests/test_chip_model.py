@@ -217,7 +217,6 @@ class TestRowResolution:
             host.run(host.program().act(1, bad, wait_ps=tp.tras))
         assert chip.stats.ignored_act == 0
         # HiRA's RowB arrives while the bank is precharging.
-        host = SoftMCHost(chip)
         with pytest.raises(GeometryError):
             host.run(host.program().hira(0, 5, bad, tp.hira_t1, tp.hira_t2, tp.tras))
         assert bad not in chip._resolved

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.commands import CommandKind
-from repro.dram.errors import TimingViolation
+from repro.dram.errors import GeometryError, TimingViolation
 from repro.softmc.patterns import ALL_PATTERNS, DataPattern
 from repro.softmc.program import Program
 
@@ -33,6 +33,20 @@ class TestPatterns:
         arr[3] = 0b0000_0101
         assert DataPattern.ALL_ZEROS.count_bitflips(arr) == 2
 
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=lambda p: p.name)
+    def test_count_bitflips_equals_unpackbits_count(self, pattern):
+        rng = np.random.default_rng(pattern.byte)
+        for size in (1, 7, 64, 1024):
+            rows = [rng.integers(0, 256, size=size, dtype=np.uint8),
+                    np.full(size, pattern.byte, dtype=np.uint8)]
+            # Flip bits at repeated positions, as the chip's injection does.
+            positions = rng.integers(0, size, size=3 * size)
+            bits = rng.integers(0, 8, size=3 * size)
+            np.bitwise_xor.at(rows[1], positions, (1 << bits).astype(np.uint8))
+            for row in rows:
+                diff = np.bitwise_xor(row, np.uint8(pattern.byte))
+                assert pattern.count_bitflips(row) == int(np.unpackbits(diff).sum())
+
 
 class TestProgram:
     def test_waits_accumulate(self):
@@ -50,6 +64,20 @@ class TestProgram:
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError):
             Program().act(0, 1, wait_ps=-1)
+
+    @pytest.mark.parametrize("build", [
+        lambda p: p.act(0, 1, -5_000),
+        lambda p: p.pre(0, -5_000),
+        lambda p: p.rd(0, 0, -5_000),
+        lambda p: p.wr(0, 0, -5_000),
+        lambda p: p.wr(0, 0, -5_000, fill=0xAA),
+        lambda p: p.wait(-5_000),
+    ], ids=["act", "pre", "rd", "wr", "wr-fill", "wait"])
+    def test_every_builder_rejects_negative_wait(self, build):
+        prog = Program(start_ps=10_000)
+        with pytest.raises(ValueError):
+            build(prog)
+        assert prog.cursor_ps == 10_000
 
     def test_wait_instruction(self):
         prog = Program().wait(10_000)
@@ -86,6 +114,22 @@ class TestHost:
         host.initialize(0, 9, DataPattern.CHECKERBOARD)
         host.activate_refresh(0, 9)
         assert host.compare_data(DataPattern.CHECKERBOARD, 0, 9) == 0
+
+    def test_program_that_raises_part_way_does_not_strand_the_next(self, host):
+        tp = host.chip.timing
+        bad = host.chip.geometry.rows_per_bank
+        # RowA's ACT and the PRE reach the chip before RowB is rejected.
+        with pytest.raises(GeometryError):
+            host.run(host.program().hira(0, 5, bad, tp.hira_t1, tp.hira_t2, tp.tras))
+        assert host.time_ps >= host.chip._last_cmd_ps + host.slot_ps
+        host.run(host.program().act(1, 5, wait_ps=tp.tras).pre(1, wait_ps=tp.trp))
+
+    def test_slot_violation_does_not_strand_the_next_program(self, host):
+        prog = host.program().act(0, 1, wait_ps=500).pre(0, wait_ps=1_500)
+        with pytest.raises(TimingViolation):
+            host.run(prog)
+        assert host.time_ps >= host.chip._last_cmd_ps + host.slot_ps
+        host.run(host.program().pre(0, wait_ps=host.chip.timing.trp))
 
     def test_advance_rejects_negative(self, host):
         with pytest.raises(ValueError):
