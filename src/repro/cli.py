@@ -12,8 +12,7 @@ Nine subcommands mirror the repository's main workflows:
 - ``worker`` — a sweep-execution worker daemon for ``--backend socket``.
 - ``status`` — render the live fleet status file and per-sweep store progress.
 - ``security`` — print PARA's (revisited) configuration for a threshold.
-- ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``
-  (``--profile`` adds the phase-attributed wall-time breakdown).
+- ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``.
 - ``lint`` — AST-based invariant linter (timing enforcement coverage,
   determinism); exit 0 clean / 1 findings / 2 usage error.
 
@@ -423,9 +422,7 @@ def _cmd_security(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf import measure_kernel, write_bench
 
-    payload = measure_kernel(
-        instr_budget=args.instructions, reps=args.reps, profile=args.profile
-    )
+    payload = measure_kernel(instr_budget=args.instructions, reps=args.reps)
     rows = []
     for name, row in payload["workloads"].items():
         rows.append([
@@ -449,23 +446,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         title=f"Kernel throughput ({payload['machine']['cpus']} CPU, "
         f"python {payload['machine']['python']}, {args.reps} reps)",
     ))
-    if args.profile:
-        profile = payload["profile"]
-        prows = [
-            [phase, f"{row['seconds']:.2f}", f"{row['calls']:,}",
-             f"{row['share'] * 100:.1f}%"]
-            for phase, row in profile["phases"].items()
-        ]
-        prows.append([
-            "other (unattributed)", f"{profile['other_s']:.2f}", "",
-            f"{profile['other_share'] * 100:.1f}%",
-        ])
-        print(format_table(
-            ["phase", "excl (s)", "calls", "share"],
-            prows,
-            title="Phase breakdown (instrumented runs; shares are the "
-            "comparable signal)",
-        ))
     if args.out:
         write_bench(payload, args.out)
         print(f"wrote {args.out}")
@@ -685,11 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="BENCH_kernel.json",
                    help="output JSON path ('' disables writing); floors are "
                         "checked by tools/check_kernel_perf.py")
-    p.add_argument("--profile", action="store_true",
-                   help="also attribute wall time to kernel phases "
-                        "(schedule, queue-scan, refresh-engine, "
-                        "trace-refill) via one instrumented run per "
-                        "workload; recorded under 'profile' in --out")
     p.set_defaults(func=_cmd_perf)
 
     p = sub.add_parser(

@@ -1,4 +1,4 @@
-"""Observability: deterministic sim tracing, fleet metrics, phase profiling.
+"""Observability: deterministic sim tracing and fleet metrics.
 
 Three surfaces, all strictly zero-cost when disarmed: a disarmed run
 executes the exact instruction stream of an uninstrumented one, so
@@ -17,14 +17,10 @@ events/sec floor holds.
   worker heartbeat ages, snapshotted atomically to the status file
   behind ``repro status``, which also renders each sweep's progress from
   the result store's manifests.
-- :mod:`repro.obs.profiler` — the kernel phase profiler behind
-  ``repro perf --profile`` (schedule pass, queue scan, refresh engines,
-  trace refill).
 """
 
 from repro.obs.fleet import FleetStatus, load_status, render_status
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.profiler import PhaseProfiler, profile_workload
 from repro.obs.tracer import (
     DECISION_KINDS,
     STALL_REASONS,
@@ -40,12 +36,10 @@ __all__ = [
     "FleetStatus",
     "Gauge",
     "MetricsRegistry",
-    "PhaseProfiler",
     "STALL_REASONS",
     "SimTracer",
     "attach_tracers",
     "load_status",
-    "profile_workload",
     "render_status",
     "trace_json",
     "validate_chrome_trace",

@@ -16,6 +16,12 @@ bit-identical across re-runs and across execution backends:
   rule's id, one of :data:`POLICY_REASONS`, or :data:`UNBOUND`.
   Read-only: arming a tracer never changes scheduling.
 
+A traced run skips cycles exactly as an untraced one does: the event
+loop wakes a controller at its ``schedule`` memo, armed or not.  The
+export still holds one stall per stalled cycle, as a dense every-cycle
+loop would record them: the skipped cycles are charged from the head
+gates taken at the last stalled visit (:meth:`SimTracer.flush`).
+
 Raw events live in a bounded ring buffer (oldest dropped first); the
 aggregate counters (per-command counts, stall reasons, decision counts,
 queue-depth histogram, per-bank ACT utilization) are never dropped, so
@@ -27,8 +33,8 @@ canonical byte encoding (:func:`trace_json`) sorts keys and strips
 whitespace, so identical runs export identical bytes.
 
 The controller stays zero-cost when disarmed: its issue primitives test
-one hook field, ``self.auditor``, and the decision and stall sites test
-``self.tracer``.
+one hook field, ``self.auditor``, and the decision, stall and
+deferred-close sites test ``self.tracer``.
 """
 
 from __future__ import annotations
@@ -80,6 +86,11 @@ class SimTracer:
         #: ACT commands per (rank, bank) — the bank-utilization summary.
         self.bank_acts: Counter = Counter()
         self.end_cycle = 0
+        #: The head gates taken at the last stalled visit, and the first
+        #: cycle after it that no stall has been charged to yet (None: no
+        #: skipped span is pending; see :meth:`flush`).
+        self._heads: list | None = None
+        self._pending_from = 0
         #: The oracle's replay of the command stream, asked about stalls.
         self.oracle = oracle_for_config(mc.config)
         self.auditor = mc.auditor or CommandAuditor(mc)
@@ -96,6 +107,7 @@ class SimTracer:
         """One issue primitive's records: feed the oracle and emit one
         command event, named from the records' tags."""
         first, last = records[0], records[-1]
+        self.flush(first.cycle)
         args = {"rank": first.rank}
         if first.bank is not None:
             args["bank"] = first.bank
@@ -124,6 +136,7 @@ class SimTracer:
     def on_decision(
         self, kind: str, now: int, rank: int, bank: int = -1, value: int = 0
     ) -> None:
+        self.flush(now)
         self.decision_counts[kind] += 1
         self._emit(
             now, kind, "decision", {"rank": rank, "bank": bank, "value": value}
@@ -133,60 +146,110 @@ class SimTracer:
     # Stall attribution
     # ------------------------------------------------------------------
     def on_stall(self, now: int) -> None:
-        """Called when a cycle's schedule pass issued nothing.
+        """Called when a visit's schedule pass issued nothing.
 
         Records the reason of the bank head that releases first (ties go
         to the older head); idle cycles (no demand queued) record
-        nothing.  An armed tracer keeps ``schedule``'s ``_progress_at``
-        memo unset, so the loop visits every cycle and ``stall_counts``
-        count stalled cycles, not loop visits; results stay identical.
+        nothing.  The loop then skips the controller until its
+        ``_progress_at``.  A dense loop would stall on each skipped cycle
+        with the state this visit leaves: by the memo contract a skipped
+        call issues and mutates nothing, and the oracle moves only when a
+        record is fed.  So each head's gate is taken once here, and
+        :meth:`flush` charges the skipped cycles at the next entry point.
         """
+        self.flush(now)
         mc = self.mc
         if not mc.read_q and not mc.write_q:
             return
         if now < mc.bus_next:
-            self._stall(now, "cmd-bus", -1, -1, mc.bus_next)
-            return
-        best = None
-        # `_active_queues` mutates the write-drain hysteresis; schedule()
-        # already ran it this cycle, so read the flag directly.
-        order = mc._writes_first if mc._draining_writes else mc._reads_first
-        for queue in order:
-            if not queue:
-                continue
-            is_write = queue is mc.write_q
-            bank_q = mc._bank_q_write if is_write else mc._bank_q_read
-            hit = mc._hit_write if is_write else mc._hit_read
-            # Oldest head first, so ties go to queue order as in the scheduler.
-            for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq):
-                found = self._head_wait(dq[0], is_write, hit, now)
-                if found is not None and (best is None or found[0] < best[0]):
-                    best = found
-        if best is None:
-            self._stall(now, UNBOUND, -1, -1, now + 1)
+            heads = [(mc.bus_next, "cmd-bus", None, -1, -1)]
         else:
-            until, reason, rank, bank = best
-            self._stall(now, reason, rank, bank, until)
+            heads = []
+            # `_active_queues` mutates the write-drain hysteresis; schedule()
+            # already ran it this cycle, so read the flag directly.
+            order = mc._writes_first if mc._draining_writes else mc._reads_first
+            for queue in order:
+                if not queue:
+                    continue
+                is_write = queue is mc.write_q
+                bank_q = mc._bank_q_write if is_write else mc._bank_q_read
+                hit = mc._hit_write if is_write else mc._hit_read
+                # Oldest head first, so ties go to queue order as in the
+                # scheduler.
+                for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq):
+                    heads.append(self._head_gate(dq[0], is_write, hit))
+        self._stall(now, *self._first_release(heads, now))
+        self._heads = heads
+        self._pending_from = now + 1
 
-    def _stall(self, now: int, reason: str, rank: int, bank: int, until: int) -> None:
+    def flush(self, end: int) -> None:
+        """Charge the cycles the loop skipped since the last stalled
+        visit, up to ``end`` (exclusive), one stall each.
+
+        Every entry point calls it first: a stall, an issued command's
+        records, an engine decision, the deferred-close pop and run end.
+        A head's wait is ``until`` while ``until`` is ahead, else the
+        next cycle (its fallback reason) or nothing, so the first release
+        can change only at a head's ``until`` or the cycle before it
+        (where a ``until`` ties the next cycle); the span is split there.
+        """
+        heads = self._heads
+        if heads is None:
+            return
+        self._heads = None
+        cycle = self._pending_from
+        while cycle < end:
+            stop = end
+            for until, *__ in heads:
+                if until > cycle:
+                    split = until - 1 if until - 1 > cycle else until
+                    if split < stop:
+                        stop = split
+            until, reason, rank, bank = self._first_release(heads, cycle)
+            # A fallback (or unbound) winner waits one cycle at a time; a
+            # ``until`` that ties the next cycle ends a one-cycle segment.
+            moving = until == cycle + 1
+            for c in range(cycle, stop):
+                self._stall(c, c + 1 if moving else until, reason, rank, bank)
+            cycle = stop
+
+    @staticmethod
+    def _first_release(heads: list, now: int) -> tuple:
+        """(until, reason, rank, bank) of the head that releases first
+        at ``now`` (ties go to the earlier head), or ``unbound``."""
+        best = None
+        for until, rule, fallback, rank, bank in heads:
+            if until > now:
+                found = (until, rule, rank, bank)
+            elif fallback is not None:
+                found = (now + 1, fallback, rank, bank)
+            else:
+                continue
+            if best is None or found[0] < best[0]:
+                best = found
+        return best or (now + 1, UNBOUND, -1, -1)
+
+    def _stall(self, now: int, until: int, reason: str, rank: int, bank: int) -> None:
         self.stall_counts[reason] += 1
         args = {"reason": reason, "rank": rank, "bank": bank, "until": until}
         self._emit(now, "stall", "stall", args)
 
-    def _head_wait(self, head, is_write: bool, hit: set, now: int):
-        """(until, reason, rank, bank) for a bank head that cannot issue
-        at ``now``, or None.  The head's next command follows from the
-        bank's open row: RD/WR to it, ACT to a closed bank, else PRE."""
+    def _head_gate(self, head, is_write: bool, hit: set) -> tuple:
+        """(until, rule, fallback, rank, bank) for one bank head.
+
+        The head cannot issue before ``until``, for ``rule``; at or past
+        it, it waits on ``fallback`` for one more cycle (None: nothing
+        holds it).  The head's next command follows from the bank's open
+        row: RD/WR to it, ACT to a closed bank, else PRE."""
         mc = self.mc
         ta = mc._ta
         rank, g = head.rank, head.gbank
         bank = g - rank * mc.banks_per_rank
         if rank in mc.blocked_ranks:
-            ready = ta.ref_ready[rank]
-            return (ready if ready > now else now + 1, "ref-drain", rank, bank)
+            return (ta.ref_ready[rank], "ref-drain", "ref-drain", rank, bank)
         if (rank, bank) in mc.blocked_banks:
-            until = max(now + 1, ta.next_act[g], ta.next_refsb[rank])
-            return (until, "refsb-drain", rank, bank)
+            until = max(ta.next_act[g], ta.next_refsb[rank])
+            return (until, "refsb-drain", "refsb-drain", rank, bank)
         open_row = ta.open_row[g]
         if open_row == head.row:
             kind = "WR" if is_write else "RD"
@@ -195,16 +258,16 @@ class SimTracer:
         else:
             kind = "PRE"
         until, rule = self.oracle.earliest(kind, rank, bank)
-        if until > now:
-            return (until, rule, rank, bank)
-        if kind == "PRE" and g in hit:
-            return (now + 1, "row-keepalive", rank, bank)
-        return None
+        keepalive = "row-keepalive" if kind == "PRE" and g in hit else None
+        return (until, rule, keepalive, rank, bank)
 
     # ------------------------------------------------------------------
     # Run-end + export
     # ------------------------------------------------------------------
-    def on_run_end(self, end_cycle: int) -> None:
+    def on_run_end(self, end_cycle: int, last_cycle: int) -> None:
+        """``last_cycle`` is the loop's last visited cycle: the skipped
+        cycles up to it are charged too."""
+        self.flush(last_cycle + 1)
         self.end_cycle = end_cycle
 
     @property

@@ -108,46 +108,7 @@ def measure_workload(
     return row
 
 
-def profile_kernel(instr_budget: int = 200_000) -> dict:
-    """Phase-attributed wall time for every tracked workload.
-
-    One extra (instrumented) run per workload — never the timed run, so
-    probe overhead cannot contaminate the tracked events/sec numbers.
-    Per-workload reports come from :func:`repro.obs.profiler.profile_workload`;
-    the ``phases`` entry aggregates exclusive seconds and call counts
-    across all workloads.
-    """
-    from repro.obs.profiler import PHASES, profile_workload
-
-    per_workload = {}
-    for name, overrides in KERNEL_WORKLOADS:
-        per_workload[name] = profile_workload(overrides, instr_budget=instr_budget)
-    totals = {name: {"seconds": 0.0, "calls": 0} for name in PHASES}
-    wall = other = 0.0
-    for report in per_workload.values():
-        wall += report["wall_s"]
-        other += report["other_s"]
-        for phase, row in report["phases"].items():
-            totals[phase]["seconds"] += row["seconds"]
-            totals[phase]["calls"] += row["calls"]
-    # Shares guard against a degenerate near-zero wall (not just exact
-    # zero): a broken timer must produce 0.0 shares, never inf/absurd.
-    timeable = wall > 1e-6
-    for row in totals.values():
-        row["seconds"] = round(row["seconds"], 4)
-        row["share"] = round(row["seconds"] / wall, 4) if timeable else 0.0
-    return {
-        "wall_s": round(wall, 4),
-        "other_s": round(other, 4),
-        "other_share": round(other / wall, 4) if timeable else 0.0,
-        "phases": totals,
-        "workloads": per_workload,
-    }
-
-
-def measure_kernel(
-    instr_budget: int = 200_000, reps: int = 3, profile: bool = False
-) -> dict:
+def measure_kernel(instr_budget: int = 200_000, reps: int = 3) -> dict:
     """Measure every tracked workload and assemble the bench payload."""
     import os
 
@@ -196,8 +157,6 @@ def measure_kernel(
             ),
         },
     }
-    if profile:
-        payload["profile"] = profile_kernel(instr_budget=instr_budget)
     return payload
 
 

@@ -488,8 +488,9 @@ class MemoryController:
         #: (attach via ``CommandAuditor(mc)``).
         self.auditor = None
         #: Optional :class:`repro.obs.tracer.SimTracer` for the events that
-        #: are not commands: engine decisions, stalls and run end (it reads
-        #: commands from the auditor).  Pure observation, like the auditor.
+        #: are not commands: engine decisions, stalls, the deferred-close
+        #: pop and run end (it reads commands from the auditor).  Pure
+        #: observation, like the auditor.
         self.tracer = None
         self.engine = engine
         engine.attach(self)
@@ -864,9 +865,9 @@ class MemoryController:
 
         So the run equals one that calls ``schedule`` on every cycle.
         ``dense_loop()`` in ``tests/test_kernel_equivalence.py`` checks
-        the contract on every cycle the memo would skip.  An armed tracer
-        keeps ``_progress_at`` unset (it records a stall per call), so
-        traced runs visit every cycle.
+        the contract on every cycle the memo would skip.  Traced runs
+        skip the same cycles: the tracer charges the skipped ones at its
+        next entry point (see ``SimTracer.flush``).
 
         Bound rule: the demand pass receives the wake folded so far (the
         deferred closes and ``urgent``) as ``bound``, and may skip any
@@ -878,12 +879,11 @@ class MemoryController:
         catches a bound below the folded one.
         """
         if now < self.bus_next:
+            # Nothing below the bus gate can run or mutate: this call
+            # is provably a no-op until the command bus frees.
+            self._progress_at = self.bus_next
             if self.tracer is not None:
                 self.tracer.on_stall(now)
-            else:
-                # Nothing below the bus gate can run or mutate: this call
-                # is provably a no-op until the command bus frees.
-                self._progress_at = self.bus_next
             return False
         epoch = self._epoch
         wake = _FAR_FUTURE
@@ -896,6 +896,9 @@ class MemoryController:
             if c <= now:
                 heapq.heappop(closes)
                 self.bus_next = now + 1
+                if self.tracer is not None:
+                    # Issues no record: close the skipped span here.
+                    self.tracer.flush(now)
                 return True
             wake = c
         w = self.engine.urgent(now)
@@ -909,14 +912,14 @@ class MemoryController:
             return True
         if w < wake:
             wake = w
-        if self.tracer is not None:
-            self.tracer.on_stall(now)
-        elif self._epoch == epoch:
+        if self._epoch == epoch:
             # Issued nothing, mutated nothing: the engine's and the
             # queues' exact gate folds hold until the next mutation
             # (rule 3 resets _progress_at).  A bound <= now just means no
             # skipping.
             self._progress_at = wake
+        if self.tracer is not None:
+            self.tracer.on_stall(now)
         return False
 
     def _schedule_queues(

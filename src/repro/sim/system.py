@@ -267,7 +267,7 @@ class System:
         )
         for mc in mcs:
             if mc.tracer is not None:
-                mc.tracer.on_run_end(end_cycle)
+                mc.tracer.on_run_end(end_cycle, min(cycle, max_cycles - 1))
         ipcs = [core.ipc(core.finish_cycle) if core.done else core.ipc(end_cycle) for core in cores]
         alone = [
             alone_ipc_estimate(p.mpki, self.config.instr_per_mc_cycle)

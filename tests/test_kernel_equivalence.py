@@ -53,7 +53,7 @@ import pytest
 
 from repro.core.engine import HiraRefreshEngine
 from repro.dram.timing import timing_for_capacity
-from repro.obs.tracer import attach_tracers
+from repro.obs.tracer import SimTracer, attach_tracers, trace_json
 from repro.orchestrator import result_to_dict
 from repro.sim.audit import attach_auditors
 from repro.sim.config import SystemConfig
@@ -383,6 +383,58 @@ def test_event_kernel_matches_dense_loop_on_golden(name):
     with dense_loop():
         dense = run_entry(GOLDENS[name])
     assert golden_run(name) == dense
+
+
+# Traced runs skip the same cycles; the tracer charges the skipped ones
+# (``SimTracer.flush``) exactly as the dense loop stalls on each.
+def _traced_exports(entry: dict) -> list[str]:
+    """Canonical trace exports, per channel, of one short traced run."""
+    system = build_system({**entry, "instr_budget": 2000})
+    tracers = attach_tracers(system)
+    system.run()
+    return [trace_json(t.export()) for t in tracers]
+
+
+@contextmanager
+def unsplit_stall_span():
+    """Plant a tracer that does not split a skipped span at the heads'
+    ``until``: it charges every skipped cycle to the visit's winner."""
+
+    def flush(self, end):
+        heads, start = self._heads, self._pending_from
+        if heads is None:
+            return
+        self._heads = None
+        until, reason, rank, bank = self._first_release(heads, start - 1)
+        moving = until == start
+        for cycle in range(start, end):
+            self._stall(cycle, cycle + 1 if moving else until, reason, rank, bank)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimTracer, "flush", flush)
+        yield
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_traced_run_matches_dense_trace_on_golden(name):
+    """A traced run skips cycles like an untraced one; the stalls the
+    tracer charges to them equal the dense loop's, byte for byte."""
+    with dense_loop():
+        dense = _traced_exports(GOLDENS[name])
+    assert _traced_exports(GOLDENS[name]) == dense
+
+
+def test_dense_trace_catches_unsplit_stall_span():
+    """Charging a whole skipped span to the visit's winner must show on
+    every golden: the first release changes inside spans everywhere."""
+    missed = []
+    for name, entry in sorted(GOLDENS.items()):
+        with dense_loop():
+            dense = _traced_exports(entry)
+        with unsplit_stall_span():
+            if _traced_exports(entry) == dense:
+                missed.append(name)
+    assert not missed, f"unsplit stall span went unnoticed on {missed}"
 
 
 def _dense_grid() -> dict[str, dict]:

@@ -224,6 +224,29 @@ def test_stall_attribution_reads_every_bank_head():
     assert pre1 + mc.trp_c < pre0 + mc.trp_c
 
 
+def test_skipped_span_closes_at_deferred_close_and_run_end():
+    """The loop skips cycles while a read waits on a solo refresh's bank;
+    every skipped cycle is charged as a stall, except the one whose
+    deferred close takes the command bus (it issues no record), and the
+    span is charged through the loop's last visited cycle at run end."""
+    mc = MemoryController(0, SystemConfig(refresh_mode="none"), NoRefreshEngine())
+    tracer = SimTracer(mc)
+    mc.issue_solo_refresh(0, 8, 0)
+    close = mc._scheduled_closes[0][0]
+    mc.enqueue(
+        Request(is_write=False, core_id=0, arrival_cycle=0, rank=0, bank=8, row=5)
+    )
+    assert not mc.schedule(1)
+    assert mc._progress_at == close  # the loop skips to the close
+    assert mc.schedule(close)
+    assert not mc.schedule(close + 1)
+    tracer.on_run_end(close + 9, close + 3)
+    stalls = [cycle for cycle, __, cat, __ in tracer._events if cat == "stall"]
+    assert stalls == [c for c in range(1, close + 4) if c != close]
+    assert sum(tracer.stall_counts.values()) == len(stalls)
+    assert tracer.end_cycle == close + 9
+
+
 def test_summary_reports_histograms():
     __, tracers, __ = _run(dict(refresh_mode="baseline"))
     summary = tracers[0].summary()
