@@ -1,8 +1,8 @@
 """Ablation: HiRA-MC's two parallelization classes in isolation.
 
-DESIGN.md calls out the refresh-access vs refresh-refresh priority as a
-design choice; this bench disables each class to quantify its
-contribution.  Refresh-access matters for periodic refresh under demand
+HiRA-MC ranks refresh-access above refresh-refresh parallelization (§5,
+the module docstring of ``repro.core.engine``); this bench disables each
+class to quantify its contribution.  Refresh-access matters for periodic refresh under demand
 traffic; refresh-refresh matters when PARA floods the PR-FIFOs.
 """
 

@@ -96,7 +96,7 @@ def test_fig9_periodic_refresh(benchmark):
     assert to_ideal[(biggest, "Baseline", ab)] < 0.92
     # HiRA-2 matches or beats the baseline at high capacity (the paper's
     # +12.6%; quick-mode 2-mix averages show a smaller but non-negative
-    # margin — see EXPERIMENTS.md).
+    # margin — README, "Timing fidelity and the fig 12 margin").
     assert to_base[(biggest, "HiRA-2", ab)] > 0.99
     # HiRA-2 and HiRA-4 track each other (paper: 2 ≈ 4 ≈ 8).
     assert abs(to_base[(biggest, "HiRA-2", ab)] - to_base[(biggest, "HiRA-4", ab)]) < 0.05

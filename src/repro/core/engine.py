@@ -111,12 +111,6 @@ class HiraRefreshEngine(RefreshEngine):
         #: Banks that currently hold at least one pending refresh request;
         #: keeps deadline scans O(active banks) instead of O(all banks).
         self._active: set[tuple[int, int]] = set()
-        #: Memoized min raw deadline across active banks.  Raw deadlines
-        #: only change when a pending queue is pushed or popped (they do
-        #: not drift with time), so the memo is valid until the structure
-        #: changes — letting ``urgent`` skip its scan while nothing is due.
-        self._struct_dirty = True
-        self._min_deadline = _FAR_FUTURE
         #: Cache of each active bank's raw deadline (min of periodic head +
         #: slack and PR-FIFO head), maintained at the same push/pop
         #: chokepoints that maintain ``_active``.  Consumers fall back to
@@ -162,14 +156,12 @@ class HiraRefreshEngine(RefreshEngine):
             state.next_gen += state.period
             heapq.heappush(heap, (int(state.next_gen), rank, bank))
         # New pending requests mean new deadlines: invalidate the schedule
-        # memo (generation can fire outside a command issue).
-        self._struct_dirty = True
+        # memos (generation can fire outside a command issue).
         self.mc.mark_dirty()
 
     def _refresh_active(self, rank: int, bank: int) -> None:
         """Recompute a bank's membership in the active set (and its cached
         raw deadline)."""
-        self._struct_dirty = True
         # Every caller pops a pending refresh first, which changes the
         # deadlines urgent folds its wake from; marking here (the shared
         # pop chokepoint) keeps the memo contract local instead of relying
@@ -309,7 +301,6 @@ class HiraRefreshEngine(RefreshEngine):
             # already-rare spill path, and keeps the mutation and its mark
             # on one branch.
             self._preventive = spilled
-            self._struct_dirty = True
             self.mc.mark_dirty()
         wake = _FAR_FUTURE
         if self._preventive:  # PR-FIFO overflow: empty on almost every call
@@ -328,26 +319,6 @@ class HiraRefreshEngine(RefreshEngine):
         cutoff = now + trc
         bank_deadline = self._bank_deadline
         raw_deadline = self._raw_deadline
-        if self._struct_dirty:
-            soonest = _FAR_FUTURE
-            for key in self._active:
-                deadline = bank_deadline.get(key)
-                if deadline is None:
-                    deadline = raw_deadline(key)
-                if deadline < soonest:
-                    soonest = deadline
-            self._min_deadline = soonest
-            self._struct_dirty = False
-        md = self._min_deadline
-        if md > cutoff:
-            # Nothing approaches its deadline: the scan below would issue
-            # nothing (raw deadlines move only on push/pop, never with
-            # time, so the memo stays exact until the structure changes).
-            # The scan skips every bank until the earliest deadline is
-            # tRC away.
-            if md != _FAR_FUTURE and md - trc < wake:
-                wake = md - trc
-            return wake
         ta = mc._ta
         banks_per_rank = mc.banks_per_rank
         groups = mc.bankgroups_per_rank
@@ -357,6 +328,8 @@ class HiraRefreshEngine(RefreshEngine):
         act_floor = ta.act_floor
         group_gate = ta.group_gate
         same_bank = self._same_bank
+        # Deadlines move only on push/pop, which mark_dirty(): schedule
+        # skips this scan until a bank is tRC from its deadline (rule 4).
         # Iterating the set directly is safe: the loop either leaves the
         # set untouched (continue) or mutates it and returns immediately.
         for key in self._active:
@@ -564,7 +537,6 @@ class HiraRefreshEngine(RefreshEngine):
             key = (rank, bank_id)
             self._active.add(key)
             self._bank_deadline[key] = self._raw_deadline(key)
-            self._struct_dirty = True
             self.mc.mark_dirty()
         else:
             self._queue_preventive(rank, bank_id, row, deadline)

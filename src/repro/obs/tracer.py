@@ -91,6 +91,9 @@ class SimTracer:
         #: skipped span is pending; see :meth:`flush`).
         self._heads: list | None = None
         self._pending_from = 0
+        #: ``(mc._epoch, heads)`` of the last stalled visit that asked the
+        #: oracle, dropped when a record is fed (see :meth:`on_stall`).
+        self._gates: tuple | None = None
         #: The oracle's replay of the command stream, asked about stalls.
         self.oracle = oracle_for_config(mc.config)
         self.auditor = mc.auditor or CommandAuditor(mc)
@@ -121,6 +124,7 @@ class SimTracer:
             name = first.kind
             if name == "ACT":
                 args["row"] = first.row
+        self._gates = None
         for rec in records:
             self.oracle.feed(rec)
             if rec.kind == "ACT":
@@ -156,6 +160,9 @@ class SimTracer:
         call issues and mutates nothing, and the oracle moves only when a
         record is fed.  So each head's gate is taken once here, and
         :meth:`flush` charges the skipped cycles at the next entry point.
+        The same argument lets a visit reuse the previous one's head
+        gates when no record was fed and ``mc._epoch`` has not moved
+        since: queues, bank state and the oracle are then all unchanged.
         """
         self.flush(now)
         mc = self.mc
@@ -163,6 +170,8 @@ class SimTracer:
             return
         if now < mc.bus_next:
             heads = [(mc.bus_next, "cmd-bus", None, -1, -1)]
+        elif self._gates is not None and self._gates[0] == mc._epoch:
+            heads = self._gates[1]
         else:
             heads = []
             # `_active_queues` mutates the write-drain hysteresis; schedule()
@@ -178,6 +187,7 @@ class SimTracer:
                 # scheduler.
                 for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq):
                     heads.append(self._head_gate(dq[0], is_write, hit))
+            self._gates = (mc._epoch, heads)
         self._stall(now, *self._first_release(heads, now))
         self._heads = heads
         self._pending_from = now + 1

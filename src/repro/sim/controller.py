@@ -127,6 +127,9 @@ class RefreshEngine:
     overrides :meth:`on_demand_act` to queue it with a deadline instead.
     """
 
+    #: ``schedule`` may reuse this engine's wake (rule 4 of its contract).
+    wake_reusable = True
+
     def __init__(self) -> None:
         self.para = None
         self._preventive: deque = deque()
@@ -216,11 +219,10 @@ class RefreshEngine:
     def urgent(self, now: int) -> int:
         """Issue due refresh work: ``_ISSUED`` if a command went out.
 
-        Otherwise returns the exact cycle at which ``urgent`` could next
-        issue a command or mutate scheduling state, folded in the same
-        loop that checked the gates.  ``schedule`` trusts the value only
-        when its call mutated nothing (see its memo contract): the gates
-        are then frozen until the next mutation.
+        Otherwise returns the cycle at which ``urgent`` could next issue
+        a command or mutate scheduling state, folded in the same loop
+        that checked the gates: exact when computed.  ``schedule`` reuses
+        it until then or the next ``mark_dirty()`` (its rule 4).
         A value ``<= now`` simply disables skipping for this controller.
         """
         return self._service_preventive(now)
@@ -481,6 +483,8 @@ class MemoryController:
         #: ``schedule`` could do anything (issue or mutate).  The system
         #: loop skips the call entirely while ``cycle < _progress_at``.
         self._progress_at = 0
+        #: The wake ``urgent`` last returned to ``schedule`` (rule 4).
+        self._engine_wake = 0
         self.stats = ControllerStats()
         self.completions: list[tuple[int, Request]] = []
         #: Optional :class:`repro.sim.audit.CommandAuditor`: the one hook
@@ -499,14 +503,15 @@ class MemoryController:
     # State access helpers (also used by refresh engines)
     # ------------------------------------------------------------------
     def mark_dirty(self) -> None:
-        """Invalidate the ``schedule`` self-memo (``_progress_at``).
+        """Invalidate the ``schedule`` memos (``_progress_at``, ``_engine_wake``).
 
-        Called by refresh engines whenever they mutate scheduling state
-        without issuing (e.g. periodic request generation, PR-FIFO
-        re-admission), and by code that writes timing columns directly:
-        rules 2 and 3 of the contract in :meth:`schedule`."""
+        Called by refresh engines at every mutation of their own state
+        (generation, PR-FIFO push/pop/re-admission, drain and block
+        sets), and by code that writes timing columns directly: rules 2
+        to 4 of the contract in :meth:`schedule`."""
         self._epoch += 1
         self._progress_at = 0
+        self._engine_wake = 0
 
     def first_open_bank(self, rank: int) -> int | None:
         b_open = self._ta.open_row
@@ -854,7 +859,7 @@ class MemoryController:
         recorded in ``_progress_at`` and the system loop skips the
         controller until that cycle; no engine method runs after
         ``urgent``.  It is the only memo the loop consults, and the bound
-        is never late as long as every mutation keeps this contract:
+        is never late (rule 4 may make it early) under this contract:
 
         1. An issue ends the call, and a call that issued records no
            wake (the issue primitives touch neither memo field).
@@ -862,6 +867,12 @@ class MemoryController:
            (``mark_dirty()``), so the call records no wake.
         3. A mutation outside ``schedule`` (``enqueue``, a test writing a
            timing column) resets ``_progress_at`` to 0 (``mark_dirty()``).
+        4. A non-issuing, non-mutating ``urgent`` leaves its wake in
+           ``_engine_wake``; ``urgent`` is skipped below it until
+           ``mark_dirty()`` clears it.  Demand commands keep it a lower
+           bound: one to a bank the engine waits on needs the gate the
+           engine folded, and every other gate it reads only moves
+           later.  Elastic's gates read ``read_q``: ``wake_reusable``.
 
         So the run equals one that calls ``schedule`` on every cycle.
         ``dense_loop()`` in ``tests/test_kernel_equivalence.py`` checks
@@ -901,9 +912,14 @@ class MemoryController:
                     self.tracer.flush(now)
                 return True
             wake = c
-        w = self.engine.urgent(now)
-        if w == _ISSUED:
-            return True
+        w = self._engine_wake
+        if now >= w:
+            engine = self.engine
+            w = engine.urgent(now)
+            if w == _ISSUED:
+                return True
+            if self._epoch == epoch and engine.wake_reusable:
+                self._engine_wake = w
         if w < wake:
             wake = w
         queue_a, queue_b = self._active_queues()
@@ -914,8 +930,8 @@ class MemoryController:
             wake = w
         if self._epoch == epoch:
             # Issued nothing, mutated nothing: the engine's and the
-            # queues' exact gate folds hold until the next mutation
-            # (rule 3 resets _progress_at).  A bound <= now just means no
+            # queues' gate folds hold until the next mutation (rule 3
+            # resets _progress_at).  A bound <= now just means no
             # skipping.
             self._progress_at = wake
         if self.tracer is not None:

@@ -22,6 +22,10 @@ from repro.sim.controller import BaselineRefreshEngine, _FAR_FUTURE
 class ElasticRefreshEngine(BaselineRefreshEngine):
     """Defer REF into idle time, within DDR4's 8-REF postponement budget."""
 
+    #: Engage and promotion read ``mc.read_q``: a served read can pull
+    #: a REF earlier without a ``mark_dirty()`` (rule 4 of ``schedule``).
+    wake_reusable = False
+
     def __init__(self, max_postponed: int = 8):
         super().__init__()
         if max_postponed < 0:

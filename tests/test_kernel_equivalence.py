@@ -5,8 +5,9 @@ every controller's ``schedule`` on every cycle.  The event kernel skips
 a controller only until its ``schedule()``-proven ``_progress_at`` bound,
 so its result must equal that loop's bit for bit.  :func:`dense_loop`
 builds the dense loop from the production one, with no production knob:
-it wraps ``MemoryController.schedule`` to forget the memo after every
-call, so the loop visits and schedules every cycle.  On each cycle the
+it wraps ``MemoryController.schedule`` to forget both memos after every
+call, so the loop visits and schedules every cycle and runs the refresh
+engine's ``urgent`` on each.  On each cycle the
 event kernel would have skipped, the wrapper also checks the memo
 contract stated in ``MemoryController.schedule``: such a call must issue
 nothing and mutate nothing.  The A/B runs on every golden config and on
@@ -131,9 +132,32 @@ def dense_loop():
     one the event kernel would have skipped: it must issue nothing and
     leave ``_epoch`` and the scheduling mode unchanged.  Such a call
     keeps the saved bound, as the event kernel would have kept it.
+
+    The engine memo (rule 4) is neutralised the same way: the wrapper
+    saves the wake a call left in ``_engine_wake`` and leaves
+    ``_NO_BOUND`` there, so ``urgent`` runs on every cycle.  An
+    ``urgent`` call below the saved wake with ``_NO_BOUND`` still in
+    place (no ``mark_dirty()`` since) is one the memo would have
+    skipped: it must neither issue nor bump ``_epoch``, and it keeps the
+    saved wake.
     """
     original = MemoryController.schedule
     proved: dict[MemoryController, int] = {}
+    engine_proved: dict[MemoryController, int] = {}
+
+    def check_urgent(mc, urgent, wake):
+        def checked(now):
+            epoch = mc._epoch
+            result = urgent(now)
+            if result == _ISSUED or mc._epoch != epoch:
+                raise MemoContractError(
+                    f"channel {mc.channel_id}, cycle {now}: urgent "
+                    f"{'issued' if result == _ISSUED else 'mutated state'} "
+                    f"below its reused wake {wake}"
+                )
+            return result
+
+        return checked
 
     def schedule(self, now):
         bound = proved.get(self, _NO_BOUND)
@@ -141,7 +165,18 @@ def dense_loop():
         if skipped:
             epoch = self._epoch
             mode = _scheduling_mode(self)
-        issued = original(self, now)
+        if self._engine_wake != _NO_BOUND:  # a mark_dirty() since
+            engine_proved.pop(self, None)
+        wake = engine_proved.get(self, _NO_BOUND)
+        asleep = now < wake
+        if asleep:
+            engine = self.engine
+            engine.urgent = check_urgent(self, engine.urgent, wake)
+        try:
+            issued = original(self, now)
+        finally:
+            if asleep:
+                del engine.urgent
         if skipped:
             if issued or self._epoch != epoch or _scheduling_mode(self) != mode:
                 raise MemoContractError(
@@ -151,7 +186,12 @@ def dense_loop():
                 )
         else:
             proved[self] = self._progress_at
+        if self._engine_wake == 0:
+            engine_proved.pop(self, None)
+        elif self._engine_wake != _NO_BOUND and not asleep:
+            engine_proved[self] = self._engine_wake
         self._progress_at = _NO_BOUND
+        self._engine_wake = _NO_BOUND
         return issued
 
     with pytest.MonkeyPatch.context() as mp:
@@ -647,6 +687,92 @@ def test_memo_contract_catches_planted_mutation(plant, everywhere):
         assert not missed, f"planted mutation went unnoticed on {missed}"
     else:
         assert any(_contract_fires(plant, DENSE_GRID[n]) for n in names)
+
+
+@contextmanager
+def mark_dirty_keeps_engine_wake():
+    """Break rule 4: ``mark_dirty()`` leaves the engine wake in place."""
+    original = MemoryController.mark_dirty
+
+    def mark_dirty(self):
+        wake = self._engine_wake
+        original(self)
+        self._engine_wake = wake
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryController, "mark_dirty", mark_dirty)
+        yield
+
+
+@contextmanager
+def elastic_reuses_wake():
+    """Break rule 4's opt-out: ``schedule`` reuses Elastic's wake, which
+    a served read can pull earlier without a ``mark_dirty()``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ElasticRefreshEngine, "wake_reusable", True)
+        yield
+
+
+def test_memo_contract_catches_kept_engine_wake():
+    """An engine wake that outlives a ``mark_dirty()`` must fire on every
+    dense-matrix PARA run without HiRA: a demand ACT's draw queues a
+    refresh that is due at once, while the engine sleeps.  (An engine's
+    own mutations inside ``urgent`` happen at or past its wake, so they
+    alone cannot show it; Elastic reuses no wake.)"""
+    runs = {
+        name: entry
+        for name, entry in DENSE_GRID.items()
+        if entry["config"]["refresh_mode"] in ("none", "baseline")
+        and "para_nrh" in entry["config"]
+    }
+    assert len(runs) == 12
+    missed = [
+        name
+        for name, entry in sorted(runs.items())
+        if not _contract_fires(mark_dirty_keeps_engine_wake, entry)
+    ]
+    assert not missed, f"kept engine wake went unnoticed on {missed}"
+
+
+def test_memo_contract_catches_elastic_wake_reuse():
+    """Elastic's opt-out is needed: reusing its wake must fire on every
+    dense-matrix Elastic run."""
+    missed = [
+        name
+        for name, entry in sorted(DENSE_GRID.items())
+        if entry["config"]["refresh_mode"] == "elastic"
+        and not _contract_fires(elastic_reuses_wake, entry)
+    ]
+    assert not missed, f"reused Elastic wake went unnoticed on {missed}"
+
+
+def test_engine_sleeps_between_mutations():
+    """Work guard for rule 4: ``urgent`` runs on at most half of the
+    ``schedule`` calls on a HiRA and a Baseline + PARA golden (about 0.9
+    of them when every call runs it)."""
+    calls = {"schedule": 0, "urgent": 0}
+    schedule = MemoryController.schedule
+
+    def counted_schedule(self, now):
+        calls["schedule"] += 1
+        return schedule(self, now)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryController, "schedule", counted_schedule)
+        for cls in (BaselineRefreshEngine, HiraRefreshEngine):
+            urgent = cls.urgent
+
+            def counted_urgent(self, now, _urgent=urgent):
+                calls["urgent"] += 1
+                return _urgent(self, now)
+
+            mp.setattr(cls, "urgent", counted_urgent)
+        ratios = {}
+        for name in ("hira2-128g", "baseline-para-8g"):
+            calls.update(schedule=0, urgent=0)
+            run_entry(GOLDENS[name])
+            ratios[name] = calls["urgent"] / calls["schedule"]
+    assert all(ratio <= 0.5 for ratio in ratios.values()), ratios
 
 
 # ----------------------------------------------------------------------
