@@ -44,9 +44,17 @@ for _kind in CommandKind:
 del _kind
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Command:
     """A single DDR4 command with an issue timestamp.
+
+    Commands are read-only by convention, not frozen: a frozen dataclass
+    stores each field through ``object.__setattr__``, which nearly triples
+    the cost of building one, and §4's characterization builds tens of
+    thousands per pass.  :class:`~repro.softmc.program.Program` is their
+    only producer outside tests, and nothing writes a field after
+    construction (``tests/test_softmc.py`` checks that running a program
+    leaves every command as built).  Commands are no longer hashable.
 
     Attributes:
         kind: The command mnemonic.

@@ -33,17 +33,15 @@ Benchmarks and the ``repro sweep`` / ``repro worker`` CLI subcommands are
 thin layers over these primitives.
 """
 
+import importlib
+
 from repro.orchestrator.atomicio import atomic_write_text
 from repro.orchestrator.backends import (
     ExecutionBackend,
     LocalPoolBackend,
-    NoWorkersRegistered,
     SerialBackend,
-    SocketBackend,
-    WorkerPoolError,
     make_backend,
 )
-from repro.orchestrator.backends.dispatch import Backoff
 from repro.orchestrator.cache import ResultCache, result_from_dict, result_to_dict
 from repro.orchestrator.hashing import config_hash
 from repro.orchestrator.pool import parallel_map
@@ -63,6 +61,23 @@ from repro.orchestrator.sweep import (
     mix_workloads,
     profile_workloads,
 )
+
+#: The socket backend's names, imported on first use (see
+#: :func:`__getattr__`): serial and local runs never compile it.
+_LAZY = {
+    "Backoff": "repro.orchestrator.backends.dispatch",
+    "NoWorkersRegistered": "repro.orchestrator.backends.server",
+    "SocketBackend": "repro.orchestrator.backends.server",
+    "WorkerPoolError": "repro.orchestrator.backends.server",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "Backoff",

@@ -20,6 +20,7 @@ bit-identical to serial execution by construction.
 
 from __future__ import annotations
 
+import importlib
 import os
 
 from repro.orchestrator.backends.base import (
@@ -27,20 +28,22 @@ from repro.orchestrator.backends.base import (
     LocalPoolBackend,
     SerialBackend,
 )
-from repro.orchestrator.backends.server import (
-    JobServer,
-    NoWorkersRegistered,
-    SocketBackend,
-    WorkerPoolError,
-    spawn_local_worker,
+
+#: The names ``--backend <name>`` / ``run_sweep(backend="<name>")`` take.
+BACKENDS = ("serial", "local", "socket")
+
+#: Names resolved from :mod:`~repro.orchestrator.backends.server` on first
+#: use, so serial and local runs never compile the socket backend.
+_SERVER_NAMES = frozenset(
+    {"JobServer", "NoWorkersRegistered", "SocketBackend", "WorkerPoolError",
+     "spawn_local_worker"}
 )
 
-#: Registry for ``--backend <name>`` / ``run_sweep(backend="<name>")``.
-BACKENDS = {
-    "serial": SerialBackend,
-    "local": LocalPoolBackend,
-    "socket": SocketBackend,
-}
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.server"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def make_backend(
@@ -64,6 +67,8 @@ def make_backend(
     if spec == "serial":
         return SerialBackend(), True
     if spec == "socket":
+        from repro.orchestrator.backends.server import SocketBackend
+
         return SocketBackend(
             host=os.environ.get("REPRO_SOCKET_HOST", "127.0.0.1"),
             port=int(os.environ.get("REPRO_SOCKET_PORT", "7781")),

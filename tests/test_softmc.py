@@ -1,12 +1,21 @@
 """SoftMC host, command programs, and data patterns."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from repro.chip.chip_model import DramChip
 from repro.dram.commands import CommandKind
 from repro.dram.errors import GeometryError, TimingViolation
+from repro.experiments.coverage import pair_passes
+from repro.experiments.second_act import pick_dummy_row
+from repro.rowhammer.threshold import HammerTestConfig, run_hammer_test
+from repro.softmc.host import SoftMCHost
 from repro.softmc.patterns import ALL_PATTERNS, DataPattern
 from repro.softmc.program import Program
+
+from tests.conftest import isolated_pair
 
 
 class TestPatterns:
@@ -134,3 +143,65 @@ class TestHost:
     def test_advance_rejects_negative(self, host):
         with pytest.raises(ValueError):
             host.advance(-5)
+
+
+def _guard_commands(monkeypatch) -> list[int]:
+    """Wrap ``SoftMCHost.run`` so that every program's commands must come
+    back exactly as built: ``Command`` is not frozen, so nothing but this
+    check stops the chip or the host from rewriting one.  Returns the
+    per-program command counts checked so far."""
+    run = SoftMCHost.run
+    checked: list[int] = []
+
+    def guarded(self, program):
+        before = [astuple(cmd) for cmd in program.commands]
+        run(self, program)
+        assert [astuple(cmd) for cmd in program.commands] == before
+        checked.append(len(before))
+
+    monkeypatch.setattr(SoftMCHost, "run", guarded)
+    return checked
+
+
+def _plant_rewrite(monkeypatch) -> None:
+    """A chip that moves each command's time stamp after executing it."""
+    issue = DramChip.issue
+
+    def rewriting(self, cmd):
+        issue(self, cmd)
+        cmd.time_ps += 1
+
+    monkeypatch.setattr(DramChip, "issue", rewriting)
+
+
+def _hammer_config(chip) -> HammerTestConfig:
+    victim = chip.geometry.row_of(2, 30)
+    return HammerTestConfig(
+        bank=0, victim=victim,
+        aggressors=tuple(chip.design.aggressors_for_victim(victim)),
+        dummy_row=pick_dummy_row(chip, victim),
+    )
+
+
+class TestCommandsStayAsBuilt:
+    """Running a program leaves its commands untouched (Algorithms 1, 2)."""
+
+    def test_algorithm1_pair_trial(self, monkeypatch, chip, host):
+        checked = _guard_commands(monkeypatch)
+        row_a, row_b = isolated_pair(chip)
+        assert pair_passes(host, 0, row_a, row_b, t1_ps=3_000, t2_ps=3_000)
+        # Per pattern: two initializes, one HiRA, two read-backs (2 each).
+        assert len(checked) == len(ALL_PATTERNS) * 7 and sum(checked) > 0
+
+    @pytest.mark.parametrize("with_hira", [False, True])
+    def test_algorithm2_iteration(self, monkeypatch, chip, host, with_hira):
+        checked = _guard_commands(monkeypatch)
+        run_hammer_test(host, _hammer_config(chip), 20_000, with_hira=with_hira)
+        # Four initializes, the victim's read-back (2) and HiRA if armed.
+        assert len(checked) == 6 + with_hira
+
+    def test_guard_catches_a_planted_rewrite(self, monkeypatch, chip, host):
+        _guard_commands(monkeypatch)
+        _plant_rewrite(monkeypatch)
+        with pytest.raises(AssertionError):
+            run_hammer_test(host, _hammer_config(chip), 20_000, with_hira=True)
