@@ -91,10 +91,8 @@ class SimTracer:
         #: skipped span is pending; see :meth:`flush`).
         self._heads: list | None = None
         self._pending_from = 0
-        #: ``(mc._epoch, mc._seq, sections, heads)`` of the last stalled
-        #: visit that asked the oracle (``sections``: its head gates per
-        #: queue, in priority order), dropped when a record is fed (see
-        #: :meth:`_head_gates`).
+        #: ``(mc._epoch, heads)`` of the last stalled visit that asked the
+        #: oracle, dropped when a record is fed (see :meth:`on_stall`).
         self._gates: tuple | None = None
         #: The oracle's replay of the command stream, asked about stalls.
         self.oracle = oracle_for_config(mc.config)
@@ -160,9 +158,11 @@ class SimTracer:
         ``_progress_at``.  A dense loop would stall on each skipped cycle
         with the state this visit leaves: by the memo contract a skipped
         call issues and mutates nothing, and the oracle moves only when a
-        record is fed.  So each head's gate is taken once here
-        (:meth:`_head_gates`), and :meth:`flush` charges the skipped
-        cycles at the next entry point.
+        record is fed.  So each head's gate is taken once here, and
+        :meth:`flush` charges the skipped cycles at the next entry point.
+        The same argument lets a visit reuse the previous one's head
+        gates when no record was fed and ``mc._epoch`` has not moved
+        since: queues, bank state and the oracle are then all unchanged.
         """
         self.flush(now)
         mc = self.mc
@@ -170,84 +170,27 @@ class SimTracer:
             return
         if now < mc.bus_next:
             heads = [(mc.bus_next, "cmd-bus", None, -1, -1)]
+        elif self._gates is not None and self._gates[0] == mc._epoch:
+            heads = self._gates[1]
         else:
-            heads = self._head_gates()
+            heads = []
+            # `_active_queues` mutates the write-drain hysteresis; schedule()
+            # already ran it this cycle, so read the flag directly.
+            order = mc._writes_first if mc._draining_writes else mc._reads_first
+            for queue in order:
+                if not queue:
+                    continue
+                is_write = queue is mc.write_q
+                bank_q = mc._bank_q_write if is_write else mc._bank_q_read
+                hit = mc._hit_write if is_write else mc._hit_read
+                # Oldest head first, so ties go to queue order as in the
+                # scheduler.
+                for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq):
+                    heads.append(self._head_gate(dq[0], is_write, hit))
+            self._gates = (mc._epoch, heads)
         self._stall(now, *self._first_release(heads, now))
         self._heads = heads
         self._pending_from = now + 1
-
-    def _head_gates(self) -> list:
-        """Every bank head's gate, in the scheduler's order: queue by
-        priority, then oldest head first (ties go to queue order).
-
-        The previous stalled visit's gates still hold when no record was
-        fed since (that drops them) and ``mc._epoch`` has not moved:
-        queues, bank state and the oracle are all unchanged.  Each
-        ``enqueue`` bumps ``_epoch`` and ``_seq`` once and every other
-        mutation bumps ``_epoch`` alone, so equal deltas mean only
-        enqueues happened; then only the banks they touched are updated
-        (:meth:`_add_tails`).  Anything else rescans every head.
-        """
-        mc = self.mc
-        # `_active_queues` mutates the write-drain hysteresis; schedule()
-        # already ran it this cycle, so read the flag directly.
-        order = mc._writes_first if mc._draining_writes else mc._reads_first
-        gates = self._gates
-        if gates is None or mc._epoch - gates[0] != mc._seq - gates[1]:
-            sections = [self._scan(queue) for queue in order]
-        elif mc._epoch == gates[0]:
-            return gates[3]
-        else:
-            sections = [
-                self._add_tails(queue, section, gates[1])
-                for queue, section in zip(order, gates[2])
-            ]
-        heads = [*sections[0], *sections[1]]
-        self._gates = (mc._epoch, mc._seq, sections, heads)
-        return heads
-
-    def _scan(self, queue: list) -> list:
-        """The gates of one queue's bank heads, oldest head first."""
-        mc = self.mc
-        is_write = queue is mc.write_q
-        bank_q = mc._bank_q_write if is_write else mc._bank_q_read
-        hit = mc._hit_write if is_write else mc._hit_read
-        return [
-            self._head_gate(dq[0], is_write, hit)
-            for dq in sorted(bank_q.values(), key=lambda dq: dq[0].seq)
-        ]
-
-    def _add_tails(self, queue: list, section: list, seq: int) -> list:
-        """``section`` updated for the requests enqueued since ``_seq``
-        was ``seq``: nothing left the queue since, so they are its tail.
-
-        An enqueue to a bank with no head adds a head with the queue's
-        highest ``seq``, so its gate goes last.  Otherwise the bank's
-        head stays, and the one thing that can change is its fallback:
-        the enqueue may make the bank's open row a hit, so a head waiting
-        to precharge that row now waits on ``row-keepalive``."""
-        i = len(queue)
-        while i and queue[i - 1].seq >= seq:
-            i -= 1
-        if i == len(queue):
-            return section
-        mc = self.mc
-        is_write = queue is mc.write_q
-        bank_q = mc._bank_q_write if is_write else mc._bank_q_read
-        hit = mc._hit_write if is_write else mc._hit_read
-        section = section.copy()
-        for req in queue[i:]:
-            g = req.gbank
-            head = bank_q[g][0]
-            if head is req:
-                section.append(self._head_gate(req, is_write, hit))
-            elif g in hit:
-                for k, (until, rule, fallback, rank, bank) in enumerate(section):
-                    if rank * mc.banks_per_rank + bank == g:
-                        if fallback is None and self._next_kind(head, is_write) == "PRE":
-                            section[k] = (until, rule, "row-keepalive", rank, bank)
-                        break
-        return section
 
     def flush(self, end: int) -> None:
         """Charge the cycles the loop skipped since the last stalled
@@ -307,7 +250,7 @@ class SimTracer:
         The head cannot issue before ``until``, for ``rule``; at or past
         it, it waits on ``fallback`` for one more cycle (None: nothing
         holds it).  The head's next command follows from the bank's open
-        row (:meth:`_next_kind`)."""
+        row: RD/WR to it, ACT to a closed bank, else PRE."""
         mc = self.mc
         ta = mc._ta
         rank, g = head.rank, head.gbank
@@ -317,17 +260,16 @@ class SimTracer:
         if (rank, bank) in mc.blocked_banks:
             until = max(ta.next_act[g], ta.next_refsb[rank])
             return (until, "refsb-drain", "refsb-drain", rank, bank)
-        kind = self._next_kind(head, is_write)
+        open_row = ta.open_row[g]
+        if open_row == head.row:
+            kind = "WR" if is_write else "RD"
+        elif open_row < 0:
+            kind = "ACT"
+        else:
+            kind = "PRE"
         until, rule = self.oracle.earliest(kind, rank, bank)
         keepalive = "row-keepalive" if kind == "PRE" and g in hit else None
         return (until, rule, keepalive, rank, bank)
-
-    def _next_kind(self, head, is_write: bool) -> str:
-        """The head's next command, from its bank's open row."""
-        open_row = self.mc._ta.open_row[head.gbank]
-        if open_row == head.row:
-            return "WR" if is_write else "RD"
-        return "ACT" if open_row < 0 else "PRE"
 
     # ------------------------------------------------------------------
     # Run-end + export

@@ -33,8 +33,7 @@ Benchmarks and the ``repro sweep`` / ``repro worker`` CLI subcommands are
 thin layers over these primitives.
 """
 
-import importlib
-
+from repro.orchestrator import backends
 from repro.orchestrator.atomicio import atomic_write_text
 from repro.orchestrator.backends import (
     ExecutionBackend,
@@ -62,21 +61,17 @@ from repro.orchestrator.sweep import (
     profile_workloads,
 )
 
-#: The socket backend's names, imported on first use (see
-#: :func:`__getattr__`): serial and local runs never compile it.
-_LAZY = {
-    "Backoff": "repro.orchestrator.backends.dispatch",
-    "NoWorkersRegistered": "repro.orchestrator.backends.server",
-    "SocketBackend": "repro.orchestrator.backends.server",
-    "WorkerPoolError": "repro.orchestrator.backends.server",
-}
-
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module), name)
+    # The socket backend's names resolve on first use, through
+    # `backends`' own lazy names, so serial and local runs never compile it.
+    if name == "Backoff":
+        from repro.orchestrator.backends.dispatch import Backoff
+
+        return Backoff
+    if name in backends._SERVER_NAMES:
+        return getattr(backends, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -46,7 +46,6 @@ import heapq
 import json
 import os
 import random
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -476,76 +475,6 @@ def test_dense_trace_catches_unsplit_stall_span():
             if _traced_exports(entry) == dense:
                 missed.append(name)
     assert not missed, f"unsplit stall span went unnoticed on {missed}"
-
-
-@contextmanager
-def rescanned_head_gates(paths: Counter):
-    """Check at every stalled visit that the head gates the tracer reuses
-    or updates (``SimTracer._head_gates``) equal a full rescan; count the
-    visits per path taken (``reuse``, ``tails`` or ``scan``)."""
-    original = SimTracer._head_gates
-
-    def checked(self):
-        mc, gates = self.mc, self._gates
-        if gates is None or mc._epoch - gates[0] != mc._seq - gates[1]:
-            paths["scan"] += 1
-        else:
-            paths["reuse" if mc._epoch == gates[0] else "tails"] += 1
-        heads = original(self)
-        order = mc._writes_first if mc._draining_writes else mc._reads_first
-        fresh = [gate for queue in order for gate in self._scan(queue)]
-        assert heads == fresh, f"channel {mc.channel_id}: stale head gates"
-        return heads
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SimTracer, "_head_gates", checked)
-        yield
-
-
-def _tails_without_keepalive(self, queue, section, seq):
-    """Plant: new heads are added, but an enqueue that makes a bank's
-    open row a hit leaves its precharging head's fallback unset."""
-    i = len(queue)
-    while i and queue[i - 1].seq >= seq:
-        i -= 1
-    mc = self.mc
-    is_write = queue is mc.write_q
-    bank_q = mc._bank_q_write if is_write else mc._bank_q_read
-    hit = mc._hit_write if is_write else mc._hit_read
-    added = [
-        self._head_gate(req, is_write, hit)
-        for req in queue[i:]
-        if bank_q[req.gbank][0] is req
-    ]
-    return section + added
-
-
-def test_tracer_head_gates_equal_a_rescan():
-    """At every stalled visit of every golden, the head gates the tracer
-    reuses, or updates for the requests enqueued since its last scan,
-    equal a full rescan.  Both shortcuts run, and each planted update
-    (enqueues ignored; keep-alive flip dropped) fails the check."""
-    paths = Counter()
-    with rescanned_head_gates(paths):
-        for entry in GOLDENS.values():
-            _traced_exports(entry)
-    assert paths["reuse"] > 0 and paths["tails"] > 0
-    plants = {
-        "ignore-enqueues": lambda self, queue, section, seq: section,
-        "no-keepalive-flip": _tails_without_keepalive,
-    }
-    for plant, add_tails in plants.items():
-        caught = False
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SimTracer, "_add_tails", add_tails)
-            for entry in GOLDENS.values():
-                try:
-                    with rescanned_head_gates(Counter()):
-                        _traced_exports(entry)
-                except AssertionError:
-                    caught = True
-                    break
-        assert caught, f"plant {plant} went unnoticed on every golden"
 
 
 def _dense_grid() -> dict[str, dict]:
