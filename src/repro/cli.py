@@ -1,6 +1,6 @@
 """Command-line entry points for the reproduction.
 
-Nine subcommands mirror the repository's main workflows:
+Eight subcommands mirror the repository's main workflows:
 
 - ``characterize`` — run the §4 experiments on a tested module.
 - ``simulate`` — one cycle-level run of a refresh configuration.
@@ -13,8 +13,6 @@ Nine subcommands mirror the repository's main workflows:
 - ``status`` — render the live fleet status file and per-sweep store progress.
 - ``security`` — print PARA's (revisited) configuration for a threshold.
 - ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``.
-- ``lint`` — AST-based invariant linter (timing enforcement coverage,
-  determinism); exit 0 clean / 1 findings / 2 usage error.
 
 Usage::
 
@@ -29,7 +27,6 @@ Usage::
     python -m repro.cli status --status-file .sweep-status.json
     python -m repro.cli security --nrh 128 --slack 4
     python -m repro.cli perf --out BENCH_kernel.json
-    python -m repro.cli lint --json
 """
 
 from __future__ import annotations
@@ -452,37 +449,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from repro.lint import CHECKERS, LintUsageError, run_lint
-
-    if args.list_rules:
-        for name in CHECKERS:
-            print(f"{name}: {CHECKERS[name].DESCRIPTION}")
-        return 0
-    rules = None
-    if args.rules is not None:
-        rules = [token.strip() for token in args.rules.split(",") if token.strip()]
-    try:
-        result = run_lint(root=Path(args.root) if args.root else None, rules=rules)
-    except LintUsageError as exc:
-        print(f"repro lint: {exc}")
-        return 2
-    if args.json:
-        print(_json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        for finding in result.findings:
-            print(finding.render())
-        status = "clean" if result.clean else f"{len(result.findings)} finding(s)"
-        print(
-            f"repro lint: {status} — {result.files} files, "
-            f"{len(result.rules)} rules"
-        )
-    return 0 if result.clean else 1
-
-
 def _positive_int(text: str) -> int:
     """An argparse type for counts and steps that must be at least 1."""
     value = int(text)
@@ -666,20 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output JSON path ('' disables writing); floors are "
                         "checked by tools/check_kernel_perf.py")
     p.set_defaults(func=_cmd_perf)
-
-    p = sub.add_parser(
-        "lint",
-        help="AST-based invariant linter for the simulator sources",
-    )
-    p.add_argument("--root", default=None,
-                   help="tree to lint (default: the installed src/repro)")
-    p.add_argument("--rules", default=None,
-                   help="comma list of rules to run (default: all)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable report (version 2)")
-    p.add_argument("--list-rules", action="store_true", dest="list_rules",
-                   help="print the rule catalog and exit")
-    p.set_defaults(func=_cmd_lint)
     return parser
 
 

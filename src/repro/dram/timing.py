@@ -120,6 +120,14 @@ class TimingParams:
         for name in ("trtw", "twtr"):  # zero = turnaround gating disabled
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.hira_t1 + self.hira_t2 < self.trrd_l:
+            raise ValueError(
+                "HiRA's t1 + t2 must be at least tRRD_L "
+                f"({self.hira_t1} + {self.hira_t2} < {self.trrd_l}): the "
+                "second ACT of a HiRA operation goes to the same bank, so "
+                "tRRD_L binds it, and the controller issues it exactly "
+                "t1 + t2 after the first ACT, never later"
+            )
         if self.trfc_sb > self.trfc:
             raise ValueError(
                 "tRFC_sb must not exceed tRFC "

@@ -429,6 +429,9 @@ class MemoryController:
         self.trfc_sb_c = c(tp.trfc_sb)
         self.trefsb_gap_c = c(tp.trefsb_gap)
         self.hira_gap_c = c(tp.hira_t1 + tp.hira_t2)
+        #: A refresh operation's (last) ACT gates the bank's next ACT by
+        #: tRC, and the PRE closing it tRAS later by tRP: the later binds.
+        self.refresh_act_gap_c = max(self.trc_c, self.tras_c + self.trp_c)
 
         geom = config.geometry
         self.banks_per_rank = geom.banks_per_rank
@@ -684,14 +687,16 @@ class MemoryController:
     def issue_hira_refresh_pair(self, rank: int, bank_id: int, now: int) -> None:
         """Refresh two rows with one HiRA operation (refresh-refresh).
 
-        Bank is busy for t1 + t2 + tRAS + tRP (38 + 14.25 ns at defaults);
-        the closing PRE consumes a deferred bus slot.
+        Bank is busy for t1 + t2 + tRAS + tRP (38 + 14.25 ns at defaults),
+        or t1 + t2 + tRC where that is longer; the closing PRE consumes a
+        deferred bus slot.
         """
         ta = self._ta
         g = rank * self.banks_per_rank + bank_id
-        close = now + self.hira_gap_c + self.tras_c
+        eff = now + self.hira_gap_c
+        close = eff + self.tras_c
         ta.open_row[g] = -1
-        ta.next_act[g] = close + self.trp_c
+        ta.next_act[g] = eff + self.refresh_act_gap_c
         ta.next_pre[g] = close
         c = close + self.trp_c
         if c > ta.ref_ready[rank]:
@@ -699,7 +704,7 @@ class MemoryController:
         self._hit_read.discard(g)
         self._hit_write.discard(g)
         self._record_act(rank, bank_id, now)
-        self._record_act(rank, bank_id, now + self.hira_gap_c)
+        self._record_act(rank, bank_id, eff)
         self.bus_next = now + 3
         heapq.heappush(self._scheduled_closes, (close, rank, bank_id))
         self.stats.acts += 2
@@ -707,7 +712,7 @@ class MemoryController:
         self.stats.hira_refresh_parallelized += 1
         if self.auditor is not None:
             self.auditor.on_hira_op(
-                now, rank, bank_id, None, None, now + self.hira_gap_c, close=close
+                now, rank, bank_id, None, None, eff, close=close
             )
 
     def issue_solo_refresh(self, rank: int, bank_id: int, now: int) -> None:
@@ -716,7 +721,7 @@ class MemoryController:
         g = rank * self.banks_per_rank + bank_id
         close = now + self.tras_c
         ta.open_row[g] = -1
-        ta.next_act[g] = close + self.trp_c
+        ta.next_act[g] = now + self.refresh_act_gap_c
         ta.next_pre[g] = close
         c = close + self.trp_c
         if c > ta.ref_ready[rank]:

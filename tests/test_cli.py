@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.lint import CHECKERS
 
 
 class TestParser:
@@ -48,77 +47,6 @@ class TestParser:
         ])
         assert args.port == 7000 and args.max_sessions == 1
         assert args.connect_timeout == 5.0
-
-
-class TestLintCommand:
-    """`repro lint`: exit codes 0/1/2, JSON schema, rule selection."""
-
-    FIXTURES = Path(__file__).parent / "lint_fixtures"
-
-    def test_clean_tree_exits_zero(self, capsys):
-        assert main(["lint"]) == 0
-        out = capsys.readouterr().out
-        assert "clean" in out
-
-    def test_findings_exit_one(self, capsys):
-        root = str(self.FIXTURES / "timing_bad")
-        assert main(["lint", "--root", root, "--rules", "timing-coverage"]) == 1
-        out = capsys.readouterr().out
-        assert "[timing-coverage]" in out and "finding" in out
-
-    def test_usage_error_exits_two(self, capsys):
-        assert main(["lint", "--rules", "no-such-rule"]) == 2
-        assert "unknown rule" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("rules", [",", " ", ""])
-    def test_empty_rule_selection_exits_two(self, capsys, rules):
-        assert main(["lint", "--rules", rules]) == 2
-        assert "no rules selected" in capsys.readouterr().out
-
-    def test_repeated_rule_reports_once(self, capsys):
-        root = str(self.FIXTURES / "timing_bad")
-        code = main([
-            "lint", "--root", root, "--json",
-            "--rules", "timing-coverage,timing-coverage",
-        ])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rules"] == ["timing-coverage"]
-        assert len(payload["findings"]) == 2  # gating + oracle, once each
-
-    def test_baseline_flag_is_rejected(self, capsys):
-        # The grandfathering baseline is gone; the flag is not accepted.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["lint", "--baseline", "baseline.json"])
-        assert excinfo.value.code == 2
-        assert "--baseline" in capsys.readouterr().err
-
-    def test_json_report_schema(self, capsys):
-        root = str(self.FIXTURES / "determinism_bad")
-        code = main([
-            "lint", "--root", root, "--rules", "determinism", "--json",
-        ])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 2
-        assert payload["clean"] is False
-        assert set(payload) == {
-            "version", "root", "rules", "files", "findings", "clean",
-        }
-        assert payload["findings"]
-        for finding in payload["findings"]:
-            assert set(finding) == {"rule", "path", "line", "symbol", "message"}
-            assert finding["rule"] == "determinism"
-
-    def test_json_clean_tree(self, capsys):
-        assert main(["lint", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["clean"] is True and payload["findings"] == []
-
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
-        assert names == list(CHECKERS) == ["timing-coverage", "determinism"]
 
 
 class TestCommands:

@@ -1,12 +1,12 @@
-"""Rule ``determinism``: simulation logic must be bit-reproducible.
+"""Simulation logic must be bit-reproducible: an AST check over ``src/repro``.
 
-The distributed sweep backend (PR 4) promises that every backend —
-serial, local pool, socket workers on other hosts — produces
-bit-identical results, and the result cache keys on content hashes that
-assume it.  That guarantee dies quietly if simulation logic ever consults
-a wall clock, an unseeded RNG, process-dependent identity (``id()``,
-``hash()`` under ``PYTHONHASHSEED``), or iterates a ``set`` whose order
-feeds scheduling decisions.
+Every backend (serial, local pool, socket workers on other hosts) must
+produce bit-identical results, and the result cache keys on content
+hashes that assume it.  That guarantee dies quietly if simulation logic
+ever consults a wall clock, an unseeded RNG, process-dependent identity
+(``id()``, ``hash()`` under ``PYTHONHASHSEED``), or iterates a ``set``
+whose order feeds scheduling decisions.  :func:`findings` parses the
+source tree and names each such construct as ``path:line: message``.
 
 Scope (:data:`SCOPE_DIRS` + :data:`SCOPE_FILES`): the simulator proper,
 the orchestrator modules whose *output* must be deterministic, and the
@@ -21,25 +21,25 @@ index-keyed), and the I/O layers around the dispatcher,
 waits on the inbox until the dispatcher's next deadline) and
 ``worker.py`` (heartbeats and reconnect backoff).
 
-The set-iteration sub-rule allows :data:`INT_KEYED_SETS`: sets keyed by
+The set-iteration check allows :data:`INT_KEYED_SETS`: sets keyed by
 ints/int-tuples iterate in a reproducible order on CPython because
 ``PYTHONHASHSEED`` only perturbs ``str``/``bytes`` hashing — and each
 allowlisted consumer is order-insensitive anyway (min-scans, or
 mutate-and-return-immediately loops).  Iterating any *other* set (or a
-future string-keyed one) must go through ``sorted(...)``.
+future string-keyed one) must go through ``sorted(...)``.  There is no
+inline suppression: a finding is fixed, or a set joins the allowlist.
 """
 
 from __future__ import annotations
 
 import ast
+import shutil
+from pathlib import Path
 
-from repro.lint.core import Finding, LintTree
+import repro
 
-NAME = "determinism"
-DESCRIPTION = (
-    "no wall-clock reads, unseeded RNGs, id()/hash() ordering, or raw set "
-    "iteration in simulation logic"
-)
+SRC = Path(repro.__file__).resolve().parent
+FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 SCOPE_DIRS = ("sim/", "core/", "dram/", "chip/", "rowhammer/", "workloads/")
 SCOPE_FILES = (
@@ -141,20 +141,12 @@ def _set_attrs(module: ast.Module) -> set[str]:
     return attrs
 
 
-def _check_file(src) -> list[Finding]:
-    findings: list[Finding] = []
-    module = src.tree
+def _check_module(module: ast.Module) -> list[tuple[int, str]]:
+    """``(line, message)`` for each finding in one parsed file."""
+    found: list[tuple[int, str]] = []
 
     def add(node, symbol, message):
-        findings.append(
-            Finding(
-                rule=NAME,
-                path=src.path,
-                line=node.lineno,
-                symbol=symbol,
-                message=message,
-            )
-        )
+        found.append((node.lineno, f"{symbol}: {message}"))
 
     # Track local aliases of the time/datetime/os/numpy modules.
     aliases = {"time": "time", "datetime": "datetime", "os": "os"}
@@ -238,27 +230,112 @@ def _check_file(src) -> list[Finding]:
     ]
     for iter_expr in iter_exprs:
         if isinstance(iter_expr, ast.Attribute) and iter_expr.attr in set_attrs:
-            findings.append(
-                Finding(
-                    rule=NAME,
-                    path=src.path,
-                    line=iter_expr.lineno,
-                    symbol=iter_expr.attr,
-                    message=(
-                        f"iteration over set attribute '{iter_expr.attr}': "
-                        "set order is hash-dependent for str keys and easy "
-                        "to destabilize — wrap in sorted(...) or, if the "
-                        "keys are ints/int-tuples and the consumer is "
-                        "order-insensitive, add it to INT_KEYED_SETS"
-                    ),
-                )
+            add(
+                iter_expr,
+                iter_expr.attr,
+                f"iteration over set attribute '{iter_expr.attr}': "
+                "set order is hash-dependent for str keys and easy "
+                "to destabilize — wrap in sorted(...) or, if the "
+                "keys are ints/int-tuples and the consumer is "
+                "order-insensitive, add it to INT_KEYED_SETS",
             )
-    return findings
+    return sorted(found)
 
 
-def check(tree: LintTree) -> list[Finding]:
-    findings: list[Finding] = []
-    for src in tree:
-        if _in_scope(src.path):
-            findings.extend(_check_file(src))
-    return findings
+def findings(root: Path) -> list[str]:
+    """Every finding in the in-scope ``*.py`` files under ``root``, as
+    ``path:line: message`` with ``path`` relative to ``root``."""
+    out = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if _in_scope(rel):
+            module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            out += [f"{rel}:{line}: {message}" for line, message in _check_module(module)]
+    return out
+
+
+def _edit(path: Path, old: str, new: str) -> None:
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+def test_src_is_clean():
+    assert findings(SRC) == []
+
+
+def test_bad_fixture_is_flagged():
+    found = findings(FIXTURES / "determinism_bad")
+    # import random, time.time(), unseeded default_rng(), raw set
+    # iteration, id().
+    assert [f.split(":")[1] for f in found] == ["3", "14", "17", "21", "24"]
+    assert all(f.startswith("sim/clock.py:") for f in found)
+
+
+def test_good_fixture_is_clean():
+    assert findings(FIXTURES / "determinism_good") == []
+
+
+def test_planted_wallclock_read_is_flagged(tmp_path):
+    tree = tmp_path / "repro"
+    shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    trace = tree / "sim" / "trace.py"
+    trace.write_text(
+        trace.read_text(encoding="utf-8")
+        + "\n\nimport time\n\n\ndef _wallclock() -> float:\n"
+        + "    return time.time()\n",
+        encoding="utf-8",
+    )
+    (finding,) = findings(tree)
+    assert finding.startswith("sim/trace.py:")
+    assert ": time.time: wall-clock read" in finding
+
+
+def test_int_keyed_set_may_iterate_raw(tmp_path):
+    root = tmp_path / "tree"
+    shutil.copytree(FIXTURES / "determinism_good", root)
+    _edit(
+        root / "sim" / "clock.py",
+        "        self.pending_rows = set()\n",
+        "        self.pending_rows = set()\n        self.blocked_banks = set()\n",
+    )
+    _edit(
+        root / "sim" / "clock.py",
+        "    def order(self):\n",
+        "    def blocked(self):\n"
+        "        return [bank for bank in self.blocked_banks]\n\n"
+        "    def order(self):\n",
+    )
+    assert findings(root) == []
+    # The same raw walk over a set outside INT_KEYED_SETS is a finding.
+    _edit(root / "sim" / "clock.py", "sorted(self.pending_rows)", "self.pending_rows")
+    (finding,) = findings(root)
+    assert "pending_rows" in finding
+
+
+def test_files_out_of_scope_are_ignored(tmp_path):
+    root = tmp_path / "tree"
+    (root / "obs").mkdir(parents=True)
+    shutil.copy(FIXTURES / "determinism_bad" / "sim" / "clock.py", root / "obs")
+    assert findings(root) == []
+    (root / "sim").mkdir()
+    shutil.move(root / "obs" / "clock.py", root / "sim" / "clock.py")
+    assert findings(root)
+
+
+def test_dispatcher_stays_sans_io(tmp_path):
+    import repro.orchestrator.backends.dispatch as dispatch
+
+    target = tmp_path / "tree" / "orchestrator" / "backends" / "dispatch.py"
+    target.parent.mkdir(parents=True)
+    shutil.copy(dispatch.__file__, target)
+    assert findings(tmp_path / "tree") == []
+    _edit(
+        target,
+        "        if self.finished:\n            return out\n",
+        "        if self.finished:\n            return out\n"
+        "        now = time.monotonic()\n",
+    )
+    (finding,) = findings(tmp_path / "tree")
+    assert finding.startswith("orchestrator/backends/dispatch.py:")
+    assert ": time.monotonic: " in finding

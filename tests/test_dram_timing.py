@@ -32,6 +32,10 @@ class TestPreset:
         with pytest.raises(ValueError):
             TimingParams(trc=ns(40.0))  # < tRAS + tRP
 
+    def test_hira_gap_below_trrd_l_rejected(self):
+        with pytest.raises(ValueError, match="tRRD_L"):
+            TimingParams(trrd_l=ns(6.5))  # > t1 + t2 = 6 ns
+
     def test_positive_fields_enforced(self):
         with pytest.raises(ValueError):
             TimingParams(trcd=0)

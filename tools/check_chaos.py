@@ -1,7 +1,7 @@
 """CI gate for the chaos suite (``tests/test_chaos.py``).
 
-Two passes, mirroring ``tools/check_lint.py``'s philosophy that a guard
-which never fires proves nothing:
+Two passes, on the principle that a guard which never fires proves
+nothing:
 
 1. **Matrix pass** — run the whole chaos suite under multiple simulator
    seeds (``REPRO_CHAOS_SEED``).  Every simulated fault case must

@@ -1,7 +1,7 @@
 """CI gate for the observability layer (``src/repro/obs``).
 
-Four passes, mirroring ``check_lint.py``'s clean + planted-mutation
-pattern so the gate cannot rot into a vacuous green check:
+Four passes, the last a planted mutation, so the gate cannot rot into
+a vacuous green check:
 
 1. **Traced pass** — armed runs across refresh modes must export valid
    Chrome trace-event JSON whose aggregate counters reproduce the
